@@ -20,9 +20,9 @@ from .complexity import (ProjState, chordal, exact_complexity,
                          finite_state_set, limit_points_real, s_infinity,
                          trajectory)
 from .linalg import (char_poly, frmat, frvec, is_positive_definite,
-                     is_zero_matrix, krylov_rank, mat_mul, mat_pow, mat_rank,
-                     mat_vec, poly_deriv, poly_gcd, solve_linear,
-                     sym_float_eigs, zeros)
+                     is_zero_matrix, krylov_rank, mat_inverse, mat_mul,
+                     mat_pow, mat_vec, poly_deriv, poly_gcd, sym_float_eigs,
+                     zeros)
 
 STANDARD_GRASSMANNIANS = [(2, 4), (2, 5), (2, 6), (2, 7), (2, 8),
                           (3, 6), (3, 7), (3, 8)]
@@ -68,15 +68,6 @@ def _poly_from_roots(pairs):
             for i in range(len(poly) - 1, 0, -1):
                 poly[i] -= root * poly[i - 1]
     return poly
-
-
-def _matrix_inverse(m):
-    n = len(m)
-    cols = []
-    for j in range(n):
-        e = [Fraction(1) if i == j else Fraction(0) for i in range(n)]
-        cols.append(solve_linear(m, e))
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 def criterion_1():
@@ -256,9 +247,10 @@ def criterion_7():
         while True:
             p = [[Fraction(rng.randint(-3, 3)) for _ in range(dim)]
                  for _ in range(dim)]
-            if mat_rank(p) == dim:
+            p_inv = mat_inverse(p)
+            if p_inv is not None:
                 break
-        m = mat_mul(mat_mul(p, jmat), _matrix_inverse(p))
+        m = mat_mul(mat_mul(p, jmat), p_inv)
         z = [Fraction(rng.randint(-4, 4)) for _ in range(dim)]
         if all(x == 0 for x in z):
             z[0] = Fraction(1)

@@ -12,7 +12,7 @@ import io
 import json
 import sys
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, isfinite, nan
 
 from . import acceptance, complexity, partitions, rings
 from .linalg import is_positive_definite
@@ -74,8 +74,6 @@ def parse_state(ring, text):
 def _scalar(x):
     if isinstance(x, Fraction):
         return str(x)
-    if isinstance(x, float):
-        return x
     return x
 
 
@@ -218,12 +216,7 @@ def cmd_dimf(args):
     elif kind == "gr" and ring.meta["k"] == 2:
         closed = rings.gr2_f_dim(ring.meta["n"])
     elif kind == "fci":
-        tau, kappa = ring.meta["tau"], ring.meta["kappa"]
-        chi, r = ring.meta["chi"], ring.meta["r"]
-        if tau >= 2 and kappa >= 1:
-            closed = (1 if tau == chi else 2) + tau // gcd(r, tau)
-        elif tau == 1:
-            closed = 3 if chi == r + 1 else (r + 1 if ring.meta["omega"] else r)
+        closed = rings.fci_dim_f(ring)
     return {"ring": ring.name, "computed": rank, "powers": powers,
             "bound": ring.dim_bound(), "closed_form": closed,
             "matches_closed_form": None if closed is None else rank == closed}
@@ -304,7 +297,7 @@ def _text_lines(obj, indent=""):
 
 def render(report, fmt):
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if fmt == "text" and isinstance(report, dict) and "summary" in report \
             and "criteria" in report:
         lines = list(report["summary"])
@@ -328,6 +321,17 @@ def render(report, fmt):
         writer.writerows([row[h] for h in header] for row in rows)
         return buf.getvalue()
     return "\n".join(_text_lines(report)) + "\n"
+
+
+def _finite_float(text):
+    """argparse type for tolerances: NaN and infinities have no JSON form."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = nan
+    if not isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def build_parser():
@@ -355,7 +359,7 @@ def build_parser():
     common(p)
     p.add_argument("--from", dest="source", required=True)
     p.add_argument("--to", dest="target", required=True)
-    p.add_argument("--eps", type=float, default=None,
+    p.add_argument("--eps", type=_finite_float, default=None,
                    help="tolerance for approximate complexity")
     p.add_argument("--kmax", type=int, default=None)
 
@@ -368,7 +372,7 @@ def build_parser():
     common(p)
     p.add_argument("--from", dest="source", default="unit")
     p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_finite_float, default=1e-9)
 
     common(sub.add_parser("dimf",
                           help="dimension of the span of handle powers"))
@@ -412,7 +416,7 @@ def run(argv):
         return 2
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        sys.stdout.write(json.dumps(error, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(error, sort_keys=True, allow_nan=False) + "\n")
         return 1
     if args.out:
         with open(args.out, "w") as fh:

@@ -13,17 +13,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import Echelon, _det, frmat, solve_linear
+from .linalg import Echelon, mat_inverse, mat_rank
 
 # Laurent scalars are sparse maps {exponent: Fraction} with no zero values.
-
-
-def qp(x):
-    """Coerce a number or exponent map into a Laurent scalar."""
-    if isinstance(x, dict):
-        return {e: Fraction(c) for e, c in x.items() if c}
-    x = Fraction(x)
-    return {0: x} if x else {}
 
 
 def qp_add(a, b):
@@ -35,23 +27,6 @@ def qp_add(a, b):
         else:
             out.pop(e, None)
     return out
-
-
-def qp_mul(a, b):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            s = out.get(e, Fraction(0)) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
-
-
-def qp_shift(a, d):
-    return {e + d: c for e, c in a.items()}
 
 
 def qp_eval(a, at):
@@ -113,9 +88,6 @@ class Element:
 
     def support(self):
         return {w for (w, _) in self.coeffs}
-
-    def q_exponents(self):
-        return {e for (_, e) in self.coeffs}
 
     def terms(self):
         return sorted(self.coeffs.items())
@@ -220,38 +192,23 @@ class FrobeniusRing:
     def handle_element(self) -> Element:
         """Handle element: sum over i, j of g^{ij} e_i * e_j.
 
-        Computed twice, once from the inverse pairing matrix and once from the
-        dual basis obtained by per-column solves; the two must agree. When a
-        delta override is installed (rings whose modeled part cannot see the
-        full pairing), it is returned instead.
+        g^{ij} is the inverse of the constant pairing, computed once; a
+        singular pairing raises ValueError. When a delta override is
+        installed (rings whose modeled part cannot see the full pairing), it
+        is returned instead.
         """
         if self.delta_override is not None:
             return self.delta_override
         if "handle" in self._cache:
             return self._cache["handle"]
-        g = self.constant_pairing()
-        n = self.dim
-        if _det(frmat(g)) == 0:
+        ginv = mat_inverse(self.constant_pairing())
+        if ginv is None:
             raise ValueError("pairing matrix is singular")
-        cols = []
-        for i in range(n):
-            rhs = [Fraction(int(r == i)) for r in range(n)]
-            cols.append(solve_linear(g, rhs))
         delta = Element()
-        for i in range(n):
-            for j in range(n):
-                gij = cols[j][i]  # (g^{-1})_{ij}
+        for i, row in enumerate(ginv):
+            for j, gij in enumerate(row):
                 if gij:
                     delta = delta + self._basis_product(i, j).scale(gij)
-        dual = Element()
-        for i in range(n):
-            check = Element()
-            for j in range(n):
-                if cols[i][j]:
-                    check = check + self._basis_product(i, j).scale(cols[i][j])
-            dual = dual + check
-        if delta != dual:
-            raise ValueError("handle element: double-sum and dual-basis forms differ")
         self._cache["handle"] = delta
         return delta
 
@@ -385,7 +342,7 @@ class FrobeniusRing:
                     raise ValueError(f"pairing not symmetric at ({i}, {j})")
         for at in (1, 2, 3):
             g = [[qp_eval(e, at) for e in row] for row in self.pairing]
-            if _det(frmat(g)) != 0:
+            if mat_rank(g) == n:
                 break
         else:
             raise ValueError("pairing not certified invertible at q = 1, 2, 3")

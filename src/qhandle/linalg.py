@@ -1,6 +1,8 @@
 """Exact dense linear algebra over the rationals.
 
-Matrices are lists of rows of Fraction entries. Provides characteristic
+Matrices are lists of rows of Fraction entries. One elimination kernel,
+the incremental reduced row echelon form Echelon, gives rank, nullspace,
+linear solves, inverses and determinants. On top of it: characteristic
 polynomials, rational root extraction, generalized eigenstructure, Sylvester
 positive-definiteness certificates, Krylov ranks, and a deterministic
 floating-point Jacobi eigensolver for symmetric matrices.
@@ -49,10 +51,6 @@ def mat_vec(a, v):
     return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), Fraction(0)) for row in a]
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -79,92 +77,100 @@ def is_zero_matrix(a):
     return all(not x for row in a for x in row)
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)]
+class Echelon:
+    """Incremental exact reduced row echelon form: the elimination kernel.
+
+    Every stored row has pivot 1 and is zero in the pivot columns of the
+    other stored rows, so the stored rows are the (unique) RREF of the rows
+    added so far, in insertion order. ``det`` is the determinant of the added
+    rows when they form a square matrix: the product of the pivots times the
+    sign of the pivot permutation, or 0 once an added row was dependent.
+    """
+
+    def __init__(self):
+        self.rows = []  # (pivot column, vector scaled to pivot 1)
+        self.det = Fraction(1)
+
+    @classmethod
+    def of(cls, rows):
+        ech = cls()
+        for row in rows:
+            ech.add(row)
+        return ech
+
+    def add(self, v):
+        """Insert v; returns True if it enlarged the span."""
+        # Structure-constant rows are mostly zeros, so the row operations
+        # skip zero entries rather than pay for Fraction arithmetic on them.
+        v = list(v)
+        for piv, row in self.rows:
+            f = v[piv]
+            if f:
+                v = [x - f * y if y else x for x, y in zip(v, row)]
+        piv = next((i for i, x in enumerate(v) if x), None)
+        if piv is None:
+            self.det = Fraction(0)
+            return False
+        if sum(q > piv for q, _ in self.rows) % 2:
+            self.det = -self.det
+        self.det *= v[piv]
+        inv = 1 / Fraction(v[piv])
+        v = [x * inv if x else x for x in v]
+        for k, (q, row) in enumerate(self.rows):
+            f = row[piv]
+            if f:
+                self.rows[k] = (q, [x - f * y if y else x for x, y in zip(row, v)])
+        self.rows.append((piv, v))
+        return True
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def nullspace(self, cols):
+        """Basis of the vectors of length cols orthogonal to every added row,
+        one per free column in ascending order, that entry set to 1."""
+        pivots = {piv for piv, _ in self.rows}
+        basis = []
+        for fc in range(cols):
+            if fc in pivots:
+                continue
+            v = [Fraction(0)] * cols
+            v[fc] = Fraction(1)
+            for piv, row in self.rows:
+                v[piv] = -row[fc]
+            basis.append(v)
+        return basis
 
 
 def mat_rank(a):
-    """Rank by exact Gaussian elimination."""
-    if not a:
-        return 0
-    m = [row[:] for row in a]
-    rows, cols = len(m), len(m[0])
-    rank = 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, rows) if m[r][c]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][c]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(rows):
-            if r != rank and m[r][c]:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    """Rank by exact elimination."""
+    return Echelon.of(a).rank
 
 
 def nullspace(a):
     """Basis of the right nullspace, as a list of vectors."""
-    rows, cols = len(a), len(a[0]) if a else 0
-    m = [row[:] for row in a]
-    pivots = []
-    rank = 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, rows) if m[r][c]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][c]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(rows):
-            if r != rank and m[r][c]:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        pivots.append(c)
-        rank += 1
-        if rank == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
-        basis.append(v)
-    return basis
+    return Echelon.of(a).nullspace(len(a[0]) if a else 0)
 
 
 def solve_linear(a, b):
-    """One solution x of a x = b, or None if inconsistent."""
-    rows, cols = len(a), len(a[0]) if a else 0
-    m = [row[:] + [bb] for row, bb in zip(a, b)]
-    pivots = []
-    rank = 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, rows) if m[r][c]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][c]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(rows):
-            if r != rank and m[r][c]:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        pivots.append(c)
-        rank += 1
-    for r in range(rank, rows):
-        if m[r][cols]:
-            return None
+    """One solution x of a x = b (free variables 0), or None if inconsistent."""
+    cols = len(a[0]) if a else 0
     x = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = m[r][cols]
+    for piv, row in Echelon.of([[*row, bb] for row, bb in zip(a, b)]).rows:
+        if piv == cols:
+            return None
+        x[piv] = row[cols]
     return x
+
+
+def mat_inverse(a):
+    """Inverse of a square matrix, or None if it is singular."""
+    n = len(a)
+    ech = Echelon.of([[*row, *unit] for row, unit in zip(a, identity(n))])
+    if any(piv >= n for piv, _ in ech.rows):
+        return None
+    return [row[n:] for _, row in sorted(ech.rows)]  # pivots are distinct
 
 
 def char_poly(m):
@@ -187,13 +193,6 @@ def char_poly(m):
                 mk[i][i] += ck
             mk = mat_mul(m, mk)
     return coeffs
-
-
-def poly_eval(coeffs, x):
-    acc = Fraction(0)
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
 
 
 def poly_deriv(coeffs):
@@ -362,7 +361,8 @@ def rational_eigenstructure(m):
         power = identity(n)
         for _ in range(mult):
             power = mat_mul(power, shifted)
-            ranks.append(mat_rank(power))
+            ech = Echelon.of(power)
+            ranks.append(ech.rank)
         blocks = []
         for j in range(1, mult + 1):
             r_prev = ranks[j - 1]
@@ -371,7 +371,7 @@ def rational_eigenstructure(m):
             exactly_j = (r_prev - r_j) - (r_j - r_next)
             blocks.extend([j] * exactly_j)
         blocks.sort(reverse=True)
-        entries.append(EigenData(lam, mult, blocks, nullspace(power)))
+        entries.append(EigenData(lam, mult, blocks, ech.nullspace(n)))
     total = sum(mult for _, mult in roots)
     return EigenStructure(entries, split_over_rationals=(total == n))
 
@@ -412,61 +412,10 @@ def is_positive_definite(m):
         minors.append(Fraction(prev, den ** (k + 1)))
     if singular_at is not None:
         # Bareiss stalls on a zero pivot; fall back to direct determinants.
-        minors = [_det([row[: k + 1] for row in m[: k + 1]]) for k in range(n)]
+        minors = [Echelon.of([row[: k + 1] for row in m[: k + 1]]).det
+                  for k in range(n)]
     ok = all(d > 0 for d in minors)
     return ok, minors
-
-
-def _det(m):
-    n = len(m)
-    m = [row[:] for row in m]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c]:
-                f = m[r][c] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return det
-
-
-class Echelon:
-    """Incremental exact row-echelon accumulator for span/rank questions."""
-
-    def __init__(self):
-        self.rows = []  # (pivot column, vector scaled to pivot 1)
-
-    def reduce(self, v):
-        v = list(v)
-        for piv, row in self.rows:
-            if v[piv]:
-                f = v[piv]
-                v = [x - f * y for x, y in zip(v, row)]
-        return v
-
-    def add(self, v):
-        """Insert v; returns True if it enlarged the span."""
-        v = self.reduce(v)
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
-            return False
-        inv = 1 / v[piv]
-        self.rows.append((piv, [x * inv for x in v]))
-        return True
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-    def contains(self, v):
-        return all(not x for x in self.reduce(v))
 
 
 def krylov_rank(m, v, cap):

@@ -505,6 +505,21 @@ def fano_ci(m, r):
                     prim_dim=prim, hat_basis=hat, constants=constants)
 
 
+def fci_dim_f(ring):
+    """Closed-form dim F of a fano_ci ring, or None where there is none."""
+    meta = ring.meta
+    tau, kappa, chi, r = meta["tau"], meta["kappa"], meta["chi"], meta["r"]
+    if tau >= 2:
+        # kappa = 0 collapses the handle into Span{1, H^r}, so the
+        # independence count behind this formula needs kappa >= 1
+        if kappa < 1:
+            return None
+        return (1 if tau == chi else 2) + tau // gcd(r, tau)
+    if chi == r + 1:
+        return 3
+    return r + 1 if meta["omega"] != 0 else r
+
+
 def fci_report(model):
     """Summarize the handle dynamics of a Fano complete intersection.
 
@@ -532,12 +547,12 @@ def fci_report(model):
     report["orbit_closed"] = closed
     report["orbit_size"] = len(states)
 
+    predicted = fci_dim_f(ring)
+    if predicted is not None:
+        report["dim_f_predicted"] = predicted
     if tau >= 2:
         d = gcd(r, tau)
         if kappa >= 1:
-            # kappa = 0 collapses the handle into Span{1, H^r}, so the
-            # independence count behind this formula needs kappa >= 1
-            report["dim_f_predicted"] = (1 if tau == chi else 2) + tau // d
             preds = [ring.unit(), ring.handle_element()]
             for j in range(kappa // d + 1, r // d + 1):
                 preds.append(ring.power(ring.basis_element(1), j * d))
@@ -549,10 +564,6 @@ def fci_report(model):
         alpha = c["alpha"]
         beta = c["beta"]
         omega = c["omega"]
-        if chi == r + 1:
-            report["dim_f_predicted"] = 3
-        else:
-            report["dim_f_predicted"] = r + 1 if omega != 0 else r
         mm = ring.mult_matrix(ring.handle_element(), at_q=1)
         a = [[mm[r - i][r - j] for j in range(r + 1)] for i in range(r + 1)]
         report["a_matrix"] = a

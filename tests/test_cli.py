@@ -1,7 +1,13 @@
 import csv
 import io
 import json
+import os
+import shutil
 import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from qhandle import cli
 
@@ -135,6 +141,17 @@ def test_usage_errors_exit_2(capsys):
         assert out == "" and err.startswith("qh: ")
 
 
+def test_non_finite_floats_are_usage_errors(capsys):
+    approx = ["complexity", "quadric:3", "--from", "unit", "--to", "H"]
+    for argv in [approx + ["--eps", "nan"], approx + ["--eps", "inf"],
+                 ["sinfty", "pn:2", "--tol", "nan"]]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and "finite" in err
+    with pytest.raises(ValueError):
+        cli.render({"eps": float("nan")}, "json")
+
+
 def test_domain_errors_exit_1_with_error_object(capsys):
     code, out, err = run_cli(capsys, "delta", "gr:1,5")
     assert code == 1 and err == ""
@@ -193,6 +210,18 @@ def test_text_format(capsys):
     assert code == 0 and "Est: 35" in out
 
 
+def test_module_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "qhandle", "estimate", "2", "4"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["Est"] == 2
+
+
+@pytest.mark.skipif(shutil.which("qh") is None,
+                    reason="the qh console script is not installed")
 def test_installed_entry_point():
     proc = subprocess.run(["qh", "estimate", "2", "4"],
                           capture_output=True, text=True)

@@ -2,13 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import det_int
 from qhandle.linalg import (Echelon, char_poly, frmat, frvec, identity,
                             is_positive_definite, is_zero_matrix, krylov_rank,
-                            mat_mul, mat_pow, mat_rank, mat_vec, nullspace,
-                            poly_deriv, poly_divmod, poly_eval, poly_gcd,
+                            mat_inverse, mat_mul, mat_pow, mat_rank, mat_vec,
+                            nullspace, poly_deriv, poly_divmod, poly_gcd,
                             rational_eigenstructure, rational_roots,
-                            solve_linear, sym_float_eigs, transpose, zeros)
+                            solve_linear, sym_float_eigs, zeros)
 
 
 def test_char_poly_known():
@@ -33,8 +36,8 @@ def test_cayley_hamilton_random():
 def test_poly_eval_and_divmod():
     # descending coefficients: x^2 - 4x + 3
     p = [Fraction(1), Fraction(-4), Fraction(3)]
-    assert poly_eval(p, Fraction(1)) == 0
-    assert poly_eval(p, Fraction(0)) == 3
+    # the remainder of p by x - a is p(a): p(0) = 3 here, p(1) = 0 below
+    assert poly_divmod(p, [Fraction(1), Fraction(0)])[1] == [3]
     q, r = poly_divmod(p, [Fraction(1), Fraction(-1)])
     assert q == [Fraction(1), Fraction(-3)] and r == [Fraction(0)]
 
@@ -44,7 +47,7 @@ def test_poly_gcd_detects_repeated_roots():
     p = [Fraction(1), Fraction(0), Fraction(-3), Fraction(2)]
     g = poly_gcd(p, poly_deriv(p))
     assert len(g) == 2
-    assert poly_eval(g, Fraction(1)) == 0
+    assert poly_divmod(g, [Fraction(1), Fraction(-1)])[1] == [0]
     # squarefree polynomial gives a constant gcd
     assert len(poly_gcd([Fraction(1), Fraction(0), Fraction(-2)],
                         poly_deriv([Fraction(1), Fraction(0), Fraction(-2)]))) == 1
@@ -111,9 +114,8 @@ def test_nullspace_and_rank():
         assert all(x == 0 for x in mat_vec(a, v))
 
 
-def test_transpose_and_pow():
+def test_mat_pow():
     a = [[1, 2], [3, 4]]
-    assert transpose(a) == [[1, 3], [2, 4]]
     assert mat_pow(frmat(a), 0) == identity(2)
     assert mat_pow(frmat(a), 3) == mat_mul(frmat(a), mat_mul(frmat(a), frmat(a)))
 
@@ -148,6 +150,12 @@ def test_is_positive_definite():
         is_positive_definite([[1, 2], [3, 4]])
 
 
+def test_is_positive_definite_zero_pivot_fallback():
+    # a zero leading entry stalls Bareiss; the minors then come from Echelon
+    assert is_positive_definite([[0, 1], [1, 0]]) == (False, [0, -1])
+    assert is_positive_definite([[1, 1, 0], [1, 1, 1], [0, 1, 1]]) == (False, [1, 0, -1])
+
+
 def test_krylov_rank():
     m = frmat([[2, 0], [0, 3]])
     assert krylov_rank(m, frvec([1, 1]), 3) == 2
@@ -162,6 +170,48 @@ def test_echelon_rank():
     assert ech.add(frvec([0, 1, 1]))
     assert not ech.add(frvec([1, 3, 4]))
     assert ech.rank == 2
+
+
+small_ints = st.integers(min_value=-4, max_value=4)
+
+
+@st.composite
+def int_matrices(draw, square=False):
+    rows = draw(st.integers(1, 5))
+    cols = rows if square else draw(st.integers(1, 5))
+    return draw(st.lists(st.lists(small_ints, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices(square=True))
+def test_kernel_det_and_inverse(a):
+    det = det_int(a)
+    assert Echelon.of(frmat(a)).det == det
+    inv = mat_inverse(frmat(a))
+    assert (inv is None) == (det == 0)
+    if inv is not None:
+        assert mat_mul(inv, frmat(a)) == identity(len(a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices(), st.data())
+def test_kernel_solve_and_nullspace(a, data):
+    cols = len(a[0])
+    m = frmat(a)
+    basis = nullspace(m)
+    assert mat_rank(m) + len(basis) == cols
+    for v in basis:
+        assert not any(mat_vec(m, v))
+    x0 = data.draw(st.lists(small_ints, min_size=cols, max_size=cols))
+    reachable = mat_vec(m, frvec(x0))
+    b = data.draw(st.one_of(st.just(reachable),
+                            st.lists(small_ints, min_size=len(a), max_size=len(a))))
+    x = solve_linear(m, frvec(b))
+    if b == reachable:
+        assert x is not None
+    if x is not None:
+        assert mat_vec(m, x) == b
 
 
 def test_sym_float_eigs():
