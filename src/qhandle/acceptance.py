@@ -100,12 +100,12 @@ def criterion_2():
         c.check(ring.handle_element() ==
                 ring.element({f"s{r}": r + d, ("1", 1): r - d}),
                 f"quadric:{r}: handle equals {r + d} s{r} + {r - d} q 1")
-        got = char_poly(ring.mult_matrix(ring.handle_element(), at_q=1))
+        got = char_poly(ring.mult_matrix(ring.handle_element()))
         c.check(got == _poly_from_roots([(2 * r, r), (-2 * d, d)]),
                 f"quadric:{r}: handle spectrum is 2r with multiplicity {r} "
                 f"and -2({d}) with multiplicity {d}")
         floats = sym_float_eigs([[float(x) for x in row]
-                                 for row in ring.mult_matrix(ring.handle_element(), at_q=1)])
+                                 for row in ring.mult_matrix(ring.handle_element())])
         want = sorted([2.0 * r] * r + [-2.0 * d] * d)
         c.check(all(abs(a - b) < 1e-6 for a, b in zip(sorted(floats), want)),
                 f"quadric:{r}: float eigenvalues cluster at the exact spectrum")

@@ -54,8 +54,8 @@ class ProjState:
         self.vec = tuple(x / pivot for x in coords)
 
     @classmethod
-    def from_element(cls, ring, x, at_q=1):
-        return cls(ring.element_vector(x, at_q=at_q))
+    def from_element(cls, ring, x):
+        return cls(ring.element_vector(x))
 
     def floats(self):
         return [float(x) for x in self.vec]
@@ -112,8 +112,8 @@ def _orbit_setup(ring, s0, kmax):
         kmax = 10 * ring.dim
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    mat = frmat(ring.mult_matrix(ring.handle_element(), at_q=1))
-    vec = frvec(ring.element_vector(s0, at_q=1))
+    mat = ring.mult_matrix(ring.handle_element())
+    vec = ring.element_vector(s0)
     if all(x == 0 for x in vec):
         raise ValueError("reference state is zero")
     return mat, vec, kmax
@@ -143,7 +143,7 @@ def trajectory(ring, s0, kmax=None):
 def exact_complexity(ring, s0, target, kmax=None):
     """Least k with [Delta^(*k) s0] = [target], or NOT_FOUND."""
     mat, vec, kmax = _orbit_setup(ring, s0, kmax)
-    goal = ProjState(frvec(ring.element_vector(target, at_q=1)))
+    goal = ProjState.from_element(ring, target)
     seen = set()
     for k in range(kmax + 1):
         state = ProjState(vec)
@@ -163,7 +163,7 @@ def approx_complexity(ring, s0, target, eps, kmax=None):
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     mat, vec, kmax = _orbit_setup(ring, s0, kmax)
-    goal = ProjState(frvec(ring.element_vector(target, at_q=1)))
+    goal = ProjState.from_element(ring, target)
     for k in range(kmax + 1):
         state = ProjState(vec)
         if chordal(state, goal) <= eps:
@@ -307,8 +307,8 @@ def s_infinity(ring, s0, kmax=None, tol=1e-9):
     traj = trajectory(ring, s0, kmax)
     if traj.closed:
         return SInfinityReport(points=[], exact=True, method="finite-orbit")
-    mat = frmat(ring.mult_matrix(ring.handle_element(), at_q=1))
-    z = frvec(ring.element_vector(s0, at_q=1))
+    mat = ring.mult_matrix(ring.handle_element())
+    z = ring.element_vector(s0)
     eig = rational_eigenstructure(mat)
     if eig.split_over_rationals:
         report = limit_points_real(mat, z, _eig=eig)
@@ -325,7 +325,7 @@ def s_infinity(ring, s0, kmax=None, tol=1e-9):
         except ValueError:
             theta = None
     if theta is not None:
-        power = ring.mult_matrix(ring.power(ring.handle_element(), theta), at_q=1)
+        power = ring.mult_matrix(ring.power(ring.handle_element(), theta))
         if power == [list(row) for row in zip(*power)]:
             values, vectors = _jacobi([[float(x) for x in row] for row in power], 1e-12)
             top = max(abs(v) for v in values)

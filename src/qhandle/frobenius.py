@@ -2,10 +2,12 @@
 
 A FrobeniusRing stores an ordered basis with integer (complex) degrees, the
 q-degree tau, a pairing matrix with Laurent-polynomial entries, and the full
-table of structure constants e_i * e_j as sparse elements. On top of that it
-provides the handle element, multiplication matrices, quantum powers, the
-point-class order, the graded V_j split, the dimension bound for the span of
-handle powers, and that span's exact dimension.
+table of structure constants e_i * e_j as sparse rows of integers. The
+q-power of each term is not stored: the grading fixes it as
+(deg e_i + deg e_j - deg e_w) / tau. On top of that it provides the handle
+element, multiplication matrices at q = 1, quantum powers, the point-class
+order, the graded V_j split, the dimension bound for the span of handle
+powers, and that span's exact dimension.
 """
 
 from dataclasses import dataclass, field
@@ -89,27 +91,26 @@ class Element:
     def support(self):
         return {w for (w, _) in self.coeffs}
 
-    def terms(self):
-        return sorted(self.coeffs.items())
-
     def __repr__(self):
         return f"Element({self.coeffs!r})"
 
 
-def _fr_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 @dataclass
 class FrobeniusRing:
-    """Graded Frobenius algebra with materialized structure constants."""
+    """Graded Frobenius algebra with materialized integer structure constants.
+
+    structure[(i, j)], for i <= j, is the row {w: c} of e_i * e_j: each c is
+    a nonzero int and stands for the term c q^d e_w, where
+    d = (deg e_i + deg e_j - deg e_w) / tau. Rows stay sparse: a dense
+    n x n x n table would cost n^3 words per ring.
+    """
 
     name: str
     labels: list
     degrees: list
     tau: int
     pairing: list  # n x n Laurent scalars
-    structure: dict  # (i, j) with i <= j -> Element
+    structure: dict  # (i, j) with i <= j -> {w: nonzero int}
     unit_index: int
     point_index: int | None = None
     delta_override: Element | None = None
@@ -150,18 +151,21 @@ class FrobeniusRing:
             coeffs[(idx, e)] = coeffs.get((idx, e), Fraction(0)) + Fraction(c)
         return Element(coeffs)
 
-    def _basis_product(self, i, j):
-        if i > j:
-            i, j = j, i
-        return self.structure[(i, j)]
+    def _row(self, i, j):
+        """Row {w: c} of e_i * e_j at q = 1, for any order of i and j."""
+        return self.structure[(i, j) if i <= j else (j, i)]
+
+    def _q_power(self, i, j, w):
+        """Exponent of q on e_w in e_i * e_j, read off the grading."""
+        return (self.degrees[i] + self.degrees[j] - self.degrees[w]) // self.tau
 
     def product(self, x: Element, y: Element) -> Element:
         out = {}
         for (i, d1), c1 in x.coeffs.items():
             for (j, d2), c2 in y.coeffs.items():
                 c = c1 * c2
-                for (w, ds), cs in self._basis_product(i, j).coeffs.items():
-                    key = (w, d1 + d2 + ds)
+                for w, cs in self._row(i, j).items():
+                    key = (w, d1 + d2 + self._q_power(i, j, w))
                     s = out.get(key, Fraction(0)) + c * cs
                     if s:
                         out[key] = s
@@ -204,43 +208,33 @@ class FrobeniusRing:
         ginv = mat_inverse(self.constant_pairing())
         if ginv is None:
             raise ValueError("pairing matrix is singular")
-        delta = Element()
-        for i, row in enumerate(ginv):
-            for j, gij in enumerate(row):
-                if gij:
-                    delta = delta + self._basis_product(i, j).scale(gij)
+        coeffs = {}
+        for i, ginv_row in enumerate(ginv):
+            for j, gij in enumerate(ginv_row):
+                if not gij:
+                    continue
+                for w, c in self._row(i, j).items():
+                    key = (w, self._q_power(i, j, w))
+                    coeffs[key] = coeffs.get(key, 0) + gij * c
+        delta = Element(coeffs)
         self._cache["handle"] = delta
         return delta
 
-    def mult_matrix(self, x: Element, at_q=None):
-        """Matrix of quantum multiplication by x; column j is x * e_j.
-
-        With at_q omitted the element must have no negative q exponents and q
-        is specialized to 1; pass an explicit at_q to allow Laurent input.
-        """
-        if at_q is None:
-            if any(e < 0 for (_, e) in x.coeffs):
-                raise ValueError("negative q exponent; pass an explicit at_q")
-            at_q = Fraction(1)
-        at_q = Fraction(at_q)
+    def mult_matrix(self, x: Element):
+        """Matrix of quantum multiplication by x at q = 1; column j is x * e_j."""
         n = self.dim
         mat = [[Fraction(0)] * n for _ in range(n)]
-        for j in range(n):
-            col = self.product(x, self.basis_element(j))
-            for (w, e), c in col.coeffs.items():
-                if e >= 0:
-                    mat[w][j] += c * at_q ** e
-                elif at_q:
-                    mat[w][j] += c / at_q ** (-e)
-                else:
-                    raise ValueError("negative q exponent evaluated at q = 0")
+        for (i, _), c in x.coeffs.items():
+            for j in range(n):
+                for w, cs in self._row(i, j).items():
+                    mat[w][j] += c * cs
         return mat
 
-    def element_vector(self, x: Element, at_q=Fraction(1)):
-        """Coordinates of x with q specialized."""
+    def element_vector(self, x: Element):
+        """Coordinates of x at q = 1."""
         vec = [Fraction(0)] * self.dim
-        for (w, e), c in x.coeffs.items():
-            vec[w] += c * Fraction(at_q) ** e if e >= 0 else c / Fraction(at_q) ** (-e)
+        for (w, _), c in x.coeffs.items():
+            vec[w] += c
         return vec
 
     def theta_order(self, cap=64):
@@ -280,7 +274,7 @@ class FrobeniusRing:
         the default leaves the basis unscaled.
         """
         x = self.product(self.handle_element(), self.pt_inverse())
-        mat = self.mult_matrix(x, at_q=Fraction(1))
+        mat = self.mult_matrix(x)
         if weights is not None:
             w = [Fraction(v) for v in weights]
             mat = [[mat[i][j] * w[j] / w[i] for j in range(self.dim)] for i in range(self.dim)]
@@ -308,8 +302,6 @@ class FrobeniusRing:
         Also checks that every handle power stays inside the direct sum of
         V_j over j divisible by D_X.
         """
-        if any(e < 0 for s in self.structure.values() for (_, e) in s.coeffs):
-            raise ValueError("f_span_dim needs non-negative structure q exponents")
         delta = self.handle_element()
         dx = self.d_x()
         allowed = {i for i in range(self.dim) if self.degrees[i] % dx == 0}
@@ -329,8 +321,14 @@ class FrobeniusRing:
     # -- construction-time validation ------------------------------------
 
     def validate(self):
-        """Check pairing symmetry/invertibility, unit, grading, associativity,
-        and the Frobenius condition; failures name the offending triple."""
+        """Check pairing symmetry/invertibility, grading, unit, associativity,
+        and the Frobenius condition; failures name the offending triple.
+
+        The grading check requires every structure constant to be a nonzero
+        int whose degree gap deg e_i + deg e_j - deg e_w is a nonnegative
+        multiple of tau, so every q-power read off the grading is a
+        nonnegative integer.
+        """
         n = self.dim
         if not (len(self.degrees) == n and len(self.pairing) == n):
             raise ValueError("inconsistent basis sizes")
@@ -346,64 +344,52 @@ class FrobeniusRing:
                 break
         else:
             raise ValueError("pairing not certified invertible at q = 1, 2, 3")
+        for (i, j), row in self.structure.items():
+            for w, c in row.items():
+                gap = self.degrees[i] + self.degrees[j] - self.degrees[w]
+                if type(c) is not int or not c or gap < 0 or gap % self.tau:
+                    raise ValueError(f"grading fails in e_{i} * e_{j} at term {c!r} e_{w}")
         for j in range(n):
-            if self._basis_product(self.unit_index, j) != self.basis_element(j):
+            if self.degrees[self.unit_index] or self._row(self.unit_index, j) != {j: 1}:
                 raise ValueError(f"unit law fails on basis element {j}")
-        for (i, j), elem in self.structure.items():
-            want = self.degrees[i] + self.degrees[j]
-            for (w, d), _ in elem.coeffs.items():
-                if self.degrees[w] + d * self.tau != want:
-                    raise ValueError(f"grading fails in e_{i} * e_{j} at term ({w}, q^{d})")
         self._validate_associativity()
         self._validate_frobenius()
 
     def _validate_associativity(self):
-        n = self.dim
-        mats = [self.mult_matrix(self.basis_element(i), at_q=Fraction(1)) for i in range(n)]
-        integral = all(x.denominator == 1 for m in mats for row in m for x in row)
-        if integral:
-            arrs = [np.array([[int(x) for x in row] for row in m], dtype=np.int64) for m in mats]
-            peak = max(int(abs(a).max()) for a in arrs) or 1
-            if n * peak * peak < 2 ** 62:
-                for i in range(n):
-                    for j in range(i, n):
-                        lhs = arrs[i] @ arrs[j]
-                        rhs = np.zeros((n, n), dtype=np.int64)
-                        for (w, _), c in self._basis_product(i, j).coeffs.items():
-                            rhs += int(c) * arrs[w]
-                        if not np.array_equal(lhs, rhs):
-                            raise ValueError(f"associativity fails at pair ({i}, {j})")
-                return
-        from .linalg import mat_mul
+        """L_i L_j = sum_w c^w_ij L_w at q = 1 for every pair i <= j.
 
+        L_i is the matrix of multiplication by e_i, scattered from the rows.
+        Every entry of either side is bounded by n * peak^2, so int64 is exact
+        below 2^62; larger constants are checked in Python ints.
+        """
+        n = self.dim
+        peak = max(abs(c) for row in self.structure.values() for c in row.values())
+        dtype = np.int64 if n * peak * peak < 2 ** 62 else object
+        mats = np.zeros((n, n, n), dtype=dtype)
+        for (i, j), row in self.structure.items():
+            for w, c in row.items():
+                mats[i, w, j] = mats[j, w, i] = c
         for i in range(n):
             for j in range(i, n):
-                lhs = mat_mul(mats[i], mats[j])
-                rhs = [[Fraction(0)] * n for _ in range(n)]
-                for (w, _), c in self._basis_product(i, j).coeffs.items():
-                    for a in range(n):
-                        for b in range(n):
-                            rhs[a][b] += c * mats[w][a][b]
-                if lhs != rhs:
+                rhs = np.zeros((n, n), dtype=dtype)
+                for w, c in self.structure[(i, j)].items():
+                    rhs += c * mats[w]
+                if not np.array_equal(mats[i] @ mats[j], rhs):
                     raise ValueError(f"associativity fails at pair ({i}, {j})")
-
-    def _pair_all(self, x: Element):
-        """Map k -> Laurent value of <x, e_k>."""
-        out = {}
-        for (w, d), c in x.coeffs.items():
-            row = self.pairing[w]
-            for k in range(self.dim):
-                entry = row[k]
-                if entry:
-                    add = {e + d: c * v for e, v in entry.items()}
-                    out[k] = qp_add(out.get(k, {}), add)
-        return {k: v for k, v in out.items() if v}
 
     def _validate_frobenius(self):
         n = self.dim
         table = {}
-        for (i, j), elem in self.structure.items():
-            table[(i, j)] = self._pair_all(elem)
+        for (i, j), row in self.structure.items():
+            # k -> Laurent value of <e_i * e_j, e_k>
+            out = {}
+            for w, c in row.items():
+                d = self._q_power(i, j, w)
+                for k, entry in enumerate(self.pairing[w]):
+                    if entry:
+                        add = {e + d: c * v for e, v in entry.items()}
+                        out[k] = qp_add(out.get(k, {}), add)
+            table[(i, j)] = {k: v for k, v in out.items() if v}
 
         def p3(i, j, k):
             key = (i, j) if i <= j else (j, i)
@@ -414,55 +400,3 @@ class FrobeniusRing:
                 for k in range(j, n):
                     if p3(i, j, k) != p3(j, k, i) or p3(i, j, k) != p3(i, k, j):
                         raise ValueError(f"Frobenius condition fails at triple ({i}, {j}, {k})")
-
-    # -- serialization ----------------------------------------------------
-
-    def to_dict(self):
-        pairing = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if self.pairing[i][j]:
-                    laurent = {str(e): _fr_str(c) for e, c in sorted(self.pairing[i][j].items())}
-                    pairing.append([i, j, laurent])
-        structure = []
-        for (i, j) in sorted(self.structure):
-            terms = [[w, d, _fr_str(c)] for (w, d), c in self.structure[(i, j)].terms()]
-            structure.append([i, j, terms])
-        out = {
-            "name": self.name,
-            "labels": list(self.labels),
-            "degrees": list(self.degrees),
-            "tau": self.tau,
-            "unit": self.unit_index,
-            "pairing": pairing,
-            "structure": structure,
-        }
-        if self.point_index is not None:
-            out["point"] = self.point_index
-        if self.delta_override is not None:
-            out["delta_override"] = [[w, d, _fr_str(c)] for (w, d), c in self.delta_override.terms()]
-        return out
-
-    @classmethod
-    def from_dict(cls, data):
-        n = len(data["labels"])
-        pairing = [[{} for _ in range(n)] for _ in range(n)]
-        for i, j, laurent in data["pairing"]:
-            pairing[i][j] = {int(e): Fraction(c) for e, c in laurent.items()}
-        structure = {}
-        for i, j, terms in data["structure"]:
-            structure[(i, j)] = Element({(w, d): Fraction(c) for w, d, c in terms})
-        override = None
-        if "delta_override" in data:
-            override = Element({(w, d): Fraction(c) for w, d, c in data["delta_override"]})
-        return cls(
-            name=data["name"],
-            labels=list(data["labels"]),
-            degrees=list(data["degrees"]),
-            tau=data["tau"],
-            pairing=pairing,
-            structure=structure,
-            unit_index=data["unit"],
-            point_index=data.get("point"),
-            delta_override=override,
-        )

@@ -103,8 +103,8 @@ def est_bound(k: int, n: int) -> int:
 
     The sum runs over 0 <= i <= floor(k(n-k)/n).
     """
-    if not (2 <= k < n):
-        raise ValueError(f"need 2 <= k < n, got ({k}, {n})")
+    if not 2 <= k <= n - 2:
+        raise ValueError("need 2 <= k <= n - 2")
     top = (k * (n - k)) // n
     total = sum(restricted_count(i * n, n - k, k) for i in range(top + 1))
     return (n // gcd(n, k * k)) * total

@@ -27,14 +27,8 @@ def projective_space(n):
     degrees = list(range(n + 1))
     pairing = [[{0: Fraction(1)} if i + j == n else {} for j in range(n + 1)]
                for i in range(n + 1)]
-    structure = {}
-    for i in range(n + 1):
-        for j in range(i, n + 1):
-            e = i + j
-            if e <= n:
-                structure[(i, j)] = Element({(e, 0): Fraction(1)})
-            else:
-                structure[(i, j)] = Element({(e - n - 1, 1): Fraction(1)})
+    structure = {(i, j): {(i + j) % (n + 1): 1}
+                 for i in range(n + 1) for j in range(i, n + 1)}
     ring = FrobeniusRing(
         name=f"P^{n}", labels=labels, degrees=degrees, tau=n + 1,
         pairing=pairing, structure=structure, unit_index=0, point_index=n,
@@ -44,8 +38,18 @@ def projective_space(n):
     return ring
 
 
-def _quadric_ring(r, diagonal_middle):
-    """Build Q^r with the requested pairing convention on the middle classes."""
+def quadric(r):
+    """Quantum cohomology of a smooth quadric Q^r, r >= 2.
+
+    Products are computed at q = 1 in the presentation by the hyperplane
+    class H and, for even r = 2m, the difference D = s_m+ - s_m- of the two
+    middle classes: H^(r+i) = 4 q H^i for i >= 1, H D = 0 and
+    D D = (-1)^m (H^r - 4 q); the q-powers follow from the grading. The
+    middle classes pair diagonally for even m and off-diagonally for odd m,
+    so Q^4 is Gr(2, 4) with s2+, s2- the classes s[2], s[1,1].
+    """
+    if r < 2:
+        raise ValueError("r must be at least 2")
     m = r // 2
     even = r % 2 == 0
     if even:
@@ -71,95 +75,79 @@ def _quadric_ring(r, diagonal_middle):
             return a
 
     dim = len(labels)
+    dd_sign = -1 if m % 2 else 1
 
     def c_scalar(a):
-        # sigma_a = c_a H^(*a) away from the top and middle classes
+        # sigma_a = c_a H^a away from the top and middle classes
         return Fraction(1) if 2 * a <= r - 1 else Fraction(1, 2)
 
     def rep(i):
-        # presentation coordinates: {(term, q exponent): coeff},
-        # term ("h", e) for H^(*e) and ("d",) for the middle difference class
+        # presentation coordinates {term: coeff} at q = 1: term e for H^e,
+        # "D" for the middle difference class
         if even and i == plus:
-            return {(("h", m), 0): Fraction(1, 2), (("d",), 0): Fraction(1, 2)}
+            return {m: Fraction(1, 2), "D": Fraction(1, 2)}
         if even and i == minus:
-            return {(("h", m), 0): Fraction(1, 2), (("d",), 0): Fraction(-1, 2)}
+            return {m: Fraction(1, 2), "D": Fraction(-1, 2)}
         a = degrees[i]
         if a == r:
-            return {(("h", r), 0): Fraction(1, 2), (("h", 0), 1): Fraction(-1)}
-        return {(("h", a), 0): c_scalar(a)}
+            return {r: Fraction(1, 2), 0: Fraction(-1)}
+        return {a: c_scalar(a)}
 
     def mul(x, y):
-        # relations: H^(*(r+i)) = 4 q H^(*i) for i >= 1, D*H = 0,
-        # D*D = 4 q - H^(*r)
         out = {}
 
-        def put(key, c):
-            if c:
-                out[key] = out.get(key, Fraction(0)) + c
+        def put(term, c):
+            out[term] = out.get(term, Fraction(0)) + c
 
-        for (t1, d1), c1 in x.items():
-            for (t2, d2), c2 in y.items():
-                c, d = c1 * c2, d1 + d2
-                if t1[0] == "h" and t2[0] == "h":
-                    e = t1[1] + t2[1]
-                    if e > r:
-                        put((("h", e - r), d + 1), 4 * c)
-                    else:
-                        put((("h", e), d), c)
-                elif t1[0] == "d" and t2[0] == "d":
-                    put((("h", 0), d + 1), 4 * c)
-                    put((("h", r), d), -c)
+        for t1, c1 in x.items():
+            for t2, c2 in y.items():
+                c = c1 * c2
+                if t1 == "D" and t2 == "D":
+                    put(r, dd_sign * c)
+                    put(0, -4 * dd_sign * c)
+                elif t1 == "D" or t2 == "D":
+                    if (t2 if t1 == "D" else t1) == 0:
+                        put("D", c)
+                elif t1 + t2 > r:
+                    put(t1 + t2 - r, 4 * c)
                 else:
-                    e = t1[1] if t1[0] == "h" else t2[1]
-                    if e == 0:
-                        put((("d",), d), c)
+                    put(t1 + t2, c)
         return out
 
-    def to_element(x):
-        coeffs = {}
+    def to_row(x):
+        row = {}
 
-        def put(i, d, c):
-            coeffs[(i, d)] = coeffs.get((i, d), Fraction(0)) + c
+        def put(i, c):
+            row[i] = row.get(i, Fraction(0)) + c
 
-        for (term, d), c in x.items():
-            if not c:
-                continue
-            if term[0] == "d":
-                put(plus, d, c)
-                put(minus, d, -c)
-                continue
-            e = term[1]
-            if e == r:
-                put(h_index(r), d, 2 * c)
-                put(0, d + 1, 2 * c)
-            elif even and e == m:
-                put(plus, d, c)
-                put(minus, d, c)
+        for term, c in x.items():
+            if term == "D":
+                put(plus, c)
+                put(minus, -c)
+            elif term == r:
+                put(h_index(r), 2 * c)
+                put(0, 2 * c)
+            elif even and term == m:
+                put(plus, c)
+                put(minus, c)
             else:
-                put(h_index(e), d, c / c_scalar(e))
-        return Element(coeffs)
+                put(h_index(term), c / c_scalar(term))
+        # a non-integral constant stays a Fraction, which validate rejects
+        return {w: c.numerator if c.denominator == 1 else c for w, c in row.items() if c}
 
-    structure = {}
     reps = [rep(i) for i in range(dim)]
-    for i in range(dim):
-        for j in range(i, dim):
-            structure[(i, j)] = to_element(mul(reps[i], reps[j]))
+    structure = {(i, j): to_row(mul(reps[i], reps[j]))
+                 for i in range(dim) for j in range(i, dim)}
 
-    one = {0: Fraction(1)}
+    diagonal = even and m % 2 == 0
     pairing = [[{} for _ in range(dim)] for _ in range(dim)]
+    for a in range(r + 1):
+        if not (even and a == m):
+            pairing[h_index(a)][h_index(r - a)] = {0: Fraction(1)}
     if even:
-        for a in range(m):
-            pairing[h_index(a)][h_index(r - a)] = dict(one)
-            pairing[h_index(r - a)][h_index(a)] = dict(one)
-        if diagonal_middle:
-            pairing[plus][plus] = dict(one)
-            pairing[minus][minus] = dict(one)
-        else:
-            pairing[plus][minus] = dict(one)
-            pairing[minus][plus] = dict(one)
-    else:
-        for a in range(r + 1):
-            pairing[a][r - a] = dict(one)
+        middle = ((plus, plus), (minus, minus)) if diagonal else ((plus, minus), (minus, plus))
+        for a, b in middle:
+            pairing[a][b] = {0: Fraction(1)}
 
     ring = FrobeniusRing(
         name=f"Q^{r}", labels=labels, degrees=degrees, tau=r,
@@ -168,36 +156,10 @@ def _quadric_ring(r, diagonal_middle):
     )
     ring.meta.update({
         "kind": "quadric", "r": r, "delta": 1 if r % 2 else 2,
-        "middle_pairing": "diagonal" if diagonal_middle else "offdiagonal",
+        "middle_pairing": "diagonal" if diagonal else "offdiagonal",
     })
+    ring.validate()
     return ring
-
-
-def quadric(r):
-    """Quantum cohomology of a smooth quadric Q^r, r >= 2.
-
-    The pairing convention on the two middle classes (even r) is checked a
-    posteriori against the handle element (r+d) s_r + (r-d) q 1 with
-    d = 1 for odd r and 2 for even r; if the standard off-diagonal
-    convention failed, the diagonal one would be tried instead.
-    """
-    if r < 2:
-        raise ValueError("r must be at least 2")
-    dlt = 1 if r % 2 else 2
-    last = None
-    for diagonal in (False, True):
-        ring = _quadric_ring(r, diagonal)
-        try:
-            ring.validate()
-        except ValueError as err:
-            last = err
-            continue
-        expected = Element({(ring.point_index, 0): Fraction(r + dlt),
-                            (0, 1): Fraction(r - dlt)})
-        if ring.handle_element() == expected:
-            return ring
-        last = ValueError(f"handle element mismatch for Q^{r}")
-    raise ValueError(f"no middle pairing convention works for Q^{r}: {last}")
 
 
 def reduce_sigma_hat(k, n, I):
@@ -272,14 +234,12 @@ def grassmannian(k, n):
     structure = {}
     for i in range(dim):
         for j in range(i, dim):
-            coeffs = {}
+            row = {}
             for nu, c in lr_expand(basis[i], basis[j], k).items():
-                sign, s, mu = reduce_sigma_hat(k, n, nu)
-                if mu is None:
-                    continue
-                key = (index[mu], s)
-                coeffs[key] = coeffs.get(key, Fraction(0)) + sign * c
-            structure[(i, j)] = Element(coeffs)
+                sign, _, mu = reduce_sigma_hat(k, n, nu)
+                if mu is not None:
+                    row[index[mu]] = row.get(index[mu], 0) + sign * c
+            structure[(i, j)] = {w: c for w, c in row.items() if c}
     ring = FrobeniusRing(
         name=f"Gr({k},{n})", labels=labels, degrees=degrees, tau=n,
         pairing=pairing, structure=structure, unit_index=0,
@@ -456,12 +416,11 @@ def fano_ci(m, r):
     structure = {}
     for i in range(r + 1):
         for j in range(i, r + 1):
-            e, s, c = i + j, 0, Fraction(1)
+            e, c = i + j, 1
             while e > r:
                 e -= tau
-                s += 1
                 c *= mpow
-            structure[(i, j)] = Element({(e, s): c})
+            structure[(i, j)] = {e: c}
 
     pairing = [[{} for _ in range(r + 1)] for _ in range(r + 1)]
     for a in range(r + 1):
@@ -529,7 +488,7 @@ def fci_report(model):
     handle in the descending basis together with its structural checks.
     """
     from . import complexity
-    from .linalg import frmat, identity, is_zero_matrix, mat_pow, mat_sub, mat_scale
+    from .linalg import identity, is_zero_matrix, mat_pow, mat_sub, mat_scale
 
     ring = model.ring
     r, tau, chi, kappa = model.r, model.tau, model.chi, model.kappa
@@ -564,7 +523,7 @@ def fci_report(model):
         alpha = c["alpha"]
         beta = c["beta"]
         omega = c["omega"]
-        mm = ring.mult_matrix(ring.handle_element(), at_q=1)
+        mm = ring.mult_matrix(ring.handle_element())
         a = [[mm[r - i][r - j] for j in range(r + 1)] for i in range(r + 1)]
         report["a_matrix"] = a
         report["alpha"] = alpha
@@ -578,6 +537,6 @@ def fci_report(model):
             a[j][j] == beta for j in range(1, r + 1))
         report["a_superdiag_ok"] = a[0][1] == omega and all(
             a[j][j + 1] == c["xi"] for j in range(1, r))
-        shifted = mat_sub(frmat(a), mat_scale(identity(r + 1), beta))
+        shifted = mat_sub(a, mat_scale(identity(r + 1), beta))
         report["jordan_depth_ok"] = not is_zero_matrix(mat_pow(shifted, r - 1))
     return report

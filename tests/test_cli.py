@@ -160,6 +160,17 @@ def test_domain_errors_exit_1_with_error_object(capsys):
     assert "2 <= k" in rep["error"]["message"]
 
 
+def test_estimate_and_ring_share_the_grassmannian_domain(capsys):
+    # k = n - 1 is outside the domain of both commands
+    outs = []
+    for argv in (("estimate", "3", "4"), ("ring", "gr:3,4")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and err == ""
+        outs.append(json.loads(out))
+    assert outs[0] == outs[1] == {
+        "error": {"type": "ValueError", "message": "need 2 <= k <= n - 2"}}
+
+
 def test_verify_single_criterion(capsys):
     code, out, _ = run_cli(capsys, "verify", "--only", "1", "--format", "text")
     assert code == 0

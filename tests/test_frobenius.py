@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from qhandle.frobenius import Element, FrobeniusRing, qp_add, qp_eval
+from qhandle.frobenius import Element, qp_add, qp_eval
 from qhandle.rings import fano_ci, grassmannian, projective_space, quadric
 
 
@@ -70,9 +70,9 @@ def test_handle_element_projective():
 def test_mult_matrix_columns():
     ring = projective_space(2)
     delta = ring.handle_element()
-    mat = ring.mult_matrix(delta, at_q=1)
+    mat = ring.mult_matrix(delta)
     for j in range(ring.dim):
-        col = ring.element_vector(ring.product(delta, ring.basis_element(j)), at_q=1)
+        col = ring.element_vector(ring.product(delta, ring.basis_element(j)))
         assert [mat[i][j] for i in range(ring.dim)] == col
 
 
@@ -130,40 +130,71 @@ def test_constant_pairing():
         fano_ci((4,), 3).ring.constant_pairing()
 
 
-def test_to_dict_round_trip():
-    for ring in (projective_space(2), quadric(3), grassmannian(2, 4)):
-        clone = FrobeniusRing.from_dict(ring.to_dict())
-        assert clone.labels == ring.labels
-        assert clone.degrees == ring.degrees
-        assert clone.tau == ring.tau
-        assert clone.handle_element() == ring.handle_element()
-        x, y = clone.basis_element(1), clone.basis_element(1)
-        assert clone.product(x, y) == ring.product(ring.basis_element(1),
-                                                   ring.basis_element(1))
-        clone.validate()
-
-
 def test_validate_rejects_broken_pairing():
-    ring = projective_space(2)
-    good = ring.to_dict()
-    bad = FrobeniusRing.from_dict(good)
+    bad = projective_space(2)
     bad.pairing[0][2] = {0: Fraction(2)}  # breaks symmetry with pairing[2][0]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pairing not symmetric"):
         bad.validate()
 
 
 def test_validate_rejects_broken_unit():
-    ring = projective_space(2)
-    bad = FrobeniusRing.from_dict(ring.to_dict())
-    bad.structure[(0, 1)] = Element({(1, 0): Fraction(2)})
-    with pytest.raises(ValueError):
+    bad = projective_space(2)
+    bad.structure[(0, 1)] = {1: 2}
+    with pytest.raises(ValueError, match="unit law fails"):
         bad.validate()
 
 
 def test_singular_pairing_is_rejected():
-    bad = FrobeniusRing.from_dict(projective_space(2).to_dict())
+    bad = projective_space(2)
     bad.pairing[1][1] = {}  # zeroes the middle row of the anti-diagonal pairing
     with pytest.raises(ValueError, match="pairing matrix is singular"):
         bad.handle_element()
     with pytest.raises(ValueError, match="not certified invertible"):
+        bad.validate()
+
+
+@pytest.mark.parametrize("make, key, row", [
+    (lambda: projective_space(2), (1, 1), {1: 1}),  # gap 1, tau 3
+    (lambda: projective_space(2), (1, 1), {2: Fraction(1)}),  # not an int
+    (lambda: fano_ci((4,), 3).ring, (1, 1), {3: 1}),  # gap -1, tau 1
+])
+def test_validate_rejects_bad_grading(make, key, row):
+    bad = make()
+    bad.structure[key] = row
+    with pytest.raises(ValueError, match="grading fails"):
+        bad.validate()
+
+
+def test_validate_rejects_missing_structure_constant():
+    bad = projective_space(2)
+    del bad.structure[(1, 2)]
+    with pytest.raises(ValueError, match=r"missing structure constant \(1, 2\)"):
+        bad.validate()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: projective_space(2),  # int64 check
+    lambda: fano_ci((5,), 4).ring,  # constants up to 5^20: Python-int check
+])
+def test_validate_rejects_non_associative(make):
+    bad = make()
+    bad.structure[(1, 1)] = {2: 2}  # graded, but H * H = 2 H^2 breaks associativity
+    with pytest.raises(ValueError, match=r"associativity fails at pair \(1, 1\)"):
+        bad.validate()
+
+
+def test_validate_catches_a_gap_that_int64_would_wrap():
+    # e1 e1 = a e2, e1 e2 = b q, e2 e2 = c q e1 is associative iff a c = b;
+    # here a c - b = 2^64, which vanishes in int64 arithmetic
+    bad = projective_space(2)
+    a = c = 2 ** 32 + 1
+    bad.structure.update({(1, 1): {2: a}, (1, 2): {0: 2 ** 33 + 1}, (2, 2): {1: c}})
+    with pytest.raises(ValueError, match=r"associativity fails at pair \(1, 1\)"):
+        bad.validate()
+
+
+def test_validate_rejects_frobenius_failure():
+    bad = projective_space(2)
+    bad.pairing[1][1] = {0: 2}  # still symmetric and invertible
+    with pytest.raises(ValueError, match="Frobenius condition fails"):
         bad.validate()

@@ -3,6 +3,7 @@ from math import comb, gcd
 
 import pytest
 
+from qhandle.frobenius import Element
 from qhandle.linalg import char_poly, is_positive_definite
 from qhandle.rings import (ZERO, delta_closed_form, delta_gr2_form,
                            euler_characteristic, fano_ci, fci_report,
@@ -49,9 +50,24 @@ def test_quadric_dimensions_and_labels():
         assert quadric(r).dim == r + 2 - r % 2
 
 
-def test_quadric_middle_pairing_is_offdiagonal():
-    for r in (4, 6, 8):
-        assert quadric(r).meta["middle_pairing"] == "offdiagonal"
+def test_quadric_middle_pairing_follows_parity():
+    # Q^(2m) pairs its middle classes diagonally exactly when m is even
+    for r, kind in ((4, "diagonal"), (6, "offdiagonal"), (8, "diagonal")):
+        assert quadric(r).meta["middle_pairing"] == kind
+
+
+def test_quadric_4_is_gr_2_4():
+    q4, gr = quadric(4), grassmannian(2, 4)
+    names = {"1": "1", "H": "s[1]", "s2+": "s[2]", "s2-": "s[1,1]",
+             "s3": "s[2,1]", "s4": "s[2,2]"}
+    to_gr = {q4.label_index(a): gr.label_index(b) for a, b in names.items()}
+    for a in range(q4.dim):
+        for b in range(q4.dim):
+            got = q4.product(q4.basis_element(a), q4.basis_element(b))
+            mapped = Element({(to_gr[w], d): c for (w, d), c in got.coeffs.items()})
+            assert mapped == gr.product(gr.basis_element(to_gr[a]),
+                                        gr.basis_element(to_gr[b]))
+            assert q4.pairing[a][b] == gr.pairing[to_gr[a]][to_gr[b]]
 
 
 def test_quadric_product_table_odd():
@@ -70,9 +86,9 @@ def test_quadric_product_table_even():
     el = ring.element
     sr = el({"s4": 1})
     plus, minus = el({"s2+": 1}), el({"s2-": 1})
-    assert ring.product(plus, plus) == el({("1", 1): 1})
-    assert ring.product(minus, minus) == el({("1", 1): 1})
-    assert ring.product(plus, minus) == sr
+    assert ring.product(plus, plus) == sr
+    assert ring.product(minus, minus) == sr
+    assert ring.product(plus, minus) == el({("1", 1): 1})
     assert ring.product(sr, plus) == el({("s2-", 1): 1})
     assert ring.product(sr, minus) == el({("s2+", 1): 1})
     # sigma_{m-1} * H hits both middle classes
@@ -85,9 +101,10 @@ def test_quadric_pairing():
     idx = ring.label_index
     assert g[idx("1")][idx("s4")] == 1
     assert g[idx("H")][idx("s3")] == 1
-    assert g[idx("s2+")][idx("s2-")] == 1
-    assert g[idx("s2+")][idx("s2+")] == 0
-    assert ring.meta["middle_pairing"] == "offdiagonal"
+    assert g[idx("s2+")][idx("s2+")] == 1
+    assert g[idx("s2-")][idx("s2-")] == 1
+    assert g[idx("s2+")][idx("s2-")] == 0
+    assert ring.meta["middle_pairing"] == "diagonal"
 
 
 def test_quadric_handle_and_spectrum():
@@ -96,7 +113,7 @@ def test_quadric_handle_and_spectrum():
         ring = quadric(r)
         assert ring.handle_element() == ring.element(
             {f"s{r}": r + d, ("1", 1): r - d})
-        got = char_poly(ring.mult_matrix(ring.handle_element(), at_q=1))
+        got = char_poly(ring.mult_matrix(ring.handle_element()))
         assert got == poly_from_roots([(2 * r, r), (-2 * d, d)])
 
 
@@ -320,7 +337,8 @@ def test_fci_report_skips_prediction_without_kappa():
 
 
 def test_all_rings_validate():
-    rings = [projective_space(2), quadric(3), quadric(4), grassmannian(2, 5),
-             fano_ci((3,), 3).ring, fano_ci((4,), 3).ring]
+    rings = [projective_space(2), quadric(3), quadric(4), quadric(8),
+             grassmannian(2, 5), fano_ci((3,), 3).ring, fano_ci((4,), 3).ring,
+             fano_ci((5,), 4).ring]
     for ring in rings:
         ring.validate()
