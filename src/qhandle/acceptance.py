@@ -17,8 +17,7 @@ from math import comb, gcd
 
 from . import partitions, rings
 from .complexity import (ProjState, chordal, exact_complexity,
-                         finite_state_set, limit_points_real, s_infinity,
-                         trajectory)
+                         limit_points_real, s_infinity, trajectory)
 from .linalg import (char_poly, frmat, frvec, is_positive_definite,
                      is_zero_matrix, krylov_rank, mat_inverse, mat_mul,
                      mat_pow, mat_vec, poly_deriv, poly_gcd, sym_float_eigs,
@@ -74,7 +73,7 @@ def criterion_1():
     c = _Checker("projective spaces pn:1..pn:6")
     for n in range(1, 7):
         ring = rings.projective_space(n)
-        c.check(ring.handle_element() == ring.element({ring.labels[n]: n + 1}),
+        c.check(ring.handle_element() == rings.handle_closed_forms(ring)["closed_form"],
                 f"pn:{n}: handle equals {n + 1} * H^{n}")
         traj = trajectory(ring, ring.unit())
         c.check(traj.closed and traj.cycle_start == 0 and
@@ -87,30 +86,31 @@ def criterion_1():
         sinf_ok = all((rep := s_infinity(ring, ring.basis_element(i))).exact
                       and rep.points == [] for i in range(n + 1))
         c.check(sinf_ok, f"pn:{n}: s-infinity of every basis state is exactly empty")
-        c.check(ring.f_span_dim()[0] == n + 1,
-                f"pn:{n}: span of handle powers has dimension {n + 1}")
+        dim_f = rings.dim_f_closed_form(ring)
+        c.check(ring.f_span_dim()[0] == dim_f,
+                f"pn:{n}: span of handle powers has dimension {dim_f}")
     return c
 
 
 def criterion_2():
     c = _Checker("quadrics quadric:3..quadric:8")
     for r in range(3, 9):
-        d = 1 if r % 2 else 2
         ring = rings.quadric(r)
-        c.check(ring.handle_element() ==
-                ring.element({f"s{r}": r + d, ("1", 1): r - d}),
+        d = ring.meta["delta"]
+        c.check(ring.handle_element() == rings.handle_closed_forms(ring)["closed_form"],
                 f"quadric:{r}: handle equals {r + d} s{r} + {r - d} q 1")
-        got = char_poly(ring.mult_matrix(ring.handle_element()))
+        mat = ring.mult_matrix(ring.handle_element())
+        got = char_poly(mat)
         c.check(got == _poly_from_roots([(2 * r, r), (-2 * d, d)]),
                 f"quadric:{r}: handle spectrum is 2r with multiplicity {r} "
                 f"and -2({d}) with multiplicity {d}")
-        floats = sym_float_eigs([[float(x) for x in row]
-                                 for row in ring.mult_matrix(ring.handle_element())])
+        floats = sym_float_eigs([[float(x) for x in row] for row in mat])
         want = sorted([2.0 * r] * r + [-2.0 * d] * d)
         c.check(all(abs(a - b) < 1e-6 for a, b in zip(sorted(floats), want)),
                 f"quadric:{r}: float eigenvalues cluster at the exact spectrum")
-        c.check(ring.f_span_dim()[0] == 2,
-                f"quadric:{r}: span of handle powers has dimension 2")
+        dim_f = rings.dim_f_closed_form(ring)
+        c.check(ring.f_span_dim()[0] == dim_f,
+                f"quadric:{r}: span of handle powers has dimension {dim_f}")
         rep = s_infinity(ring, ring.unit())
         target = ProjState.from_element(ring, ring.element({"1": 1, f"s{r}": 1}))
         c.check(rep.exact and rep.points == [target],
@@ -171,9 +171,9 @@ def criterion_4():
         e0 = [Fraction(1)] + [Fraction(0)] * (len(sub) - 1)
         c.check(krylov_rank(frmat(sub), frvec(e0), len(sub) + 1) == len(sub),
                 f"gr:2,{n}: block matrix is cyclic from the first coordinate")
-        want = (n // gcd(4, n)) * (n // 2)
-        c.check(ring.f_span_dim()[0] == rings.gr2_f_dim(n) == want,
-                f"gr:2,{n}: span of handle powers has dimension {want}")
+        dim_f = rings.dim_f_closed_form(ring)
+        c.check(ring.f_span_dim()[0] == dim_f,
+                f"gr:2,{n}: span of handle powers has dimension {dim_f}")
     return c
 
 
@@ -199,12 +199,11 @@ def criterion_6():
         c.check(rings.euler_characteristic(m, r) == FCI_EULER[(m, r)],
                 f"fci:{','.join(map(str, m))};r={r}: euler characteristic "
                 f"{FCI_EULER[(m, r)]}")
-        model = rings.fano_ci(m, r)
-        rep = rings.fci_report(model)
+        rep = rings.fci_report(rings.fano_ci(m, r))
         name = rep["name"]
-        if model.tau >= 2:
-            states, closed = finite_state_set(model.ring, model.ring.unit())
-            c.check(closed and states == frozenset(rep["predicted_states"]),
+        if rep["tau"] >= 2:
+            c.check(rep["orbit_closed"] and
+                    set(rep["orbit_states"]) == set(rep["predicted_states"]),
                     f"{name}: unit orbit closes onto exactly the predicted states")
             c.check(rep["dim_f_computed"] == rep["dim_f_predicted"],
                     f"{name}: span dimension matches the closed form "
@@ -411,8 +410,8 @@ def criterion_8():
     ring_list = ([rings.projective_space(n) for n in range(1, 7)]
                  + [rings.quadric(r) for r in range(3, 9)]
                  + [rings.grassmannian(k, n) for k, n in STANDARD_GRASSMANNIANS]
-                 + [rings.fano_ci(m, r).ring for m, r in FCI_INSTANCES]
-                 + [rings.fano_ci((2,), 3).ring])
+                 + [rings.fano_ci(m, r) for m, r in FCI_INSTANCES]
+                 + [rings.fano_ci((2,), 3)])
     val_ok = True
     for ring in ring_list:
         try:

@@ -26,33 +26,36 @@ class UsageError(ValueError):
 
 
 def build_ring(spec):
-    """Turn a ring identifier string into a ring; bad grammar raises UsageError."""
+    """Turn a ring identifier string into a ring; bad grammar raises UsageError.
+
+    The identifier is parsed in full before any constructor runs, so every
+    ValueError a constructor raises is a domain error.
+    """
     kind, sep, rest = spec.partition(":")
     if not sep:
         raise UsageError(f"ring identifier {spec!r} has no ':'")
-    try:
-        if kind == "pn":
-            return rings.projective_space(int(rest))
-        if kind == "quadric":
-            return rings.quadric(int(rest))
-        if kind == "gr":
-            k, n = (int(x) for x in rest.split(","))
-            return rings.grassmannian(k, n)
-        if kind == "fci":
-            ms, sep2, rpart = rest.partition(";")
-            if not sep2 or not rpart.startswith("r="):
-                raise UsageError(
-                    f"fci identifier {spec!r} must look like fci:2,3;r=3")
-            m = tuple(int(x) for x in ms.split(","))
-            return rings.fano_ci(m, int(rpart[2:])).ring
-    except UsageError:
-        raise
-    except ValueError as exc:
-        # integer parsing failures are usage errors; domain failures are not
-        if "invalid literal" in str(exc) or "not enough values" in str(exc) \
-                or "too many values" in str(exc):
+
+    def ints(text, count=None):
+        try:
+            values = [int(x) for x in text.split(",")]
+        except ValueError as exc:
             raise UsageError(f"cannot parse ring identifier {spec!r}") from exc
-        raise
+        if count is not None and len(values) != count:
+            raise UsageError(f"cannot parse ring identifier {spec!r}")
+        return values
+
+    if kind == "pn":
+        return rings.projective_space(*ints(rest, 1))
+    if kind == "quadric":
+        return rings.quadric(*ints(rest, 1))
+    if kind == "gr":
+        return rings.grassmannian(*ints(rest, 2))
+    if kind == "fci":
+        ms, sep2, rpart = rest.partition(";")
+        if not sep2 or not rpart.startswith("r="):
+            raise UsageError(
+                f"fci identifier {spec!r} must look like fci:2,3;r=3")
+        return rings.fano_ci(ints(ms), *ints(rpart[2:], 1))
     raise UsageError(f"unknown ring kind {kind!r} "
                      "(use pn:, quadric:, gr:, or fci:)")
 
@@ -136,16 +139,7 @@ def cmd_ring(args):
 def cmd_delta(args):
     ring = build_ring(args.ring)
     delta = ring.handle_element()
-    formulas = {}
-    kind = args.ring.split(":", 1)[0]
-    if kind == "gr":
-        k = ring.meta["k"]
-        n = ring.meta["n"]
-        formulas["index_lift_sum"] = rings.delta_closed_form(k, n)
-        if k == 2:
-            formulas["two_row_form"] = rings.delta_gr2_form(n)
-    if kind in ("pn", "quadric", "fci"):
-        formulas["closed_form"] = delta
+    formulas = rings.handle_closed_forms(ring)
     agree = all(f == delta for f in formulas.values())
     return {
         "ring": ring.name,
@@ -207,16 +201,7 @@ def cmd_sinfty(args):
 def cmd_dimf(args):
     ring = build_ring(args.ring)
     rank, powers = ring.f_span_dim()
-    closed = None
-    kind = args.ring.split(":", 1)[0]
-    if kind == "pn":
-        closed = ring.meta["n"] + 1
-    elif kind == "quadric":
-        closed = 2
-    elif kind == "gr" and ring.meta["k"] == 2:
-        closed = rings.gr2_f_dim(ring.meta["n"])
-    elif kind == "fci":
-        closed = rings.fci_dim_f(ring)
+    closed = rings.dim_f_closed_form(ring)
     return {"ring": ring.name, "computed": rank, "powers": powers,
             "bound": ring.dim_bound(), "closed_form": closed,
             "matches_closed_form": None if closed is None else rank == closed}

@@ -1,8 +1,8 @@
 """Projective orbit dynamics of handle multiplication.
 
 States are ring elements up to scale; the orbit of a state z is the sequence
-of classes [Delta^(*k) z] at q = 1.  This module computes orbits, circuit
-complexities (first hitting times), finite state sets, exact limit points of
+of classes [Delta^(*k) z] at q = 1.  This module computes orbits and whether
+they close, circuit complexities (first hitting times), exact limit points of
 real matrix iterations, and the set of non-orbit accumulation points.
 """
 
@@ -119,9 +119,7 @@ def _orbit_setup(ring, s0, kmax):
     return mat, vec, kmax
 
 
-def trajectory(ring, s0, kmax=None):
-    """Orbit of [s0] under handle multiplication at q = 1."""
-    mat, vec, kmax = _orbit_setup(ring, s0, kmax)
+def _walk(mat, vec, kmax):
     states, seen = [], {}
     hit_zero = False
     cycle_start = cycle_length = None
@@ -138,6 +136,11 @@ def trajectory(ring, s0, kmax=None):
             hit_zero = True
             break
     return Trajectory(states, hit_zero, cycle_start, cycle_length)
+
+
+def trajectory(ring, s0, kmax=None):
+    """Orbit of [s0] under handle multiplication at q = 1."""
+    return _walk(*_orbit_setup(ring, s0, kmax))
 
 
 def exact_complexity(ring, s0, target, kmax=None):
@@ -172,16 +175,6 @@ def approx_complexity(ring, s0, target, eps, kmax=None):
         if all(x == 0 for x in vec):
             return NOT_FOUND
     return NOT_FOUND
-
-
-def finite_state_set(ring, s0, kmax=None):
-    """Distinct orbit states and whether the orbit provably stays among them.
-
-    Returns (states, closed); closed is True when the orbit either revisits a
-    state exactly or reaches zero within the step budget.
-    """
-    traj = trajectory(ring, s0, kmax)
-    return frozenset(traj.states), traj.closed
 
 
 @dataclass
@@ -304,11 +297,10 @@ def s_infinity(ring, s0, kmax=None, tol=1e-9):
     used (symmetric power of the handle when available, power iteration as a
     last resort) and the result is approximate.
     """
-    traj = trajectory(ring, s0, kmax)
+    mat, z, kmax = _orbit_setup(ring, s0, kmax)
+    traj = _walk(mat, z, kmax)
     if traj.closed:
         return SInfinityReport(points=[], exact=True, method="finite-orbit")
-    mat = ring.mult_matrix(ring.handle_element())
-    z = ring.element_vector(s0)
     eig = rational_eigenstructure(mat)
     if eig.split_over_rationals:
         report = limit_points_real(mat, z, _eig=eig)

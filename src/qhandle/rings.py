@@ -2,11 +2,11 @@
 
 Covers projective spaces, smooth quadric hypersurfaces, Grassmannians, and
 Fano complete intersections in projective space.  Each constructor returns a
-validated FrobeniusRing; the complete-intersection constructor wraps the ring
-in a small model object carrying the derived constants.
+validated FrobeniusRing whose ``meta["kind"]`` selects its closed forms in
+handle_closed_forms and dim_f_closed_form; the complete-intersection
+constructor also keeps its derived constants in ``meta``.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -342,11 +342,6 @@ def gr2_theta_indices(n):
     return [index[()]] + [index[(n - j, j)] for j in range(2, n // 2 + 1)]
 
 
-def gr2_f_dim(n):
-    """Predicted span dimension of the handle powers for Gr(2, n)."""
-    return (n // gcd(4, n)) * (n // 2)
-
-
 def euler_characteristic(m, r):
     """Euler characteristic of a smooth complete intersection of multidegree
     m in P^(r + len(m)), computed from the Chern series of its tangent bundle."""
@@ -365,21 +360,6 @@ def euler_characteristic(m, r):
     return int(chi)
 
 
-@dataclass
-class FciModel:
-    """A Fano complete intersection's ambient-induced quantum subring plus
-    the constants controlling its handle dynamics."""
-    m: tuple
-    r: int
-    ring: FrobeniusRing
-    tau: int
-    kappa: int
-    chi: int
-    prim_dim: int
-    hat_basis: bool
-    constants: dict
-
-
 def fano_ci(m, r):
     """Subring of the quantum cohomology of a Fano complete intersection of
     multidegree m = (m_1, ..., m_L) and dimension r >= 3 generated by the
@@ -390,7 +370,9 @@ def fano_ci(m, r):
     Hhat = H + (prod m_i!) q is used instead, with
     Hhat^(r+i) = (prod m_i^m_i)^i q^i Hhat^r.  The handle element is
     installed from its closed form since the basis spans only the
-    ambient-induced part of the cohomology.
+    ambient-induced part of the cohomology.  The derived constants (tau,
+    kappa, chi, the m-products and, for tau = 1, zeta, alpha, beta, xi and
+    omega) are kept in the ring's meta.
     """
     m = tuple(int(x) for x in m)
     if r < 3:
@@ -458,15 +440,54 @@ def fano_ci(m, r):
         point_index=None, delta_override=delta,
     )
     ring.meta.update({"kind": "fano_ci", "m": m, "r": r, "tau": tau,
-                      "kappa": kappa, "chi": chi, **constants})
+                      "kappa": kappa, "chi": chi, "prim_dim": prim,
+                      "hat_basis": hat, **constants})
     ring.validate()
-    return FciModel(m=m, r=r, ring=ring, tau=tau, kappa=kappa, chi=chi,
-                    prim_dim=prim, hat_basis=hat, constants=constants)
+    return ring
 
 
-def fci_dim_f(ring):
-    """Closed-form dim F of a fano_ci ring, or None where there is none."""
+def handle_closed_forms(ring):
+    """Closed forms of the handle element of a built-in ring, by meta["kind"].
+
+    Returns {name: Element}: (n+1) H^n on P^n; (r+delta) s_r + (r-delta) q on
+    Q^r; the index-lift sum on Gr(k, n), plus the two-row form when k = 2;
+    on a fano_ci ring the installed override, which agrees with
+    handle_element() by construction.  A ring without a kind gets {}.
+    """
     meta = ring.meta
+    kind = meta.get("kind")
+    if kind == "projective":
+        n = meta["n"]
+        return {"closed_form": ring.element({ring.labels[n]: n + 1})}
+    if kind == "quadric":
+        r, d = meta["r"], meta["delta"]
+        return {"closed_form": ring.element({f"s{r}": r + d, ("1", 1): r - d})}
+    if kind == "grassmannian":
+        k, n = meta["k"], meta["n"]
+        forms = {"index_lift_sum": delta_closed_form(k, n)}
+        if k == 2:
+            forms["two_row_form"] = delta_gr2_form(n)
+        return forms
+    if kind == "fano_ci":
+        return {"closed_form": ring.delta_override}
+    return {}
+
+
+def dim_f_closed_form(ring):
+    """Closed-form dim F of a built-in ring by meta["kind"], or None where
+    there is none: Gr(k, n) with k > 2, fano_ci with tau >= 2 and kappa = 0,
+    and a ring without a kind."""
+    meta = ring.meta
+    kind = meta.get("kind")
+    if kind == "projective":
+        return meta["n"] + 1
+    if kind == "quadric":
+        return 2
+    if kind == "grassmannian":
+        n = meta["n"]
+        return (n // gcd(4, n)) * (n // 2) if meta["k"] == 2 else None
+    if kind != "fano_ci":
+        return None
     tau, kappa, chi, r = meta["tau"], meta["kappa"], meta["chi"], meta["r"]
     if tau >= 2:
         # kappa = 0 collapses the handle into Span{1, H^r}, so the
@@ -479,34 +500,36 @@ def fci_dim_f(ring):
     return r + 1 if meta["omega"] != 0 else r
 
 
-def fci_report(model):
-    """Summarize the handle dynamics of a Fano complete intersection.
+def fci_report(ring):
+    """Summarize the handle dynamics of a fano_ci ring from its meta constants.
 
     Always reports the handle element, span data, and the computed orbit of
-    the unit state.  For tau >= 2 with kappa >= 1 it includes the predicted
-    finite state list; for tau = 1 it includes the triangular matrix of the
-    handle in the descending basis together with its structural checks.
+    the unit state (its states under "orbit_states").  For tau >= 2 with
+    kappa >= 1 it includes the predicted finite state list; for tau = 1 it
+    includes the triangular matrix of the handle in the descending basis
+    together with its structural checks.
     """
     from . import complexity
     from .linalg import identity, is_zero_matrix, mat_pow, mat_sub, mat_scale
 
-    ring = model.ring
-    r, tau, chi, kappa = model.r, model.tau, model.chi, model.kappa
+    meta = ring.meta
+    r, tau, chi, kappa = meta["r"], meta["tau"], meta["chi"], meta["kappa"]
     report = {
-        "name": ring.name, "m": list(model.m), "r": r, "tau": tau,
-        "kappa": kappa, "chi": chi, "prim_dim": model.prim_dim,
-        "hat_basis": model.hat_basis,
+        "name": ring.name, "m": list(meta["m"]), "r": r, "tau": tau,
+        "kappa": kappa, "chi": chi, "prim_dim": meta["prim_dim"],
+        "hat_basis": meta["hat_basis"],
         "delta": repr(ring.handle_element()),
     }
     rank, powers = ring.f_span_dim()
     report["dim_f_computed"] = rank
     report["power_count"] = len(powers)
 
-    states, closed = complexity.finite_state_set(ring, ring.unit())
-    report["orbit_closed"] = closed
-    report["orbit_size"] = len(states)
+    traj = complexity.trajectory(ring, ring.unit())
+    report["orbit_closed"] = traj.closed
+    report["orbit_size"] = len(traj.states)
+    report["orbit_states"] = traj.states
 
-    predicted = fci_dim_f(ring)
+    predicted = dim_f_closed_form(ring)
     if predicted is not None:
         report["dim_f_predicted"] = predicted
     if tau >= 2:
@@ -519,24 +542,17 @@ def fci_report(model):
                                           for e in preds]
             report["predicted_state_count"] = len(set(report["predicted_states"]))
     else:
-        c = model.constants
-        alpha = c["alpha"]
-        beta = c["beta"]
-        omega = c["omega"]
+        alpha, beta, xi, omega = (meta[key] for key in ("alpha", "beta", "xi", "omega"))
         mm = ring.mult_matrix(ring.handle_element())
         a = [[mm[r - i][r - j] for j in range(r + 1)] for i in range(r + 1)]
-        report["a_matrix"] = a
-        report["alpha"] = alpha
-        report["beta"] = beta
-        report["xi"] = c["xi"]
-        report["omega"] = omega
-        report["omega_nonzero"] = omega != 0
+        report.update({"a_matrix": a, "alpha": alpha, "beta": beta, "xi": xi,
+                       "omega": omega, "omega_nonzero": omega != 0})
         report["a_upper_triangular"] = all(
             a[i][j] == 0 for i in range(r + 1) for j in range(i))
         report["a_diag_ok"] = a[0][0] == alpha and all(
             a[j][j] == beta for j in range(1, r + 1))
         report["a_superdiag_ok"] = a[0][1] == omega and all(
-            a[j][j + 1] == c["xi"] for j in range(1, r))
+            a[j][j + 1] == xi for j in range(1, r))
         shifted = mat_sub(a, mat_scale(identity(r + 1), beta))
         report["jordan_depth_ok"] = not is_zero_matrix(mat_pow(shifted, r - 1))
     return report

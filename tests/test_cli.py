@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qhandle import cli
+from qhandle import cli, rings
 
 
 def run_cli(capsys, *argv):
@@ -40,6 +40,22 @@ def test_delta_projective(capsys):
     rep = json.loads(out)
     assert rep["delta"] == {"H^3": {"0": "4"}}
     assert rep["formulas_agree"] is True
+
+
+def test_delta_reports_a_wrong_handle(capsys, monkeypatch):
+    build = rings.projective_space
+
+    def wrong(n):
+        ring = build(n)
+        ring.delta_override = ring.element({ring.labels[n]: n + 2})
+        return ring
+
+    monkeypatch.setattr(rings, "projective_space", wrong)
+    code, out, _ = run_cli(capsys, "delta", "pn:3")
+    rep = json.loads(out)
+    assert code == 0 and rep["delta"] == {"H^3": {"0": "5"}}
+    assert rep["formulas"] == {"closed_form": "4 H^3"}
+    assert rep["formulas_agree"] is False
 
 
 def test_sinfty_quadric_unit(capsys):
@@ -135,7 +151,8 @@ def test_fci_ring_via_cli(capsys):
 
 def test_usage_errors_exit_2(capsys):
     for argv in [["delta", "pn"], ["delta", "pn:x"], ["delta", "zz:3"],
-                 ["delta", "gr:2"], ["ring", "fci:2;r"]]:
+                 ["delta", "gr:2"], ["ring", "fci:2;r"],
+                 ["ring", "pn:" + "9" * 5000]]:  # past int()'s digit limit
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == "" and err.startswith("qh: ")

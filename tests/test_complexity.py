@@ -4,8 +4,8 @@ import pytest
 
 from qhandle.complexity import (NOT_FOUND, LimitReport, ProjState, Trajectory,
                                 approx_complexity, chordal, exact_complexity,
-                                finite_state_set, limit_points_real,
-                                s_infinity, trajectory)
+                                limit_points_real, s_infinity, trajectory)
+from qhandle.frobenius import FrobeniusRing
 from qhandle.linalg import frmat, frvec
 from qhandle.rings import fano_ci, grassmannian, projective_space, quadric
 
@@ -98,8 +98,23 @@ def test_approx_complexity_rejects_negative_eps():
 def test_finite_state_set_projective():
     for n in (1, 2, 3):
         ring = projective_space(n)
-        states, closed = finite_state_set(ring, ring.unit())
-        assert closed and len(states) == n + 1
+        traj = trajectory(ring, ring.unit())
+        assert traj.closed and len(traj.states) == n + 1
+
+
+def test_s_infinity_builds_the_handle_matrix_once(monkeypatch):
+    ring = quadric(5)
+    calls = []
+    build = FrobeniusRing.mult_matrix
+
+    def counted(self, x):
+        calls.append(x)
+        return build(self, x)
+
+    monkeypatch.setattr(FrobeniusRing, "mult_matrix", counted)
+    rep = s_infinity(ring, ring.unit())
+    assert rep.exact and rep.method == "rational-split"
+    assert calls == [ring.handle_element()]
 
 
 def test_zero_reference_state_rejected():
@@ -162,13 +177,13 @@ def test_s_infinity_grassmannian_bounded_by_theta():
 
 def test_s_infinity_fano_ci_tau_one():
     for m, r in [((4,), 3), ((5,), 4)]:
-        ring = fano_ci(m, r).ring
+        ring = fano_ci(m, r)
         rep = s_infinity(ring, ring.unit())
         assert rep.exact and rep.method == "rational-split"
         assert 1 <= len(rep.points) <= 2
 
 
 def test_s_infinity_fano_ci_tau_two_empty():
-    ring = fano_ci((3,), 3).ring
+    ring = fano_ci((3,), 3)
     rep = s_infinity(ring, ring.unit())
     assert rep.exact and rep.points == []

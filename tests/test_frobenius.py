@@ -87,9 +87,9 @@ def test_theta_order_and_pt_inverse():
 
 
 def test_theta_order_requires_point_class():
-    model = fano_ci((4,), 3)
+    ring = fano_ci((4,), 3)
     with pytest.raises(ValueError):
-        model.ring.theta_order()
+        ring.theta_order()
 
 
 def test_a_matrix_projective_is_scalar():
@@ -127,7 +127,7 @@ def test_constant_pairing():
         [Fraction(1), Fraction(0), Fraction(0)],
     ]
     with pytest.raises(ValueError):
-        fano_ci((4,), 3).ring.constant_pairing()
+        fano_ci((4,), 3).constant_pairing()
 
 
 def test_validate_rejects_broken_pairing():
@@ -156,7 +156,7 @@ def test_singular_pairing_is_rejected():
 @pytest.mark.parametrize("make, key, row", [
     (lambda: projective_space(2), (1, 1), {1: 1}),  # gap 1, tau 3
     (lambda: projective_space(2), (1, 1), {2: Fraction(1)}),  # not an int
-    (lambda: fano_ci((4,), 3).ring, (1, 1), {3: 1}),  # gap -1, tau 1
+    (lambda: fano_ci((4,), 3), (1, 1), {3: 1}),  # gap -1, tau 1
 ])
 def test_validate_rejects_bad_grading(make, key, row):
     bad = make()
@@ -174,7 +174,7 @@ def test_validate_rejects_missing_structure_constant():
 
 @pytest.mark.parametrize("make", [
     lambda: projective_space(2),  # int64 check
-    lambda: fano_ci((5,), 4).ring,  # constants up to 5^20: Python-int check
+    lambda: fano_ci((5,), 4),  # constants up to 5^20: Python-int check
 ])
 def test_validate_rejects_non_associative(make):
     bad = make()

@@ -6,10 +6,11 @@ import pytest
 from qhandle.frobenius import Element
 from qhandle.linalg import char_poly, is_positive_definite
 from qhandle.rings import (ZERO, delta_closed_form, delta_gr2_form,
-                           euler_characteristic, fano_ci, fci_report,
-                           grassmannian, gr2_a0_matrix, gr2_b_values,
-                           gr2_f_dim, gr2_theta_indices, phi_map,
-                           projective_space, quadric, reduce_sigma_hat)
+                           dim_f_closed_form, euler_characteristic, fano_ci,
+                           fci_report, grassmannian, gr2_a0_matrix,
+                           gr2_b_values, gr2_theta_indices,
+                           handle_closed_forms, phi_map, projective_space,
+                           quadric, reduce_sigma_hat)
 
 
 def poly_from_roots(pairs):
@@ -243,9 +244,10 @@ def test_gr2_block_matrix_frozen():
 
 
 def test_gr2_f_dim():
-    assert [gr2_f_dim(n) for n in range(4, 9)] == [2, 10, 9, 21, 8]
-    for n in (4, 5, 6):
-        assert grassmannian(2, n).f_span_dim()[0] == gr2_f_dim(n)
+    gr2 = [grassmannian(2, n) for n in range(4, 9)]
+    assert [dim_f_closed_form(ring) for ring in gr2] == [2, 10, 9, 21, 8]
+    for ring in gr2[:3]:
+        assert ring.f_span_dim()[0] == dim_f_closed_form(ring)
 
 
 # -- fano complete intersections ---------------------------------------------
@@ -270,13 +272,13 @@ def test_fano_ci_rejects_non_fano():
 
 
 def test_fano_ci_constants_frozen():
-    c = fano_ci((4,), 3).constants
+    c = fano_ci((4,), 3).meta
     assert (c["zeta"], c["alpha"], c["beta"], c["omega"], c["xi"]) == (
         3480, 3986944, 2004480, 7744, 83520)
-    c = fano_ci((2, 3), 3).constants
+    c = fano_ci((2, 3), 3).meta
     assert (c["zeta"], c["alpha"], c["beta"], c["omega"]) == (
         640, 198432, 92160, 984)
-    c = fano_ci((5,), 4).constants
+    c = fano_ci((5,), 4).meta
     assert (c["alpha"], c["beta"], c["omega"]) == (
         19107493368125, -851592960000, 6386907625)
 
@@ -284,32 +286,30 @@ def test_fano_ci_constants_frozen():
 def test_fano_ci_quadric_dictionary():
     # m = (2), r = 3 is the three dimensional quadric in its H-power basis:
     # sigma_3 = H^3/2 - q, so (r+1)sigma_3 + (r-1)q = 2 H^3 - 2 q
-    model = fano_ci((2,), 3)
-    assert model.tau == 3 and model.kappa == 0
-    assert model.ring.handle_element() == model.ring.element(
-        {"H^3": 2, ("1", 1): -2})
+    ring = fano_ci((2,), 3)
+    assert ring.meta["tau"] == 3 and ring.meta["kappa"] == 0
+    assert ring.handle_element() == ring.element({"H^3": 2, ("1", 1): -2})
     q3 = quadric(3)
     assert q3.handle_element() == q3.element({"s3": 4, ("1", 1): 2})
-    assert model.ring.f_span_dim()[0] == 2 == q3.f_span_dim()[0]
+    assert ring.f_span_dim()[0] == 2 == q3.f_span_dim()[0]
 
 
 def test_fano_ci_hat_basis_for_tau_one():
-    assert fano_ci((4,), 3).ring.labels == ["1", "Hhat", "Hhat^2", "Hhat^3"]
-    assert fano_ci((3,), 3).ring.labels == ["1", "H", "H^2", "H^3"]
+    assert fano_ci((4,), 3).labels == ["1", "Hhat", "Hhat^2", "Hhat^3"]
+    assert fano_ci((3,), 3).labels == ["1", "H", "H^2", "H^3"]
 
 
 def test_fano_ci_shift_identity():
     # Delta * H^(*i) = (tau/prod m) H^(*(r+i)) for i >= 1
     for m, r in [((3,), 3), ((2, 2), 3)]:
-        model = fano_ci(m, r)
-        ring = model.ring
+        ring = fano_ci(m, r)
         mprod = 1
         for mi in m:
             mprod *= mi
         h = ring.basis_element(1)
         for i in (1, 2):
             lhs = ring.product(ring.handle_element(), ring.power(h, i))
-            rhs = ring.power(h, r + i).scale(Fraction(model.tau, mprod))
+            rhs = ring.power(h, r + i).scale(Fraction(ring.meta["tau"], mprod))
             assert lhs == rhs
 
 
@@ -318,6 +318,7 @@ def test_fci_report_closed_orbit():
     assert rep["orbit_closed"]
     assert rep["dim_f_computed"] == rep["dim_f_predicted"] == 4
     assert rep["orbit_size"] == rep["predicted_state_count"] == 4
+    assert set(rep["orbit_states"]) == set(rep["predicted_states"])
 
 
 def test_fci_report_triangular():
@@ -331,14 +332,30 @@ def test_fci_report_triangular():
 
 
 def test_fci_report_skips_prediction_without_kappa():
-    rep = fci_report(fano_ci((2,), 3))
+    ring = fano_ci((2,), 3)
+    rep = fci_report(ring)
     assert "dim_f_predicted" not in rep
     assert rep["dim_f_computed"] == 2
+    assert dim_f_closed_form(ring) is None
+
+
+@pytest.mark.parametrize("make, arg", [(projective_space, n) for n in range(1, 9)]
+                         + [(quadric, r) for r in range(2, 13)])
+def test_handle_closed_form_matches_the_computed_handle(make, arg):
+    ring = make(arg)
+    assert handle_closed_forms(ring) == {"closed_form": ring.handle_element()}
+
+
+def test_closed_forms_need_a_ring_kind():
+    ring = projective_space(2)
+    ring.meta.clear()
+    assert handle_closed_forms(ring) == {}
+    assert dim_f_closed_form(ring) is None
 
 
 def test_all_rings_validate():
     rings = [projective_space(2), quadric(3), quadric(4), quadric(8),
-             grassmannian(2, 5), fano_ci((3,), 3).ring, fano_ci((4,), 3).ring,
-             fano_ci((5,), 4).ring]
+             grassmannian(2, 5), fano_ci((3,), 3), fano_ci((4,), 3),
+             fano_ci((5,), 4)]
     for ring in rings:
         ring.validate()
