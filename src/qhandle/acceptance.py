@@ -99,7 +99,7 @@ def criterion_2():
         d = ring.meta["delta"]
         c.check(ring.handle_element() == rings.handle_closed_forms(ring)["closed_form"],
                 f"quadric:{r}: handle equals {r + d} s{r} + {r - d} q 1")
-        mat = ring.mult_matrix(ring.handle_element())
+        mat = ring.handle_matrix()
         got = char_poly(mat)
         c.check(got == _poly_from_roots([(2 * r, r), (-2 * d, d)]),
                 f"quadric:{r}: handle spectrum is 2r with multiplicity {r} "

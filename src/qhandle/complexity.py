@@ -112,7 +112,7 @@ def _orbit_setup(ring, s0, kmax):
         kmax = 10 * ring.dim
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    mat = ring.mult_matrix(ring.handle_element())
+    mat = ring.handle_matrix()
     vec = ring.element_vector(s0)
     if all(x == 0 for x in vec):
         raise ValueError("reference state is zero")

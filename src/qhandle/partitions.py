@@ -184,7 +184,9 @@ def _add_strips(prev, size, max_rows):
     """Partitions reachable from prev by adding a horizontal strip of `size` boxes.
 
     A horizontal strip adds at most one box per column: new_i <= prev_{i-1}
-    for every row i >= 2. Results are capped at max_rows rows.
+    for every row i >= 2. Results are capped at max_rows rows. prev must be
+    a normalized partition: the recursion then builds weakly decreasing
+    nonnegative rows, so each result only needs its trailing zeros stripped.
     """
     prevp = list(prev)
     nrows = min(len(prev) + 1, max_rows)
@@ -194,7 +196,10 @@ def _add_strips(prev, size, max_rows):
     def rec(i, remaining):
         if i == nrows:
             if remaining == 0:
-                out.append(normalize(built))
+                end = len(built)
+                while end and not built[end - 1]:
+                    end -= 1
+                out.append(tuple(built[:end]))
             return
         base = prevp[i] if i < len(prevp) else 0
         hi = base + remaining if i == 0 else min(prevp[i - 1], base + remaining)
@@ -204,7 +209,7 @@ def _add_strips(prev, size, max_rows):
             built.pop()
 
     if size == 0:
-        return [normalize(prev)]
+        return [prev]
     rec(0, size)
     return out
 

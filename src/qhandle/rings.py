@@ -220,7 +220,12 @@ def grassmannian(k, n):
     """Quantum cohomology of Gr(k, n) in the Schubert basis.
 
     Products are computed by expanding the classical product into partitions
-    with at most k rows and reducing each term back into the box.
+    with at most k rows and reducing each term back into the box. The basis
+    is sorted by weight, so for j >= i the lighter factor basis[i] goes
+    second: lr_expand adds one horizontal strip per part of its second
+    argument. The expansion is symmetric, and the row cap only drops shapes
+    with more than k rows, since every shape in a strip chain lies inside
+    the final one.
     """
     if not 2 <= k <= n - 2:
         raise ValueError("need 2 <= k <= n - 2")
@@ -235,7 +240,7 @@ def grassmannian(k, n):
     for i in range(dim):
         for j in range(i, dim):
             row = {}
-            for nu, c in lr_expand(basis[i], basis[j], k).items():
+            for nu, c in lr_expand(basis[j], basis[i], k).items():
                 sign, _, mu = reduce_sigma_hat(k, n, nu)
                 if mu is not None:
                     row[index[mu]] = row.get(index[mu], 0) + sign * c
@@ -543,7 +548,7 @@ def fci_report(ring):
             report["predicted_state_count"] = len(set(report["predicted_states"]))
     else:
         alpha, beta, xi, omega = (meta[key] for key in ("alpha", "beta", "xi", "omega"))
-        mm = ring.mult_matrix(ring.handle_element())
+        mm = ring.handle_matrix()
         a = [[mm[r - i][r - j] for j in range(r + 1)] for i in range(r + 1)]
         report.update({"a_matrix": a, "alpha": alpha, "beta": beta, "xi": xi,
                        "omega": omega, "omega_nonzero": omega != 0})

@@ -7,7 +7,7 @@ from qhandle.complexity import (NOT_FOUND, LimitReport, ProjState, Trajectory,
                                 limit_points_real, s_infinity, trajectory)
 from qhandle.frobenius import FrobeniusRing
 from qhandle.linalg import frmat, frvec
-from qhandle.rings import fano_ci, grassmannian, projective_space, quadric
+from qhandle.rings import fano_ci, fci_report, grassmannian, projective_space, quadric
 
 
 def test_not_found_sentinel():
@@ -114,6 +114,29 @@ def test_s_infinity_builds_the_handle_matrix_once(monkeypatch):
     monkeypatch.setattr(FrobeniusRing, "mult_matrix", counted)
     rep = s_infinity(ring, ring.unit())
     assert rep.exact and rep.method == "rational-split"
+    assert calls == [ring.handle_element()]
+
+
+def test_handle_matrix_is_built_once_per_ring(monkeypatch):
+    calls = []
+    build = FrobeniusRing.mult_matrix
+
+    def counted(self, x):
+        calls.append(x)
+        return build(self, x)
+
+    monkeypatch.setattr(FrobeniusRing, "mult_matrix", counted)
+    # criterion 1's work on P^6; projective_space is not cached, so the ring is fresh
+    ring = projective_space(6)
+    trajectory(ring, ring.unit())
+    for i in range(7):
+        exact_complexity(ring, ring.unit(), ring.basis_element(i))
+    for i in range(7):
+        s_infinity(ring, ring.basis_element(i))
+    assert calls == [ring.handle_element()]
+    calls.clear()
+    ring = fano_ci((4,), 3)  # tau = 1: the report also reads the A-matrix
+    fci_report(ring)
     assert calls == [ring.handle_element()]
 
 

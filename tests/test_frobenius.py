@@ -1,8 +1,10 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from qhandle.frobenius import Element, qp_add, qp_eval
+from oracles import associativity_failure
+from qhandle.frobenius import Element, FrobeniusRing, qp_add, qp_eval
 from qhandle.rings import fano_ci, grassmannian, projective_space, quadric
 
 
@@ -197,4 +199,61 @@ def test_validate_rejects_frobenius_failure():
     bad = projective_space(2)
     bad.pairing[1][1] = {0: 2}  # still symmetric and invertible
     with pytest.raises(ValueError, match="Frobenius condition fails"):
+        bad.validate()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: projective_space(3),
+    lambda: quadric(4),
+    lambda: quadric(5),
+    lambda: grassmannian(2, 5),
+    lambda: grassmannian(3, 6),
+    lambda: fano_ci((5,), 4),  # Python-int check
+], ids=["pn:3", "quadric:4", "quadric:5", "gr:2,5", "gr:3,6", "fci:5;r=4"])
+def test_generator_check_agrees_with_the_all_pairs_oracle(make):
+    # a private copy: grassmannian rings are shared through functools.cache
+    shared = make()
+    ring = dataclasses.replace(shared, structure=dict(shared.structure), _cache={})
+    assert associativity_failure(ring.structure, ring.dim) is None
+    ring._validate_associativity()
+    off_generators = 0
+    for key, row in list(ring.structure.items()):
+        if ring.unit_index in key or not row:
+            continue
+        w = min(row)  # c -> c + 1 on one term; the grading is kept
+        mutant = {**row, w: row[w] + 1}
+        ring.structure[key] = {v: c for v, c in mutant.items() if c}
+        if associativity_failure(ring.structure, ring.dim) is None:
+            ring._validate_associativity()
+        else:
+            with pytest.raises(ValueError, match="associativity fails at pair"):
+                ring._validate_associativity()
+            off_generators += not set(key) & set(ring._generators())
+        ring.structure[key] = row
+    assert off_generators
+
+
+def test_associativity_is_checked_for_every_generator():
+    # a annihilates every non-unit class, so L_a L_x = L_ax holds for all x;
+    # the second generator b exposes (b b) c = c against b (b c) = 0
+    ring = FrobeniusRing(
+        name="two generators", labels=["1", "a", "b", "c"], degrees=[0, 1, 1, 2],
+        tau=1, pairing=[[{} for _ in range(4)] for _ in range(4)],
+        structure={(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (0, 3): {3: 1},
+                   (1, 1): {}, (1, 2): {}, (1, 3): {}, (2, 2): {3: 1}, (2, 3): {},
+                   (3, 3): {3: 1}},
+        unit_index=0,
+    )
+    assert ring._generators() == [1, 2]
+    assert associativity_failure(ring.structure, ring.dim) is not None
+    with pytest.raises(ValueError, match=r"associativity fails at pair \(2, 2\)"):
+        ring._validate_associativity()
+
+
+def test_validate_rejects_frobenius_failure_in_a_q_dependent_entry():
+    bad = fano_ci((3,), 4)  # tau = 3: <H^3, H^4> = 81 q
+    assert bad.meta["tau"] >= 2 and 0 not in bad.pairing[3][4]
+    for a, b in ((3, 4), (4, 3)):
+        bad.pairing[a][b] = {e: 2 * v for e, v in bad.pairing[a][b].items()}
+    with pytest.raises(ValueError, match=r"Frobenius condition fails at pair \(3, 4\)"):
         bad.validate()
