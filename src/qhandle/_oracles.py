@@ -1,0 +1,124 @@
+"""Independent oracles shared by the acceptance criteria and the test suite.
+
+Nothing here touches the package's own code: Schur polynomials are built by
+direct semistandard tableau enumeration, products by monomial-dictionary
+convolution, Schur values by the bialternant ratio at integer points, and
+characteristic polynomials from their roots.  So agreement with lr_expand or
+char_poly is a genuine cross-check.  The module imports only the standard
+library, and a test keeps it that way.
+"""
+
+from fractions import Fraction
+from functools import cache
+
+
+@cache
+def ssyt_weights(shape, nvars):
+    """Multiset of content vectors of semistandard tableaux of the given
+    shape with entries in 1..nvars, as {weight tuple: count}."""
+    shape = tuple(shape)
+    if not shape:
+        return {(0,) * nvars: 1}
+    rows = len(shape)
+    out = {}
+
+    def fill(r, c, done, cur):
+        if r == rows:
+            weight = [0] * nvars
+            for row in done:
+                for x in row:
+                    weight[x - 1] += 1
+            key = tuple(weight)
+            out[key] = out.get(key, 0) + 1
+            return
+        if c == shape[r]:
+            fill(r + 1, 0, done + (tuple(cur),), [])
+            return
+        lo = cur[c - 1] if c else 1
+        if r:
+            lo = max(lo, done[r - 1][c] + 1)
+        for x in range(lo, nvars + 1):
+            fill(r, c + 1, done, cur + [x])
+
+    fill(0, 0, (), [])
+    return out
+
+
+def poly_mul(a, b):
+    """Convolution of two {exponent tuple: coefficient} dictionaries."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    return {k: v for k, v in out.items() if v}
+
+
+def schur_product_expansion(lam, mu, nvars):
+    """Coefficients of the product s_lam * s_mu as a Schur combination,
+    recovered by repeatedly stripping the lexicographically largest weight."""
+    prod = poly_mul(ssyt_weights(tuple(lam), nvars), ssyt_weights(tuple(mu), nvars))
+    coeffs = {}
+    while prod:
+        top = max(prod)
+        c = prod[top]
+        nu = tuple(x for x in top if x)
+        assert all(nu[i] >= nu[i + 1] for i in range(len(nu) - 1)), (lam, mu, top)
+        coeffs[nu] = c
+        for e, cc in ssyt_weights(nu, nvars).items():
+            v = prod.get(e, 0) - c * cc
+            if v:
+                prod[e] = v
+            else:
+                prod.pop(e, None)
+    return coeffs
+
+
+POINTS = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def det_int(rows):
+    """Determinant of an integer matrix by fraction-free elimination."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+@cache
+def schur_value(lam, nvars):
+    """s_lam evaluated at the first nvars primes, via the bialternant ratio."""
+    xs = POINTS[:nvars]
+    lam = tuple(lam) + (0,) * (nvars - len(lam))
+    num = [[x ** (lam[j] + nvars - 1 - j) for j in range(nvars)] for x in xs]
+    den = [[x ** (nvars - 1 - j) for j in range(nvars)] for x in xs]
+    d = det_int(den)
+    n = det_int(num)
+    assert n % d == 0
+    return n // d
+
+
+def poly_from_roots(pairs):
+    """Monic polynomial with the given (root, multiplicity) pairs, descending."""
+    poly = [Fraction(1)]
+    for root, mult in pairs:
+        root = Fraction(root)
+        for _ in range(mult):
+            poly = poly + [Fraction(0)]
+            for i in range(len(poly) - 1, 0, -1):
+                poly[i] -= root * poly[i - 1]
+    return poly

@@ -11,11 +11,11 @@ the formula value is pinned so any drift still fails loudly.
 
 import random
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
 from math import comb, gcd
 
 from . import partitions, rings
+from ._oracles import poly_from_roots, schur_product_expansion, schur_value
 from .complexity import (ProjState, chordal, exact_complexity,
                          limit_points_real, s_infinity, trajectory)
 from .linalg import (char_poly, frmat, frvec, is_positive_definite,
@@ -57,18 +57,6 @@ class _Checker:
         self.known.append(msg)
 
 
-def _poly_from_roots(pairs):
-    """Monic polynomial with the given (root, multiplicity) pairs, descending."""
-    poly = [Fraction(1)]
-    for root, mult in pairs:
-        root = Fraction(root)
-        for _ in range(mult):
-            poly = poly + [Fraction(0)]
-            for i in range(len(poly) - 1, 0, -1):
-                poly[i] -= root * poly[i - 1]
-    return poly
-
-
 def criterion_1():
     c = _Checker("projective spaces pn:1..pn:6")
     for n in range(1, 7):
@@ -101,7 +89,7 @@ def criterion_2():
                 f"quadric:{r}: handle equals {r + d} s{r} + {r - d} q 1")
         mat = ring.handle_matrix()
         got = char_poly(mat)
-        c.check(got == _poly_from_roots([(2 * r, r), (-2 * d, d)]),
+        c.check(got == poly_from_roots([(2 * r, r), (-2 * d, d)]),
                 f"quadric:{r}: handle spectrum is 2r with multiplicity {r} "
                 f"and -2({d}) with multiplicity {d}")
         floats = sym_float_eigs([[float(x) for x in row] for row in mat])
@@ -269,102 +257,6 @@ def criterion_7():
     return c
 
 
-# -- private oracles for criterion 8 -----------------------------------------
-# these duplicate the test-suite oracles on purpose: the acceptance run must
-# be self-contained while staying independent of the code it checks
-
-
-@cache
-def _ssyt_weights(shape, nvars):
-    shape = tuple(shape)
-    if not shape:
-        return {(0,) * nvars: 1}
-    rows = len(shape)
-    out = {}
-
-    def fill(r, col, done, cur):
-        if r == rows:
-            weight = [0] * nvars
-            for row in done:
-                for x in row:
-                    weight[x - 1] += 1
-            key = tuple(weight)
-            out[key] = out.get(key, 0) + 1
-            return
-        if col == shape[r]:
-            fill(r + 1, 0, done + (tuple(cur),), [])
-            return
-        lo = cur[col - 1] if col else 1
-        if r:
-            lo = max(lo, done[r - 1][col] + 1)
-        for x in range(lo, nvars + 1):
-            fill(r, col + 1, done, cur + [x])
-
-    fill(0, 0, (), [])
-    return out
-
-
-def _poly_mul(a, b):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            out[key] = out.get(key, 0) + ca * cb
-    return {k: v for k, v in out.items() if v}
-
-
-def _schur_expand(lam, mu, nvars):
-    prod = _poly_mul(_ssyt_weights(tuple(lam), nvars),
-                     _ssyt_weights(tuple(mu), nvars))
-    coeffs = {}
-    while prod:
-        top = max(prod)
-        coef = prod[top]
-        nu = tuple(x for x in top if x)
-        for e, cc in _ssyt_weights(nu, nvars).items():
-            v = prod.get(e, 0) - coef * cc
-            if v:
-                prod[e] = v
-            else:
-                prod.pop(e, None)
-        coeffs[nu] = coef
-    return coeffs
-
-
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _det_int(rows):
-    m = [list(r) for r in rows]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1]
-
-
-@cache
-def _schur_value(lam, nvars):
-    xs = _PRIMES[:nvars]
-    lam = tuple(lam) + (0,) * (nvars - len(lam))
-    num = [[x ** (lam[j] + nvars - 1 - j) for j in range(nvars)] for x in xs]
-    den = [[x ** (nvars - 1 - j) for j in range(nvars)] for x in xs]
-    n, d = _det_int(num), _det_int(den)
-    assert n % d == 0
-    return n // d
-
-
 def criterion_8():
     c = _Checker("combinatorial and algebraic property suites")
     shapes = [lam for w in range(1, 7) for lam in partitions.partitions_of(w, w, w)]
@@ -376,12 +268,12 @@ def criterion_8():
             exp = partitions.lr_expand(lam, mu, 99)
             sym_ok = sym_ok and exp == partitions.lr_expand(mu, lam, 99)
             nvars = len(lam) + len(mu)
-            lhs = _schur_value(lam, nvars) * _schur_value(mu, nvars)
-            rhs = sum(coef * _schur_value(nu, nvars) for nu, coef in exp.items())
+            lhs = schur_value(lam, nvars) * schur_value(mu, nvars)
+            rhs = sum(coef * schur_value(nu, nvars) for nu, coef in exp.items())
             point_ok = point_ok and lhs == rhs
             point_pairs += 1
             if sum(lam) + sum(mu) <= 8:
-                want = _schur_expand(lam, mu, nvars)
+                want = schur_product_expansion(lam, mu, nvars)
                 mono_ok = mono_ok and {k: v for k, v in exp.items() if v} == want
                 mono_pairs += 1
     c.check(sym_ok, f"product expansion is symmetric on all {point_pairs} shape pairs")

@@ -17,10 +17,6 @@ from math import comb, isfinite, nan
 from . import acceptance, complexity, partitions, rings
 from .linalg import is_positive_definite
 
-EST_RINGS = [(2, 4), (2, 5), (2, 6), (2, 7), (2, 8),
-             (3, 6), (3, 7), (3, 8), (3, 9), (4, 8)]
-
-
 class UsageError(ValueError):
     pass
 
@@ -222,7 +218,7 @@ def cmd_amatrix(args):
 def cmd_estimate(args):
     if args.table:
         rows = []
-        for k, n in EST_RINGS:
+        for k, n, _, _ in acceptance.EST_TABLE:
             ring = rings.grassmannian(k, n)
             rank, _ = ring.f_span_dim()
             rows.append({"ring": f"gr:{k},{n}", "dimH": ring.dim,
@@ -404,8 +400,12 @@ def run(argv):
         sys.stdout.write(json.dumps(error, sort_keys=True, allow_nan=False) + "\n")
         return 1
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            sys.stderr.write(f"qh: cannot write the report: {exc}\n")
+            return 2
     else:
         sys.stdout.write(text)
     if args.command == "verify" and not report["ok"]:

@@ -14,10 +14,6 @@ from .linalg import (
     _jacobi,
     frmat,
     frvec,
-    identity,
-    mat_pow,
-    mat_scale,
-    mat_sub,
     mat_vec,
     rational_eigenstructure,
     solve_linear,
@@ -119,23 +115,34 @@ def _orbit_setup(ring, s0, kmax):
     return mat, vec, kmax
 
 
-def _walk(mat, vec, kmax):
-    states, seen = [], {}
-    hit_zero = False
-    cycle_start = cycle_length = None
+def _orbit(mat, vec, kmax, traj):
+    """Yield the new states of the orbit of vec, recording them in traj.
+
+    The walk ends after kmax steps, at the first revisited state (recorded
+    as traj's cycle) or at an exactly vanishing iterate (traj.hit_zero).
+    Each step is made only when the next state is asked for.
+    """
+    seen = {}
     for k in range(kmax + 1):
         state = ProjState(vec)
         if state in seen:
-            cycle_start = seen[state]
-            cycle_length = k - cycle_start
-            break
+            traj.cycle_start = seen[state]
+            traj.cycle_length = k - traj.cycle_start
+            return
         seen[state] = k
-        states.append(state)
+        traj.states.append(state)
+        yield state
         vec = mat_vec(mat, vec)
         if all(x == 0 for x in vec):
-            hit_zero = True
-            break
-    return Trajectory(states, hit_zero, cycle_start, cycle_length)
+            traj.hit_zero = True
+            return
+
+
+def _walk(mat, vec, kmax):
+    traj = Trajectory([])
+    for _ in _orbit(mat, vec, kmax, traj):
+        pass
+    return traj
 
 
 def trajectory(ring, s0, kmax=None):
@@ -143,38 +150,29 @@ def trajectory(ring, s0, kmax=None):
     return _walk(*_orbit_setup(ring, s0, kmax))
 
 
-def exact_complexity(ring, s0, target, kmax=None):
-    """Least k with [Delta^(*k) s0] = [target], or NOT_FOUND."""
+def _first_hit(ring, s0, target, kmax, hit):
+    """Least k whose orbit state s has hit(s, [target]), or NOT_FOUND.
+
+    A state that repeats an earlier one cannot be a first hit, so the search
+    ends with the orbit's first revisit.
+    """
     mat, vec, kmax = _orbit_setup(ring, s0, kmax)
     goal = ProjState.from_element(ring, target)
-    seen = set()
-    for k in range(kmax + 1):
-        state = ProjState(vec)
-        if state == goal:
-            return k
-        if state in seen:
-            return NOT_FOUND
-        seen.add(state)
-        vec = mat_vec(mat, vec)
-        if all(x == 0 for x in vec):
-            return NOT_FOUND
-    return NOT_FOUND
+    states = _orbit(mat, vec, kmax, Trajectory([]))
+    return next((k for k, state in enumerate(states) if hit(state, goal)), NOT_FOUND)
+
+
+def exact_complexity(ring, s0, target, kmax=None):
+    """Least k with [Delta^(*k) s0] = [target], or NOT_FOUND."""
+    return _first_hit(ring, s0, target, kmax, ProjState.__eq__)
 
 
 def approx_complexity(ring, s0, target, eps, kmax=None):
     """Least k with chordal([Delta^(*k) s0], [target]) <= eps, or NOT_FOUND."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    mat, vec, kmax = _orbit_setup(ring, s0, kmax)
-    goal = ProjState.from_element(ring, target)
-    for k in range(kmax + 1):
-        state = ProjState(vec)
-        if chordal(state, goal) <= eps:
-            return k
-        vec = mat_vec(mat, vec)
-        if all(x == 0 for x in vec):
-            return NOT_FOUND
-    return NOT_FOUND
+    return _first_hit(ring, s0, target, kmax,
+                      lambda state, goal: chordal(state, goal) <= eps)
 
 
 @dataclass
@@ -232,30 +230,27 @@ def limit_points_real(mat, z, _eig=None):
         return LimitReport(points=[], finite_orbit=True)
     lam = max(magnitudes)
 
-    def depth_of(value, vec):
-        shifted = mat_sub(mat, mat_scale(identity(n), value))
-        d, w = 0, list(vec)
-        while any(x != 0 for x in w):
-            w = mat_vec(shifted, w)
-            d += 1
-        return d
+    def jordan_chain(value, vec):
+        """vec, (M - value I) vec, ... up to the last nonzero term."""
+        chain = []
+        while any(x != 0 for x in vec):
+            chain.append(vec)
+            vec = [a - value * b for a, b in zip(mat_vec(mat, vec), vec)]
+        return chain
 
-    present = [v for v in (lam, -lam) if v in comps]
-    r = max(depth_of(v, comps[v]) for v in present)
-    parts = {}
-    for value in present:
-        shifted = mat_sub(mat, mat_scale(identity(n), value))
-        w = mat_vec(mat_pow(shifted, r - 1), list(comps[value]))
-        scale = value ** (1 - r)
-        parts[value] = tuple(scale * x for x in w)
+    chains = {v: jordan_chain(v, comps[v]) for v in (lam, -lam) if v in comps}
+    r = max(len(chain) for chain in chains.values())
+    # the top term (M - value I)^(r-1) c survives only on the longest chains
+    parts = {v: tuple(v ** (1 - r) * x for x in chain[r - 1])
+             for v, chain in chains.items() if len(chain) == r}
     plus = parts.get(lam)
     minus = parts.get(-lam)
-    points = []
-    if minus is None or all(x == 0 for x in minus):
+    if minus is None:
         points = [ProjState(plus)]
-    elif plus is None or all(x == 0 for x in plus):
+    elif plus is None:
         points = [ProjState(minus)]
     else:
+        points = []
         for cand in (tuple(a + b for a, b in zip(plus, minus)),
                      tuple(a - b for a, b in zip(plus, minus))):
             if any(x != 0 for x in cand):

@@ -277,18 +277,9 @@ class FrobeniusRing:
         assert self.product(pt, inv) == self.unit()
         return inv
 
-    def a_matrix(self, weights=None):
-        """Matrix of multiplication by Delta/[pt] at q = 1.
-
-        Optional per-label weights conjugate the matrix by diag(weights);
-        the default leaves the basis unscaled.
-        """
-        x = self.product(self.handle_element(), self.pt_inverse())
-        mat = self.mult_matrix(x)
-        if weights is not None:
-            w = [Fraction(v) for v in weights]
-            mat = [[mat[i][j] * w[j] / w[i] for j in range(self.dim)] for i in range(self.dim)]
-        return mat
+    def a_matrix(self):
+        """Matrix of multiplication by Delta/[pt] at q = 1."""
+        return self.mult_matrix(self.product(self.handle_element(), self.pt_inverse()))
 
     def vj_split(self, j):
         """Basis indices with degree congruent to j mod tau."""

@@ -51,15 +51,6 @@ def mat_vec(a, v):
     return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), Fraction(0)) for row in a]
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    c = Fraction(c)
-    return [[c * x for x in row] for row in a]
-
-
 def mat_pow(a, k):
     n = len(a)
     out = identity(n)

@@ -6,7 +6,6 @@ Partitions are plain tuples of weakly decreasing positive integers; the empty
 partition is ().
 """
 
-from functools import cache
 from math import gcd
 
 
@@ -82,20 +81,30 @@ def partitions_of(w: int, max_part: int, max_len: int) -> list:
     return res
 
 
-@cache
 def restricted_count(i: int, m: int, l: int) -> int:
     """p(i | m, l): the number of partitions of i with at most l parts, each at most m.
 
-    Recursion p(i|m,l) = p(i|m-1,l) + p(i-m|m,l-1) with p(0|m,l) = 1 and
-    p(i|m,l) = 0 for i < 0 or (i > 0 and ml = 0).
+    The count is the coefficient of q^i in the Gaussian binomial
+    [m+l choose l]_q = prod_{j=1..l} (1 - q^(m+j)) / (1 - q^j), taken from the
+    product as a power series truncated after q^i.  The count is symmetric in
+    m and l and under i -> ml - i, so the product runs over min(m, l) factors
+    and stops at q^min(i, ml - i).
     """
     if i < 0:
         return 0
     if i == 0:
         return 1
-    if m <= 0 or l <= 0:
+    if m <= 0 or l <= 0 or i > m * l:
         return 0
-    return restricted_count(i, m - 1, l) + restricted_count(i - m, m, l - 1)
+    m, l = max(m, l), min(m, l)
+    i = min(i, m * l - i)
+    series = [1] + [0] * i
+    for j in range(1, l + 1):
+        for d in range(i, m + j - 1, -1):
+            series[d] -= series[d - m - j]
+        for d in range(j, i + 1):
+            series[d] += series[d - j]
+    return series[i]
 
 
 def est_bound(k: int, n: int) -> int:

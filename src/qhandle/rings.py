@@ -515,7 +515,7 @@ def fci_report(ring):
     together with its structural checks.
     """
     from . import complexity
-    from .linalg import identity, is_zero_matrix, mat_pow, mat_sub, mat_scale
+    from .linalg import is_zero_matrix, mat_pow
 
     meta = ring.meta
     r, tau, chi, kappa = meta["r"], meta["tau"], meta["chi"], meta["kappa"]
@@ -558,6 +558,7 @@ def fci_report(ring):
             a[j][j] == beta for j in range(1, r + 1))
         report["a_superdiag_ok"] = a[0][1] == omega and all(
             a[j][j + 1] == xi for j in range(1, r))
-        shifted = mat_sub(a, mat_scale(identity(r + 1), beta))
+        shifted = [[x - beta * (i == j) for j, x in enumerate(row)]
+                   for i, row in enumerate(a)]
         report["jordan_depth_ok"] = not is_zero_matrix(mat_pow(shifted, r - 1))
     return report

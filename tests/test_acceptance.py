@@ -5,9 +5,13 @@ here fail with the full detail list so a regression names the exact check
 that broke.
 """
 
+import ast
+import sys
+from pathlib import Path
+
 import pytest
 
-from qhandle import acceptance
+from qhandle import _oracles, acceptance
 from qhandle.partitions import est_bound
 
 
@@ -81,3 +85,18 @@ def test_summary_lines_format():
     lines = acceptance.summary_lines(result)
     assert len(lines) == 1
     assert lines[0].startswith("criterion 1: PASS")
+
+
+def test_oracles_import_only_the_standard_library():
+    # the oracles are independent of the code they check only while this holds
+    tree = ast.parse(Path(_oracles.__file__).read_text())
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "relative import in _oracles"
+            modules.append(node.module)
+    assert modules
+    for name in modules:
+        assert name.split(".")[0] in sys.stdlib_module_names, name

@@ -233,6 +233,18 @@ def test_out_writes_file(tmp_path, capsys):
     assert json.loads(dest.read_text())["Est"] == 35
 
 
+def test_out_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys):
+    dest = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "ring", "pn:1", "--out", str(dest))
+    assert code == 2 and out == "" and not dest.exists()
+    assert err.startswith("qh: cannot write the report: ") and err.count("\n") == 1
+
+
+def test_estimate_past_the_old_recursion_limit(capsys):
+    code, out, _ = run_cli(capsys, "estimate", "2", "100000")
+    assert code == 0 and json.loads(out)["Est"] == 1250000000
+
+
 def test_text_format(capsys):
     code, out, _ = run_cli(capsys, "estimate", "3", "7", "--format", "text")
     assert code == 0 and "Est: 35" in out

@@ -1,7 +1,9 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from qhandle import complexity
 from qhandle.complexity import (NOT_FOUND, LimitReport, ProjState, Trajectory,
                                 approx_complexity, chordal, exact_complexity,
                                 limit_points_real, s_infinity, trajectory)
@@ -93,6 +95,24 @@ def test_approx_complexity_rejects_negative_eps():
     ring = projective_space(2)
     with pytest.raises(ValueError):
         approx_complexity(ring, ring.unit(), ring.unit(), -0.1)
+
+
+def test_searches_stop_at_the_first_hit_or_revisit(monkeypatch):
+    calls = []
+    step = complexity.mat_vec
+
+    def counted(mat, vec):
+        calls.append(vec)
+        return step(mat, vec)
+
+    monkeypatch.setattr(complexity, "mat_vec", counted)
+    ring = projective_space(3)
+    assert exact_complexity(ring, ring.unit(), ring.unit()) == 0
+    assert calls == []
+    # the unit orbit is a 4-cycle that never comes within 0.01 of 1 + H
+    target = ring.unit() + ring.basis_element(1)
+    assert approx_complexity(ring, ring.unit(), target, 0.01) is NOT_FOUND
+    assert len(calls) == 4
 
 
 def test_finite_state_set_projective():
@@ -210,3 +230,21 @@ def test_s_infinity_fano_ci_tau_two_empty():
     ring = fano_ci((3,), 3)
     rep = s_infinity(ring, ring.unit())
     assert rep.exact and rep.points == []
+
+
+def test_s_infinity_theta_float_path():
+    ring = grassmannian(2, 5)
+    rep = s_infinity(ring, ring.unit())
+    assert rep.method == "theta-float" and rep.exact is False
+
+
+def test_s_infinity_power_iteration_fallback():
+    # no point class and the handle 1 + H, whose q = 1 spectrum 2, 1 + w, 1 + w^2
+    # (w a primitive cube root of 1) does not split over the rationals
+    base = projective_space(2)
+    ring = dataclasses.replace(base, point_index=None, _cache={},
+                               delta_override=base.unit() + base.basis_element(1))
+    rep = s_infinity(ring, ring.unit(), kmax=10)
+    assert rep.method == "float" and rep.exact is False
+    assert len(rep.points) == 1
+    assert chordal(rep.points[0], (1.0, 1.0, 1.0)) < 1e-6

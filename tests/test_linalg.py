@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import det_int
+from qhandle._oracles import det_int
 from qhandle.linalg import (Echelon, char_poly, frmat, frvec, identity,
                             is_positive_definite, is_zero_matrix, krylov_rank,
                             mat_inverse, mat_mul, mat_pow, mat_rank, mat_vec,

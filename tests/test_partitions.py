@@ -1,6 +1,7 @@
 from math import comb
 
-from oracles import partitions_up_to, schur_product_expansion, schur_value
+from oracles import partitions_up_to
+from qhandle._oracles import schur_product_expansion, schur_value
 from qhandle.partitions import (complement, est_bound, in_box, is_partition,
                                 lr_coefficient, lr_coefficient_len2, lr_expand,
                                 normalize, partitions_in_box, partitions_of,

@@ -3,6 +3,7 @@ from math import comb, gcd
 
 import pytest
 
+from qhandle._oracles import poly_from_roots
 from qhandle.frobenius import Element
 from qhandle.linalg import char_poly, is_positive_definite
 from qhandle.rings import (ZERO, delta_closed_form, delta_gr2_form,
@@ -11,16 +12,6 @@ from qhandle.rings import (ZERO, delta_closed_form, delta_gr2_form,
                            gr2_b_values, gr2_theta_indices,
                            handle_closed_forms, phi_map, projective_space,
                            quadric, reduce_sigma_hat)
-
-
-def poly_from_roots(pairs):
-    poly = [Fraction(1)]
-    for root, mult in pairs:
-        for _ in range(mult):
-            poly = poly + [Fraction(0)]
-            for i in range(len(poly) - 1, 0, -1):
-                poly[i] -= Fraction(root) * poly[i - 1]
-    return poly
 
 
 # -- projective spaces -------------------------------------------------------
