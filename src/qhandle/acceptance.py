@@ -18,10 +18,9 @@ from . import partitions, rings
 from ._oracles import poly_from_roots, schur_product_expansion, schur_value
 from .complexity import (ProjState, chordal, exact_complexity,
                          limit_points_real, s_infinity, trajectory)
-from .linalg import (char_poly, frmat, frvec, is_positive_definite,
+from .linalg import (char_poly, frmat, frvec, int_scale, is_positive_definite,
                      is_zero_matrix, krylov_rank, mat_inverse, mat_mul,
-                     mat_pow, mat_vec, poly_deriv, poly_gcd, sym_float_eigs,
-                     zeros)
+                     mat_vec, poly_deriv, poly_gcd, sym_float_eigs, zeros)
 
 STANDARD_GRASSMANNIANS = [(2, 4), (2, 5), (2, 6), (2, 7), (2, 8),
                           (3, 6), (3, 7), (3, 8)]
@@ -245,7 +244,11 @@ def criterion_7():
         if rep.finite_orbit or not 1 <= len(rep.points) <= 2:
             bad_counts += 1
             continue
-        far = ProjState(mat_vec(mat_pow(m, 200), z))
+        m_int, _ = int_scale(m)
+        far = [x.numerator for x in z]
+        for _ in range(200):
+            far = mat_vec(m_int, far)
+        far = ProjState(far)
         if min(chordal(far, pt) for pt in rep.points) > 1e-6:
             bad_witness += 1
     c.check(bad_counts == 0,

@@ -7,13 +7,14 @@ real matrix iterations, and the set of non-orbit accumulation points.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (
     _jacobi,
-    frmat,
     frvec,
+    int_scale,
     mat_vec,
     rational_eigenstructure,
     solve_linear,
@@ -33,34 +34,68 @@ class _NotFound:
 NOT_FOUND = _NotFound()
 
 
+def _primitive(ints):
+    """The primitive integer vector of the class of an integer vector: divided
+    by the gcd, first nonzero entry positive; None for the zero vector."""
+    g = math.gcd(*ints)
+    if not g:
+        return None
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints) if g != 1 else tuple(ints)
+
+
 class ProjState:
     """A nonzero rational vector up to scale.
 
-    Coordinates are normalized so the first nonzero entry equals 1, which
-    makes equality and hashing exact.
+    The class is stored as its primitive integer vector, ints, which makes
+    equality and hashing exact.  vec, the same class with first nonzero entry
+    1 as Fractions, and floats() are derived when they are read.
     """
 
-    __slots__ = ("vec",)
+    __slots__ = ("ints",)
 
     def __init__(self, coords):
-        coords = tuple(Fraction(x) for x in coords)
-        pivot = next((x for x in coords if x != 0), None)
-        if pivot is None:
+        (ints,), _ = int_scale([coords])
+        ints = _primitive(ints)
+        if ints is None:
             raise ValueError("the zero vector has no projective class")
-        self.vec = tuple(x / pivot for x in coords)
+        self.ints = ints
+
+    @classmethod
+    def _of_primitive(cls, ints):
+        state = cls.__new__(cls)
+        state.ints = ints
+        return state
 
     @classmethod
     def from_element(cls, ring, x):
         return cls(ring.element_vector(x))
 
+    def _pivot(self):
+        return next(x for x in self.ints if x)
+
+    @property
+    def vec(self):
+        pivot = self._pivot()
+        return tuple(Fraction(x, pivot) for x in self.ints)
+
     def floats(self):
-        return [float(x) for x in self.vec]
+        # int true division is correctly rounded, as float(Fraction) is
+        pivot = self._pivot()
+        return [x / pivot for x in self.ints]
 
     def __eq__(self, other):
-        return isinstance(other, ProjState) and self.vec == other.vec
+        return isinstance(other, ProjState) and self.ints == other.ints
 
     def __hash__(self):
-        return hash(self.vec)
+        # hash(self.vec) without its Fractions: Python hashes the rational
+        # x / p as the integer x * p^-1 modulo sys.hash_info.modulus
+        try:
+            inv = pow(self._pivot(), -1, sys.hash_info.modulus)
+        except ValueError:  # the pivot is a multiple of the modulus
+            return hash(self.vec)
+        return hash(tuple(x * inv for x in self.ints))
 
     def __repr__(self):
         return "[" + ", ".join(str(x) for x in self.vec) + "]"
@@ -120,11 +155,16 @@ def _orbit(mat, vec, kmax, traj):
 
     The walk ends after kmax steps, at the first revisited state (recorded
     as traj's cycle) or at an exactly vanishing iterate (traj.hit_zero).
-    Each step is made only when the next state is asked for.
+    Each step is made only when the next state is asked for.  It steps the
+    primitive integer vector of each state by the matrix scaled to integers,
+    which has the same projective orbits.
     """
+    mat, _ = int_scale(mat)
+    (vec,), _ = int_scale([vec])
+    vec = _primitive(vec)
     seen = {}
     for k in range(kmax + 1):
-        state = ProjState(vec)
+        state = ProjState._of_primitive(vec)
         if state in seen:
             traj.cycle_start = seen[state]
             traj.cycle_length = k - traj.cycle_start
@@ -132,8 +172,8 @@ def _orbit(mat, vec, kmax, traj):
         seen[state] = k
         traj.states.append(state)
         yield state
-        vec = mat_vec(mat, vec)
-        if all(x == 0 for x in vec):
+        vec = _primitive(mat_vec(mat, vec))
+        if vec is None:
             traj.hit_zero = True
             return
 
@@ -198,10 +238,10 @@ def limit_points_real(mat, z, _eig=None):
     magnitude with a nonzero component wins, with the top corank term of each
     sign surviving.  Raises ValueError for a zero z or a non-split matrix.
     """
-    mat = frmat(mat)
+    ints, den = int_scale(mat)
     z = frvec(z)
     n = len(z)
-    if len(mat) != n or any(len(row) != n for row in mat):
+    if len(ints) != n or any(len(row) != n for row in ints):
         raise ValueError("matrix and vector sizes differ")
     if all(x == 0 for x in z):
         raise ValueError("z must be nonzero")
@@ -224,24 +264,30 @@ def limit_points_real(mat, z, _eig=None):
         acc = comps.setdefault(value, [Fraction(0)] * n)
         for i in range(n):
             acc[i] += c * column[i]
-    comps = {v: tuple(w) for v, w in comps.items() if any(x != 0 for x in w)}
+    comps = {v: w for v, w in comps.items() if any(x != 0 for x in w)}
     magnitudes = [abs(v) for v in comps if v != 0]
     if not magnitudes:
         return LimitReport(points=[], finite_orbit=True)
     lam = max(magnitudes)
+    tops = {v: comps[v] for v in (lam, -lam) if v in comps}
+    scale = math.lcm(*(x.denominator for w in tops.values() for x in w))
 
     def jordan_chain(value, vec):
-        """vec, (M - value I) vec, ... up to the last nonzero term."""
+        """vec, (d M - value I) vec, ... up to the last nonzero term."""
         chain = []
-        while any(x != 0 for x in vec):
+        while any(vec):
             chain.append(vec)
-            vec = [a - value * b for a, b in zip(mat_vec(mat, vec), vec)]
+            vec = [a - value * b for a, b in zip(mat_vec(ints, vec), vec)]
         return chain
 
-    chains = {v: jordan_chain(v, comps[v]) for v in (lam, -lam) if v in comps}
+    chains = {v: jordan_chain((v * den).numerator, [(x * scale).numerator for x in w])
+              for v, w in tops.items()}
     r = max(len(chain) for chain in chains.values())
-    # the top term (M - value I)^(r-1) c survives only on the longest chains
-    parts = {v: tuple(v ** (1 - r) * x for x in chain[r - 1])
+    # The top term v^(1-r) (M - v I)^(r-1) c survives only on the longest
+    # chains.  Here the chain of v runs on d M and on c scaled by a positive
+    # integer, so its last entry is that term times sign(v)^(r-1) and a
+    # positive factor common to both signs, which no projective class sees.
+    parts = {v: [x if v > 0 or r % 2 else -x for x in chain[r - 1]]
              for v, chain in chains.items() if len(chain) == r}
     plus = parts.get(lam)
     minus = parts.get(-lam)
@@ -251,9 +297,9 @@ def limit_points_real(mat, z, _eig=None):
         points = [ProjState(minus)]
     else:
         points = []
-        for cand in (tuple(a + b for a, b in zip(plus, minus)),
-                     tuple(a - b for a, b in zip(plus, minus))):
-            if any(x != 0 for x in cand):
+        for cand in ([a + b for a, b in zip(plus, minus)],
+                     [a - b for a, b in zip(plus, minus)]):
+            if any(cand):
                 state = ProjState(cand)
                 if state not in points:
                     points.append(state)
@@ -292,6 +338,8 @@ def s_infinity(ring, s0, kmax=None, tol=1e-9):
     used (symmetric power of the handle when available, power iteration as a
     last resort) and the result is approximate.
     """
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
     mat, z, kmax = _orbit_setup(ring, s0, kmax)
     traj = _walk(mat, z, kmax)
     if traj.closed:

@@ -1,11 +1,17 @@
 """Exact dense linear algebra over the rationals.
 
-Matrices are lists of rows of Fraction entries. One elimination kernel,
-the incremental reduced row echelon form Echelon, gives rank, nullspace,
-linear solves, inverses and determinants. On top of it: characteristic
-polynomials, rational root extraction, generalized eigenstructure, Sylvester
-positive-definiteness certificates, Krylov ranks, and a deterministic
-floating-point Jacobi eigensolver for symmetric matrices.
+Matrices are lists of rows of rationals: Fraction or int entries. Two exact
+elimination kernels: the incremental reduced row echelon form Echelon, over the
+rationals, gives rank, nullspace, linear solves, inverses and determinants;
+the fraction-free elimination bareiss, over the integers, gives Jordan ranks,
+generalized eigenvectors and leading principal minors. The eigenvalue code
+scales a rational matrix by the positive lcm of its denominators (int_scale),
+which moves every rational eigenvalue onto an integer and leaves every
+eigenvector alone, and works on that integer matrix: the division-free
+characteristic polynomial of Berkowitz, rational root extraction,
+generalized eigenstructure and Sylvester positive-definiteness certificates.
+Also: Krylov ranks and a deterministic floating-point Jacobi eigensolver for
+symmetric matrices.
 """
 
 import math
@@ -31,9 +37,10 @@ def zeros(r, c):
 
 
 def mat_mul(a, b):
+    """Product of two matrices; integer matrices give an integer product."""
     n, m, p = len(a), len(b), len(b[0])
     assert len(a[0]) == m, "shape mismatch"
-    out = zeros(n, p)
+    out = [[0] * p for _ in range(n)]
     for i in range(n):
         ai = a[i]
         oi = out[i]
@@ -47,8 +54,11 @@ def mat_mul(a, b):
                     oi[j] += aik * bk[j]
     return out
 
+
 def mat_vec(a, v):
-    return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), Fraction(0)) for row in a]
+    """a v; an integer matrix and vector give an integer vector."""
+    support = [(j, x) for j, x in enumerate(v) if x]
+    return [sum(row[j] * x for j, x in support) for row in a]
 
 
 def mat_pow(a, k):
@@ -164,26 +174,49 @@ def mat_inverse(a):
     return [row[n:] for _, row in sorted(ech.rows)]  # pivots are distinct
 
 
+def int_scale(m):
+    """Scale a rational matrix by the positive lcm of its denominators;
+    returns (integer matrix, multiplier)."""
+    m = frmat(m)
+    den = math.lcm(*(x.denominator for row in m for x in row)) if m else 1
+    return [[x.numerator * (den // x.denominator) for x in row] for row in m], den
+
+
+def _berkowitz(a):
+    """Coefficients of det(x I - a) in descending degree, for an integer matrix.
+
+    Berkowitz's division-free algorithm: the polynomial of the leading
+    (k+1) x (k+1) block is a lower-triangular Toeplitz matrix, with first column
+    1, -a_kk, -R S, -R A S, ..., -R A^(k-1) S, times that of the leading k x k
+    block A, where R and S are the row and column that border A.
+    """
+    sparse = [[(j, x) for j, x in enumerate(row) if x] for row in a]
+    poly = [1]
+    for k in range(len(a)):
+        block = [[(j, x) for j, x in sparse[i] if j < k] for i in range(k)]
+        border = [(j, x) for j, x in sparse[k] if j < k]
+        col = [a[i][k] for i in range(k)]
+        toeplitz = [1, -a[k][k]]
+        for _ in range(k):
+            toeplitz.append(-sum(x * col[j] for j, x in border))
+            col = [sum(x * col[j] for j, x in row) for row in block]
+        poly = [sum(toeplitz[i - j] * poly[j] for j in range(min(i, k) + 1))
+                for i in range(k + 2)]
+    return poly
+
+
 def char_poly(m):
     """Monic characteristic polynomial of a square matrix.
 
-    Faddeev-LeVerrier recursion; returns coefficients in descending degree,
-    e.g. [[2,1],[1,2]] -> [1, -4, 3] meaning x^2 - 4x + 3.
+    Coefficients in descending degree, e.g. [[2,1],[1,2]] -> [1, -4, 3]
+    meaning x^2 - 4x + 3.  The Berkowitz polynomial of the matrix scaled by d
+    to integers has x^(n-k) coefficient d^k times the one sought.
     """
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
-    m = frmat(m)
-    coeffs = [Fraction(1)]
-    mk = [row[:] for row in m]
-    for k in range(1, n + 1):
-        ck = -sum(mk[i][i] for i in range(n)) / k
-        coeffs.append(ck)
-        if k < n:
-            for i in range(n):
-                mk[i][i] += ck
-            mk = mat_mul(m, mk)
-    return coeffs
+    ints, den = int_scale(m)
+    return [Fraction(c, den ** k) for k, c in enumerate(_berkowitz(ints))]
 
 
 def poly_deriv(coeffs):
@@ -319,6 +352,64 @@ def rational_roots(coeffs):
     return roots
 
 
+def bareiss(rows):
+    """Fraction-free row echelon form of an integer matrix (Bareiss 1968).
+
+    Returns one (source row, pivot column, row) per pivot, in order.  Each
+    step pivots on the first row, at or below the current one, that is
+    nonzero in the next column that has such a row.  After k steps every entry
+    below the pivot rows is a (k+1) x (k+1) minor of the input, so each
+    division is exact and the integers stay the size of minors; the k-th pivot
+    is the k x k minor on the first k pivot rows and columns.  The number of
+    pivots is the rank.
+    """
+    a = [list(row) for row in rows]
+    source = list(range(len(a)))
+    steps = []
+    prev = 1
+    for c in range(len(a[0]) if a else 0):
+        r = len(steps)
+        p = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        source[r], source[p] = source[p], source[r]
+        pivot_row = a[r]
+        piv = pivot_row[c]
+        tail = pivot_row[c:]
+        for i in range(r + 1, len(a)):
+            row = a[i]
+            f = row[c]
+            if f:
+                row[c:] = [(x * piv - f * y) // prev for x, y in zip(row[c:], tail)]
+            else:
+                row[c:] = [x * piv // prev for x in row[c:]]
+        steps.append((source[r], c, pivot_row))
+        prev = piv
+    return steps
+
+
+def _echelon_nullspace(steps, cols):
+    """The nullspace basis of Echelon.nullspace from bareiss steps: one vector
+    per free column in ascending order, that entry 1 and the other free
+    entries 0, found by back substitution over the integers."""
+    pivots = {c for _, c, _ in steps}
+    basis = []
+    for fc in range(cols):
+        if fc in pivots:
+            continue
+        x = [0] * cols
+        x[fc] = 1
+        for _, c, row in reversed(steps):
+            s = sum(a * b for a, b in zip(row[c + 1:], x[c + 1:]) if b)
+            g = math.gcd(s, row[c]) if row[c] > 0 else -math.gcd(s, row[c])
+            if row[c] != g:
+                x = [v * (row[c] // g) for v in x]
+            x[c] = -s // g
+        basis.append([Fraction(v, x[fc]) for v in x])
+    return basis
+
+
 @dataclass
 class EigenData:
     """One rational eigenvalue with its generalized eigenspace data."""
@@ -338,22 +429,37 @@ class EigenStructure:
 def rational_eigenstructure(m):
     """Rational eigenvalues with multiplicities, Jordan block sizes, and
     generalized eigenbases; split_over_rationals is true when the
-    characteristic polynomial factors completely over the rationals."""
+    characteristic polynomial factors completely over the rationals.
+
+    The roots are taken from the characteristic polynomial of M itself,
+    whose candidates p/q are small; those of d M are d times larger and
+    may carry a prime factor of d too large to split off.  The rest runs on
+    the matrix scaled by d to integers, whose rational eigenvalues are the
+    integers d * value: ranks of the integer powers of (d M - d value I) by
+    bareiss give the Jordan blocks, and its last elimination the basis,
+    which is Echelon.nullspace's.
+    """
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
-    m = frmat(m)
-    cp = char_poly(m)
-    roots = rational_roots(cp)
+    ints, den = int_scale(m)
+    roots = rational_roots(char_poly(m))
     entries = []
     for lam, mult in roots:
-        shifted = [[m[i][j] - (lam if i == j else 0) for j in range(n)] for i in range(n)]
+        shift = (lam * den).numerator
+        shifted = [[x - shift if i == j else x for j, x in enumerate(row)]
+                   for i, row in enumerate(ints)]
         ranks = [n]
-        power = identity(n)
-        for _ in range(mult):
-            power = mat_mul(power, shifted)
-            ech = Echelon.of(power)
-            ranks.append(ech.rank)
+        power = shifted
+        for j in range(mult):
+            if j:
+                power = mat_mul(power, shifted)
+            steps = bareiss(power)
+            ranks.append(len(steps))
+            if ranks[-1] == n - mult:
+                # the kernel is the whole generalized eigenspace: ranks are final
+                ranks += [ranks[-1]] * (mult - 1 - j)
+                break
         blocks = []
         for j in range(1, mult + 1):
             r_prev = ranks[j - 1]
@@ -362,22 +468,17 @@ def rational_eigenstructure(m):
             exactly_j = (r_prev - r_j) - (r_j - r_next)
             blocks.extend([j] * exactly_j)
         blocks.sort(reverse=True)
-        entries.append(EigenData(lam, mult, blocks, ech.nullspace(n)))
+        entries.append(EigenData(lam, mult, blocks, _echelon_nullspace(steps, n)))
     total = sum(mult for _, mult in roots)
     return EigenStructure(entries, split_over_rationals=(total == n))
-
-
-def _int_scale(m):
-    """Scale a Fraction matrix to integers; returns (int matrix, multiplier)."""
-    den = math.lcm(*(x.denominator for row in m for x in row)) if m else 1
-    return [[int(x * den) for x in row] for row in m], den
 
 
 def is_positive_definite(m):
     """Sylvester test: (verdict, leading principal minors), exact.
 
-    Uses fraction-free Bareiss elimination on the integer-scaled matrix, whose
-    successive pivots are exactly the leading principal minors.
+    The bareiss pivots of the integer-scaled matrix are its leading principal
+    minors when every step pivots on the diagonal.  A zero leading minor makes
+    a step pivot elsewhere; the minors then come from direct determinants.
     """
     n = len(m)
     if any(len(row) != n for row in m):
@@ -387,22 +488,11 @@ def is_positive_definite(m):
         for j in range(i):
             if m[i][j] != m[j][i]:
                 raise ValueError(f"matrix is not symmetric at ({i}, {j})")
-    ints, den = _int_scale(m)
-    minors = []
-    a = [row[:] for row in ints]
-    prev = 1
-    singular_at = None
-    for k in range(n):
-        if a[k][k] == 0:
-            singular_at = k
-            break
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-        minors.append(Fraction(prev, den ** (k + 1)))
-    if singular_at is not None:
-        # Bareiss stalls on a zero pivot; fall back to direct determinants.
+    ints, den = int_scale(m)
+    steps = bareiss(ints)
+    if [(r, c) for r, c, _ in steps] == [(k, k) for k in range(n)]:
+        minors = [Fraction(row[k], den ** (k + 1)) for k, (_, _, row) in enumerate(steps)]
+    else:
         minors = [Echelon.of([row[: k + 1] for row in m[: k + 1]]).det
                   for k in range(n)]
     ok = all(d > 0 for d in minors)

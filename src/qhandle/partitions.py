@@ -81,14 +81,28 @@ def partitions_of(w: int, max_part: int, max_len: int) -> list:
     return res
 
 
+def _gaussian_series(m: int, l: int, top: int) -> list:
+    """Coefficients of q^0..q^top of the Gaussian binomial [m+l choose l]_q.
+
+    Taken from the product prod_{j=1..l} (1 - q^(m+j)) / (1 - q^j) as a power
+    series truncated after q^top; the caller passes l = min(m, l) so the
+    product has the fewer factors.
+    """
+    series = [1] + [0] * top
+    for j in range(1, l + 1):
+        for d in range(top, m + j - 1, -1):
+            series[d] -= series[d - m - j]
+        for d in range(j, top + 1):
+            series[d] += series[d - j]
+    return series
+
+
 def restricted_count(i: int, m: int, l: int) -> int:
     """p(i | m, l): the number of partitions of i with at most l parts, each at most m.
 
     The count is the coefficient of q^i in the Gaussian binomial
-    [m+l choose l]_q = prod_{j=1..l} (1 - q^(m+j)) / (1 - q^j), taken from the
-    product as a power series truncated after q^i.  The count is symmetric in
-    m and l and under i -> ml - i, so the product runs over min(m, l) factors
-    and stops at q^min(i, ml - i).
+    [m+l choose l]_q.  It is symmetric in m and l and under i -> ml - i, so
+    the series runs over min(m, l) factors and stops at q^min(i, ml - i).
     """
     if i < 0:
         return 0
@@ -96,26 +110,22 @@ def restricted_count(i: int, m: int, l: int) -> int:
         return 1
     if m <= 0 or l <= 0 or i > m * l:
         return 0
-    m, l = max(m, l), min(m, l)
     i = min(i, m * l - i)
-    series = [1] + [0] * i
-    for j in range(1, l + 1):
-        for d in range(i, m + j - 1, -1):
-            series[d] -= series[d - m - j]
-        for d in range(j, i + 1):
-            series[d] += series[d - j]
-    return series[i]
+    return _gaussian_series(max(m, l), min(m, l), i)[i]
 
 
 def est_bound(k: int, n: int) -> int:
     """Dimension-bound estimate (n/gcd(n,k^2)) * sum_i p(i*n | n-k, k) for Gr(k,n).
 
-    The sum runs over 0 <= i <= floor(k(n-k)/n).
+    The sum runs over 0 <= i <= floor(k(n-k)/n).  Every term is a coefficient
+    of the one series [n choose k]_q, which is symmetric about k(n-k)/2 and so
+    is built only up to there.
     """
     if not 2 <= k <= n - 2:
         raise ValueError("need 2 <= k <= n - 2")
-    top = (k * (n - k)) // n
-    total = sum(restricted_count(i * n, n - k, k) for i in range(top + 1))
+    size = k * (n - k)
+    series = _gaussian_series(max(k, n - k), min(k, n - k), size // 2)
+    total = sum(series[min(i * n, size - i * n)] for i in range(size // n + 1))
     return (n // gcd(n, k * k)) * total
 
 

@@ -1,8 +1,19 @@
-"""Test-only helpers: partition enumeration and an all-pairs associativity check.
+"""Test-only helpers: partition enumeration, an all-pairs associativity check,
+and the Fraction forms of the orbit walk and the eigenstructure.
+
+The Fraction oracles are the exact dynamics as first written, on rational
+arithmetic throughout: a first-entry-1 projective state, a Fraction
+matrix-vector orbit walk, the Faddeev-LeVerrier characteristic polynomial,
+Jordan ranks from Echelon on Fraction powers, and limit points from Fraction
+Jordan chains.  The library runs the same mathematics on integers.
 
 The Schur and characteristic-polynomial oracles that the acceptance criteria
 share with the tests live in qhandle._oracles.
 """
+
+from fractions import Fraction
+
+from qhandle.linalg import Echelon, rational_roots, solve_linear
 
 
 def partitions_up_to(w, max_len=None):
@@ -46,3 +57,132 @@ def associativity_failure(structure, n):
                 if mul(ij, {k: 1}) != mul({i: 1}, mul({j: 1}, {k: 1})):
                     return i, j
     return None
+
+
+class FractionProjState:
+    """A nonzero rational vector up to scale, first nonzero entry 1."""
+
+    __slots__ = ("vec",)
+
+    def __init__(self, coords):
+        coords = tuple(Fraction(x) for x in coords)
+        pivot = next((x for x in coords if x != 0), None)
+        if pivot is None:
+            raise ValueError("the zero vector has no projective class")
+        self.vec = tuple(x / pivot for x in coords)
+
+    def floats(self):
+        return [float(x) for x in self.vec]
+
+    def __eq__(self, other):
+        return isinstance(other, FractionProjState) and self.vec == other.vec
+
+    def __hash__(self):
+        return hash(self.vec)
+
+
+def fraction_mat_vec(a, v):
+    return [sum((x * v[j] for j, x in enumerate(row) if x and v[j]), Fraction(0))
+            for row in a]
+
+
+def fraction_mat_mul(a, b):
+    return [[sum((x * b[k][j] for k, x in enumerate(row) if x), Fraction(0))
+             for j in range(len(b[0]))] for row in a]
+
+
+def fraction_orbit(mat, vec, kmax):
+    """(states, hit_zero, cycle_start, cycle_length) of the orbit of vec."""
+    mat = [[Fraction(x) for x in row] for row in mat]
+    vec = [Fraction(x) for x in vec]
+    seen = {}
+    states = []
+    for k in range(kmax + 1):
+        state = FractionProjState(vec)
+        if state in seen:
+            return states, False, seen[state], k - seen[state]
+        seen[state] = k
+        states.append(state)
+        vec = fraction_mat_vec(mat, vec)
+        if all(x == 0 for x in vec):
+            return states, True, None, None
+    return states, False, None, None
+
+
+def faddeev_leverrier(m):
+    """Monic characteristic polynomial, descending, by Faddeev-LeVerrier."""
+    n = len(m)
+    m = [[Fraction(x) for x in row] for row in m]
+    coeffs = [Fraction(1)]
+    mk = [row[:] for row in m]
+    for k in range(1, n + 1):
+        ck = -sum(mk[i][i] for i in range(n)) / k
+        coeffs.append(ck)
+        if k < n:
+            for i in range(n):
+                mk[i][i] += ck
+            mk = fraction_mat_mul(m, mk)
+    return coeffs
+
+
+def fraction_eigenstructure(m):
+    """([(value, multiplicity, blocks, basis)], split) from Fraction powers."""
+    n = len(m)
+    m = [[Fraction(x) for x in row] for row in m]
+    roots = rational_roots(faddeev_leverrier(m))
+    entries = []
+    for lam, mult in roots:
+        shifted = [[x - lam if i == j else x for j, x in enumerate(row)]
+                   for i, row in enumerate(m)]
+        ranks = [n]
+        power = shifted
+        for j in range(mult):
+            if j:
+                power = fraction_mat_mul(power, shifted)
+            ech = Echelon.of(power)
+            ranks.append(ech.rank)
+        ranks.append(ranks[-1])
+        blocks = []
+        for j in range(1, mult + 1):
+            blocks += [j] * ((ranks[j - 1] - ranks[j]) - (ranks[j] - ranks[j + 1]))
+        entries.append((lam, mult, sorted(blocks, reverse=True), ech.nullspace(n)))
+    return entries, sum(mult for _, mult in roots) == n
+
+
+def fraction_limit_points(mat, z):
+    """(points, finite_orbit, dominant, depth) of M^k z for a split matrix."""
+    n = len(z)
+    mat = [[Fraction(x) for x in row] for row in mat]
+    z = [Fraction(x) for x in z]
+    entries, split = fraction_eigenstructure(mat)
+    assert split, "matrix is not split over the rationals"
+    owners = [value for value, _, _, basis in entries for _ in basis]
+    columns = [b for _, _, _, basis in entries for b in basis]
+    coefs = solve_linear([[col[i] for col in columns] for i in range(n)], z)
+    comps = {}
+    for value, column, c in zip(owners, columns, coefs):
+        acc = comps.setdefault(value, [Fraction(0)] * n)
+        for i in range(n):
+            acc[i] += c * column[i]
+    comps = {v: w for v, w in comps.items() if any(w)}
+    magnitudes = [abs(v) for v in comps if v]
+    if not magnitudes:
+        return [], True, None, 0
+    lam = max(magnitudes)
+    chains = {}
+    for v in (lam, -lam):
+        vec = comps.get(v)
+        chain = chains[v] = []
+        while vec is not None and any(vec):
+            chain.append(vec)
+            vec = [a - v * b for a, b in zip(fraction_mat_vec(mat, vec), vec)]
+    r = max(len(chain) for chain in chains.values())
+    parts = [[v ** (1 - r) * x for x in chain[r - 1]]
+             for v, chain in chains.items() if len(chain) == r]
+    if len(parts) == 1:
+        return [FractionProjState(parts[0])], False, lam, r
+    points = []
+    for cand in ([a + b for a, b in zip(*parts)], [a - b for a, b in zip(*parts)]):
+        if any(cand) and FractionProjState(cand) not in points:
+            points.append(FractionProjState(cand))
+    return points, False, lam, r

@@ -169,6 +169,18 @@ def test_non_finite_floats_are_usage_errors(capsys):
         cli.render({"eps": float("nan")}, "json")
 
 
+def test_negative_tol_is_a_domain_error_like_negative_eps(capsys):
+    code, out, err = run_cli(capsys, "sinfty", "pn:2", "--tol", "-1")
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"error": {"type": "ValueError",
+                                         "message": "tol must be nonnegative"}}
+    code, out, _ = run_cli(capsys, "complexity", "pn:2", "--from", "unit",
+                           "--to", "H", "--eps", "-1")
+    assert code == 1
+    assert json.loads(out) == {"error": {"type": "ValueError",
+                                         "message": "eps must be nonnegative"}}
+
+
 def test_domain_errors_exit_1_with_error_object(capsys):
     code, out, err = run_cli(capsys, "delta", "gr:1,5")
     assert code == 1 and err == ""

@@ -2,13 +2,18 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from oracles import (FractionProjState, faddeev_leverrier, fraction_eigenstructure,
+                     fraction_limit_points, fraction_orbit)
 
-from qhandle import complexity
+from qhandle import cli, complexity
 from qhandle.complexity import (NOT_FOUND, LimitReport, ProjState, Trajectory,
                                 approx_complexity, chordal, exact_complexity,
                                 limit_points_real, s_infinity, trajectory)
 from qhandle.frobenius import FrobeniusRing
-from qhandle.linalg import frmat, frvec
+from qhandle.linalg import (char_poly, frmat, frvec, mat_inverse, mat_mul,
+                            rational_eigenstructure)
 from qhandle.rings import fano_ci, fci_report, grassmannian, projective_space, quadric
 
 
@@ -26,6 +31,16 @@ def test_proj_state_normalization():
     assert ProjState([1, 0]) != ProjState([0, 1])
     with pytest.raises(ValueError):
         ProjState([0, 0])
+
+
+def test_proj_state_matches_the_fraction_form():
+    for coords in ([Fraction(1, 2), 1], [0, -3, 6], [Fraction(-2, 3), Fraction(5, 7), 0],
+                   [0, 0, 7, -14, 21], [3 * 2 ** 70, -(2 ** 71)],
+                   [2 ** 61 - 1, 1]):  # a pivot divisible by the hash modulus
+        new, old = ProjState(coords), FractionProjState(coords)
+        assert new.vec == old.vec and all(type(x) is Fraction for x in new.vec)
+        assert new.floats() == old.floats()
+        assert hash(new) == hash(old)
 
 
 def test_proj_state_from_element():
@@ -113,6 +128,79 @@ def test_searches_stop_at_the_first_hit_or_revisit(monkeypatch):
     target = ring.unit() + ring.basis_element(1)
     assert approx_complexity(ring, ring.unit(), target, 0.01) is NOT_FOUND
     assert len(calls) == 4
+
+
+# the states the perfbench dynamics workload draws its gr:3,8 orbits from
+GR38_STATES = ["unit", "point", "s[1,1,1]", "s[3,1]", "s[5]", "s[4,2]"]
+
+
+@pytest.mark.parametrize("spec, source", [("gr:3,8", s) for s in GR38_STATES]
+                         + [("gr:2,8", "unit"), ("gr:2,8", "point")]
+                         + [(f"pn:{n}", s) for n in range(3, 7) for s in ("unit", "point")]
+                         + [(f"quadric:{r}", s) for r in range(3, 7) for s in ("unit", "point")]
+                         + [("fci:5;r=4", "unit")])
+def test_orbit_matches_the_fraction_walk(spec, source):
+    ring = cli.build_ring(spec)
+    s0 = cli.parse_state(ring, source)
+    traj = trajectory(ring, s0)
+    states, hit_zero, start, length = fraction_orbit(
+        ring.handle_matrix(), ring.element_vector(s0), 10 * ring.dim)
+    assert [s.vec for s in traj.states] == [s.vec for s in states]
+    assert (traj.hit_zero, traj.cycle_start, traj.cycle_length) == (hit_zero, start, length)
+
+
+@pytest.mark.parametrize("mat, vec", [
+    ([[0, 1, 0], [0, 0, 1], [0, 0, 0]], [0, 0, 1]),  # nilpotent: hits zero
+    ([[0, Fraction(-1, 2)], [2, 0]], [1, 1]),  # a rational 4-cycle
+    ([[Fraction(1, 2), 1], [0, Fraction(-1, 3)]], [Fraction(1, 3), 1]),  # open
+])
+def test_walk_on_rational_matrices_matches_the_fraction_walk(mat, vec):
+    traj = complexity._walk(frmat(mat), frvec(vec), 12)
+    states, hit_zero, start, length = fraction_orbit(mat, vec, 12)
+    assert [s.vec for s in traj.states] == [s.vec for s in states]
+    assert (traj.hit_zero, traj.cycle_start, traj.cycle_length) == (hit_zero, start, length)
+
+
+EIGENVALUES = [Fraction(v) for v in (0, 1, -1, 2, -2, 3, -3)] + [Fraction(1, 2), Fraction(-1, 2)]
+
+
+@st.composite
+def split_iterations(draw):
+    """(P J P^-1, z): J a rational Jordan form of size <= 8, z nonzero."""
+    blocks = draw(st.lists(st.tuples(st.sampled_from(EIGENVALUES), st.integers(1, 3)),
+                           min_size=1, max_size=4))
+    assume(sum(size for _, size in blocks) <= 8)
+    diag = [(value, k < size - 1) for value, size in blocks for k in range(size)]
+    n = len(diag)
+    jmat = [[diag[i][0] if i == j else Fraction(int(j == i + 1 and diag[i][1]))
+             for j in range(n)] for i in range(n)]
+    p = [[Fraction(draw(st.integers(-3, 3))) for _ in range(n)] for _ in range(n)]
+    p_inv = mat_inverse(p)
+    assume(p_inv is not None)
+    z = [Fraction(draw(st.integers(-4, 4))) for _ in range(n)]
+    assume(any(z))
+    return mat_mul(mat_mul(p, jmat), p_inv), z
+
+
+# criterion 7's case: dominant eigenvalues +-1/2, one of them in a 2-block
+@example(([[Fraction(1, 2), 1, 0], [0, Fraction(1, 2), 0], [0, 0, Fraction(-1, 2)]],
+          [Fraction(1), Fraction(2), Fraction(3)]))
+# a scale with a prime factor past trial division (see test_linalg)
+@example(([[Fraction(2), Fraction(1, 1000003)], [Fraction(0), Fraction(3)]],
+          [Fraction(1), Fraction(1)]))
+@settings(max_examples=150, deadline=None)
+@given(split_iterations())
+def test_eigenstructure_and_limits_match_the_fraction_oracle(case):
+    m, z = case
+    assert char_poly(m) == faddeev_leverrier(m)
+    eig = rational_eigenstructure(m)
+    entries, split = fraction_eigenstructure(m)
+    assert split and eig.split_over_rationals
+    assert [(e.value, e.multiplicity, e.blocks, e.basis) for e in eig.entries] == entries
+    rep = limit_points_real(m, z)
+    points, finite, dominant, depth = fraction_limit_points(m, z)
+    assert [p.vec for p in rep.points] == [p.vec for p in points]
+    assert (rep.finite_orbit, rep.dominant, rep.depth) == (finite, dominant, depth)
 
 
 def test_finite_state_set_projective():
@@ -248,3 +336,12 @@ def test_s_infinity_power_iteration_fallback():
     assert rep.method == "float" and rep.exact is False
     assert len(rep.points) == 1
     assert chordal(rep.points[0], (1.0, 1.0, 1.0)) < 1e-6
+
+
+def test_s_infinity_rejects_a_negative_tol():
+    # the ring of the power-iteration fallback, where tol ** 0.5 was reached
+    base = projective_space(2)
+    ring = dataclasses.replace(base, point_index=None, _cache={},
+                               delta_override=base.unit() + base.basis_element(1))
+    with pytest.raises(ValueError, match="tol must be nonnegative"):
+        s_infinity(ring, ring.unit(), kmax=10, tol=-1)

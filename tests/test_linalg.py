@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from oracles import faddeev_leverrier, fraction_eigenstructure
 
 from qhandle._oracles import det_int
 from qhandle.linalg import (Echelon, char_poly, frmat, frvec, identity,
@@ -18,6 +20,29 @@ def test_char_poly_known():
     assert char_poly([[2, 1], [1, 2]]) == [1, -4, 3]
     assert char_poly([[0, 1], [0, 0]]) == [1, 0, 0]
     assert char_poly([[5]]) == [1, -5]
+
+
+@st.composite
+def rational_matrices(draw):
+    """Square matrices of size 1..8, either integer or with denominators 1..6."""
+    n = draw(st.integers(1, 8))
+    dens = draw(st.sampled_from([[1], [1, 2, 3, 6]]))
+    return [[Fraction(draw(st.integers(-5, 5)), draw(st.sampled_from(dens)))
+             for _ in range(n)] for _ in range(n)]
+
+
+# scaled by 1000003, a prime past trial division, whose square then divides
+# the constant term of the integer polynomial whole: its roots are 2 and 3
+# times 1000003, so only the unscaled polynomial gives them
+@example([[Fraction(2), Fraction(1, 1000003)], [Fraction(0), Fraction(3)]])
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices())
+def test_char_poly_and_eigenstructure_match_the_fraction_oracle(m):
+    assert char_poly(m) == faddeev_leverrier(m)
+    eig = rational_eigenstructure(m)
+    entries, split = fraction_eigenstructure(m)
+    assert eig.split_over_rationals == split
+    assert [(e.value, e.multiplicity, e.blocks, e.basis) for e in eig.entries] == entries
 
 
 def test_cayley_hamilton_random():

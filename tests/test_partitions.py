@@ -1,4 +1,4 @@
-from math import comb
+from math import comb, gcd
 
 from oracles import partitions_up_to
 from qhandle._oracles import schur_product_expansion, schur_value
@@ -164,3 +164,11 @@ def test_est_bound_small_values_by_hand():
     assert est_bound(2, 4) == 1 * (1 + 1)
     # gr:2,5: gcd(5, 4) = 1 so the prefactor is 5; weights 0 and 5
     assert est_bound(2, 5) == 5 * (1 + restricted_count(5, 3, 2))
+
+
+def test_est_bound_reads_one_series():
+    for n in range(4, 31):
+        for k in range(2, n - 1):
+            terms = sum(restricted_count(i * n, n - k, k)
+                        for i in range(k * (n - k) // n + 1))
+            assert est_bound(k, n) == (n // gcd(n, k * k)) * terms, (k, n)
