@@ -261,8 +261,75 @@ def _synth_div(coeffs, root):
     return out[:-1], out[-1]
 
 
+#: Miller-Rabin with these bases decides primality exactly below
+#: 3.3 * 10^24 (Sorenson and Webster 2016); above that a composite passes
+#: with probability below 4^-13 and is then kept whole.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+#: Pollard-Brent steps per cofactor: enough for factors up to about 10^11.
+_RHO_STEPS = 1 << 20
+
+
+def _is_prime(n):
+    """Miller-Rabin primality test of n > 10^6 on the bases _MR_BASES."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_brent(n):
+    """A proper factor of the odd composite n by Pollard's rho with Brent's
+    cycle search (Brent 1980), or None after _RHO_STEPS steps.
+
+    The walk x -> x^2 + c mod n tries c = 1, 2, ... in turn, so the result is
+    deterministic.  Differences are multiplied in batches of 128 before each
+    gcd; a batch whose gcd is n is replayed one step at a time.
+    """
+    steps = 0
+    c = 0
+    while steps < _RHO_STEPS:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1 and steps < _RHO_STEPS:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            done = 0
+            while done < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - done)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                done += 128
+            steps += 2 * r
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if 1 < g < n:
+            return g
+    return None
+
+
 def _factorize(n):
-    """Prime-power factorization by trial division; large cofactor kept whole."""
+    """Prime-power factorization: trial division up to 10^6, then each
+    cofactor split by Pollard-Brent until Miller-Rabin calls every part
+    prime.  A part that Pollard-Brent cannot split within its step budget is
+    kept whole."""
     n = abs(n)
     fac = {}
     d = 2
@@ -271,8 +338,14 @@ def _factorize(n):
             fac[d] = fac.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        fac[n] = fac.get(n, 0) + 1
+    todo = [n] if n > 1 else []
+    while todo:
+        m = todo.pop()
+        split = None if m < 10 ** 12 or _is_prime(m) else _pollard_brent(m)
+        if split is None:
+            fac[m] = fac.get(m, 0) + 1
+        else:
+            todo += [split, m // split]
     return fac
 
 

@@ -12,8 +12,11 @@ from functools import cache
 from itertools import combinations
 from math import comb, factorial, gcd, prod
 
+import numpy as np
+
 from .frobenius import Element, FrobeniusRing
-from .partitions import complement, is_partition, lr_expand, normalize, partitions_in_box
+from .partitions import (_add_strips, complement, is_partition, lr_expand, normalize,
+                         partitions_in_box)
 
 #: Sentinel returned by reduce_sigma_hat for a vanishing class.
 ZERO = (0, 0, None)
@@ -215,17 +218,85 @@ def _gr_label(lam):
     return "1" if not lam else "s[" + ",".join(str(p) for p in lam) + "]"
 
 
+#: int64 is used for the Schubert matrices only while every entry bound
+#: stays below this; past it the build restarts on Python ints.
+_INT64_BOUND = 2 ** 62
+
+
+def _schubert_matrices(k, n, dtype):
+    """Matrices L_lam of multiplication by sigma_lam at q = 1, one per basis
+    partition, stacked in one (dim, dim, dim) array: mats[i] is L_basis[i].
+
+    Returns None when dtype is int64 and an entry bound reaches _INT64_BOUND;
+    dtype=object computes the same matrices in Python ints.  An entry of
+    L_(p) counts strips, far below the bound; every later step bounds its
+    entries from those of its operands: a product of matrices with entries
+    at most a and b has entries at most dim * a * b, and each subtracted
+    matrix adds at most its own peak.
+    """
+    basis, index = _gr_basis(k, n)
+    dim = len(basis)
+    mats = np.zeros((dim, dim, dim), dtype=dtype)
+    peak = [0] * dim
+    mats[0] = np.identity(dim, dtype=dtype)
+    peak[0] = 1
+
+    def reduced(nu):
+        if nu in index:
+            return 1, index[nu]
+        sign, _, mu = reduce_sigma_hat(k, n, nu)
+        return (sign, index[mu]) if mu is not None else None
+
+    for p in range(1, n - k + 1):
+        i = index[(p,)]
+        for j, mu in enumerate(basis):
+            for nu in _add_strips(mu, p, k):
+                term = reduced(nu)
+                if term is not None:
+                    mats[i, term[1], j] += term[0]
+        peak[i] = int(abs(mats[i]).max())
+    for lam in sorted((lam for lam in basis if len(lam) > 1),
+                      key=lambda lam: (sum(lam), -lam[0])):
+        i, a, b = index[lam], index[lam[:1]], index[lam[1:]]
+        terms = [reduced(nu) for nu in _add_strips(lam[1:], lam[0], k) if nu != lam]
+        terms = [t for t in terms if t is not None]
+        bound = dim * peak[a] * peak[b] + sum(peak[w] for _, w in terms)
+        if dtype is not object and bound >= _INT64_BOUND:
+            return None
+        mats[i] = mats[a] @ mats[b]
+        for sign, w in terms:
+            mats[i] -= sign * mats[w]
+        peak[i] = int(abs(mats[i]).max())
+    return mats
+
+
 @cache
 def grassmannian(k, n):
     """Quantum cohomology of Gr(k, n) in the Schubert basis.
 
-    Products are computed by expanding the classical product into partitions
-    with at most k rows and reducing each term back into the box. The basis
-    is sorted by weight, so for j >= i the lighter factor basis[i] goes
-    second: lr_expand adds one horizontal strip per part of its second
-    argument. The expansion is symmetric, and the row cap only drops shapes
-    with more than k rows, since every shape in a strip chain lies inside
-    the final one.
+    The products come from quantum Pieri (Bertram, Adv. Math. 1997) and the
+    ring homomorphism Lambda_k -> QH*(Gr(k, n)) of Bertram, Ciocan-Fontanine
+    and Fulton (1999), which sends s_lam to its rim-hook reduction
+    (reduce_sigma_hat) and h_p to sigma_p.  One integer matrix L_lam of
+    multiplication by sigma_lam at q = 1 is built per basis partition:
+
+    - L_() = I;
+    - L_(p), p = 1..n-k: column j is the reduced sum of the partitions with
+      at most k rows reached from basis[j] by a horizontal strip of p boxes
+      (Pieri's rule h_p s_mu = sum of s_nu, pushed through the map);
+    - any other lam = (lam_1, lam'), taken in order of (|lam|, -lam_1):
+      h_lam_1 s_lam' is s_lam plus s_eta over the other strips eta of lam_1
+      boxes on lam', so L_lam = L_(lam_1) L_lam' - sum of +-L_red(eta).
+
+    The recursion is well-founded.  A strip eta on lam' has eta_i <= lam'_(i-1)
+    = lam_i for i >= 2, so |eta| = |lam| forces eta_1 > lam_1 unless eta =
+    lam.  Such an eta inside the box comes earlier in the order; one outside
+    it reduces to a lower weight or vanishes.  Column j of L_i is the row
+    e_i * e_j of the structure constants.
+
+    The matrices live in one int64 array while the bound in
+    _schubert_matrices allows it, and in Python ints otherwise; the array is
+    freed before validate() builds its own.
     """
     if not 2 <= k <= n - 2:
         raise ValueError("need 2 <= k <= n - 2")
@@ -236,15 +307,15 @@ def grassmannian(k, n):
     pairing = [[{} for _ in range(dim)] for _ in range(dim)]
     for i, lam in enumerate(basis):
         pairing[i][index[complement(lam, k, n)]] = {0: Fraction(1)}
-    structure = {}
+    mats = _schubert_matrices(k, n, np.int64)
+    if mats is None:
+        mats = _schubert_matrices(k, n, object)
+    structure = {(i, j): {} for i in range(dim) for j in range(i, dim)}
     for i in range(dim):
-        for j in range(i, dim):
-            row = {}
-            for nu, c in lr_expand(basis[j], basis[i], k).items():
-                sign, _, mu = reduce_sigma_hat(k, n, nu)
-                if mu is not None:
-                    row[index[mu]] = row.get(index[mu], 0) + sign * c
-            structure[(i, j)] = {w: c for w, c in row.items() if c}
+        ws, js = np.nonzero(mats[i, :, i:])
+        for w, j, c in zip(ws.tolist(), (js + i).tolist(), mats[i, ws, js + i].tolist()):
+            structure[(i, j)][w] = c
+    del mats
     ring = FrobeniusRing(
         name=f"Gr({k},{n})", labels=labels, degrees=degrees, tau=n,
         pairing=pairing, structure=structure, unit_index=0,

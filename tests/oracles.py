@@ -1,5 +1,6 @@
 """Test-only helpers: partition enumeration, an all-pairs associativity check,
-and the Fraction forms of the orbit walk and the eigenstructure.
+the Littlewood-Richardson build of the Grassmannian structure constants, and
+the Fraction forms of the orbit walk and the eigenstructure.
 
 The Fraction oracles are the exact dynamics as first written, on rational
 arithmetic throughout: a first-entry-1 projective state, a Fraction
@@ -14,6 +15,8 @@ share with the tests live in qhandle._oracles.
 from fractions import Fraction
 
 from qhandle.linalg import Echelon, rational_roots, solve_linear
+from qhandle.partitions import lr_expand, partitions_in_box
+from qhandle.rings import reduce_sigma_hat
 
 
 def partitions_up_to(w, max_len=None):
@@ -57,6 +60,32 @@ def associativity_failure(structure, n):
                 if mul(ij, {k: 1}) != mul({i: 1}, mul({j: 1}, {k: 1})):
                     return i, j
     return None
+
+
+def lr_structure(k, n):
+    """Structure constants of QH*(Gr(k, n)) at q = 1, one LR expansion per pair.
+
+    Same keys and rows as grassmannian(k, n).structure: (i, j), i <= j, maps
+    to {w: c} for the Schubert basis in partitions_in_box order.  Each
+    classical product is expanded into partitions with at most k rows and
+    every term is rim-hook reduced back into the box.  The basis is sorted
+    by weight, so for j >= i the lighter factor basis[i] goes second:
+    lr_expand adds one horizontal strip per part of its second argument.
+    The expansion is symmetric, and the row cap only drops shapes with more
+    than k rows, since every shape in a strip chain lies inside the final one.
+    """
+    basis = partitions_in_box(k, n - k)
+    index = {lam: i for i, lam in enumerate(basis)}
+    structure = {}
+    for i in range(len(basis)):
+        for j in range(i, len(basis)):
+            row = {}
+            for nu, c in lr_expand(basis[j], basis[i], k).items():
+                sign, _, mu = reduce_sigma_hat(k, n, nu)
+                if mu is not None:
+                    row[index[mu]] = row.get(index[mu], 0) + sign * c
+            structure[(i, j)] = {w: c for w, c in row.items() if c}
+    return structure
 
 
 class FractionProjState:

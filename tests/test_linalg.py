@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from oracles import faddeev_leverrier, fraction_eigenstructure
 
 from qhandle._oracles import det_int
-from qhandle.linalg import (Echelon, char_poly, frmat, frvec, identity,
-                            is_positive_definite, is_zero_matrix, krylov_rank,
+from qhandle.linalg import (Echelon, _divisors, _factorize, char_poly, frmat,
+                            frvec, identity, int_scale, is_positive_definite,
+                            is_zero_matrix, krylov_rank,
                             mat_inverse, mat_mul, mat_pow, mat_rank, mat_vec,
                             nullspace, poly_deriv, poly_divmod, poly_gcd,
                             rational_eigenstructure, rational_roots,
@@ -90,6 +91,24 @@ def test_rational_roots_frozen():
     for coeffs, expected in cases:
         got = rational_roots([Fraction(c) for c in coeffs])
         assert sorted(got) == sorted(expected), coeffs
+
+
+def test_rational_roots_past_trial_division():
+    # the constant term 6 * 1000003^2 leaves the composite cofactor 1000003^2
+    # after trial division up to 10^6
+    ints, _ = int_scale([[2, Fraction(1, 1000003)], [0, 3]])
+    assert rational_roots(char_poly(ints)) == [(2000006, 1), (3000009, 1)]
+
+
+def test_factorize_splits_large_cofactors():
+    p61, p31 = 2 ** 61 - 1, 2 ** 31 - 1
+    assert _factorize(-6 * 1000003 ** 2) == {2: 1, 3: 1, 1000003: 2}
+    assert _factorize(p61 * p31 * 1000033) == {p31: 1, p61: 1, 1000033: 1}
+    assert _factorize(7 * 1000003 ** 3) == {7: 1, 1000003: 3}
+    # a prime cofactor stays whole and gives the same divisors as before
+    assert _factorize(2 * p61) == {2: 1, p61: 1}
+    assert _divisors(3 * 1000003) == [1, 3, 1000003, 3000009]
+    assert _factorize(1) == {} and _factorize(0) == {}
 
 
 def test_rational_roots_random_products():

@@ -114,7 +114,7 @@ def test_lr_expand_symmetry():
 
 
 def test_lr_expand_symmetry_under_a_row_cap():
-    # grassmannian puts the lighter factor second and relies on this
+    # the LR oracle lr_structure puts the lighter factor second and relies on this
     shapes = partitions_up_to(6)
     for r in range(1, 5):
         for i, lam in enumerate(shapes):

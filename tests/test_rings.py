@@ -1,9 +1,14 @@
 from fractions import Fraction
 from math import comb, gcd
 
+import numpy as np
 import pytest
 
+from oracles import lr_structure
+
+from qhandle import rings
 from qhandle._oracles import poly_from_roots
+from qhandle.acceptance import EST_TABLE
 from qhandle.frobenius import Element
 from qhandle.linalg import char_poly, is_positive_definite
 from qhandle.rings import (ZERO, delta_closed_form, delta_gr2_form,
@@ -199,6 +204,42 @@ def test_grassmannian_products_small():
     # quantum wraparound: [pt] * s1 = q s1
     assert ring.product(el({"s[2,2]": 1}), s1) == el({("s[1]", 1): 1})
     assert ring.product(el({"s[2,2]": 1}), el({"s[2,2]": 1})) == el({("1", 2): 1})
+
+
+@pytest.mark.parametrize("k, n", [row[:2] for row in EST_TABLE])
+def test_grassmannian_matches_the_lr_build(k, n):
+    assert grassmannian(k, n).structure == lr_structure(k, n)
+
+
+def _conjugate(lam):
+    return tuple(sum(1 for part in lam if part > i) for i in range(lam[0] if lam else 0))
+
+
+@pytest.mark.parametrize("k, n", [(2, 6), (2, 7), (3, 7), (2, 8), (3, 8)])
+def test_grassmannian_duality(k, n):
+    # Gr(k, n) = Gr(n - k, n) carries sigma_lam to sigma_lam' and q to q
+    ring, dual = grassmannian(k, n), grassmannian(n - k, n)
+    dual_index = {label: i for i, label in enumerate(dual.labels)}
+    perm = [dual_index[rings._gr_label(_conjugate(lam))]
+            for lam in rings._gr_basis(k, n)[0]]
+    for (i, j), row in ring.structure.items():
+        assert dual._row(perm[i], perm[j]) == {perm[w]: c for w, c in row.items()}
+    handle = {(perm[w], e): c for (w, e), c in ring.handle_element().coeffs.items()}
+    assert dual.handle_element().coeffs == handle
+    assert dual.f_span_dim() == ring.f_span_dim()
+
+
+@pytest.mark.parametrize("k, n", [(3, 8), (4, 8)])
+def test_schubert_matrices_python_ints_match_int64(k, n):
+    wide = rings._schubert_matrices(k, n, object)
+    assert {type(c) for c in wide.flat} == {int}
+    assert np.array_equal(wide, rings._schubert_matrices(k, n, np.int64))
+
+
+def test_grassmannian_falls_back_to_python_ints(monkeypatch):
+    monkeypatch.setattr(rings, "_INT64_BOUND", 2)
+    assert rings._schubert_matrices(3, 6, np.int64) is None
+    assert grassmannian.__wrapped__(3, 6).structure == grassmannian(3, 6).structure
 
 
 def test_grassmannian_handle_frozen():
