@@ -45,6 +45,23 @@ def _primitive(ints):
     return tuple(x // g for x in ints) if g != 1 else tuple(ints)
 
 
+def primitive_powers(mat, vec):
+    """Yield the primitive integer vectors of vec, mat vec, mat^2 vec, ... for
+    a rational matrix and a nonzero rational vector, ending before the first
+    zero power.
+
+    Each step multiplies the last vector by mat scaled to integers
+    (int_scale), so each vector spans the line of the power it stands for.
+    A step is made only when the next vector is asked for.
+    """
+    mat, _ = int_scale(mat)
+    (vec,), _ = int_scale([vec])
+    vec = _primitive(vec)
+    while vec is not None:
+        yield vec
+        vec = _primitive(mat_vec(mat, vec))
+
+
 class ProjState:
     """A nonzero rational vector up to scale.
 
@@ -154,17 +171,15 @@ def _orbit(mat, vec, kmax, traj):
     """Yield the new states of the orbit of vec, recording them in traj.
 
     The walk ends after kmax steps, at the first revisited state (recorded
-    as traj's cycle) or at an exactly vanishing iterate (traj.hit_zero).
-    Each step is made only when the next state is asked for.  It steps the
-    primitive integer vector of each state by the matrix scaled to integers,
-    which has the same projective orbits.
+    as traj's cycle) or at an exactly vanishing iterate (traj.hit_zero; a
+    zero step after the last state counts too).  Each step is made only
+    when the next state is asked for.  The states are the vectors of
+    primitive_powers.
     """
-    mat, _ = int_scale(mat)
-    (vec,), _ = int_scale([vec])
-    vec = _primitive(vec)
+    powers = primitive_powers(mat, vec)
     seen = {}
-    for k in range(kmax + 1):
-        state = ProjState._of_primitive(vec)
+    for k, ints in enumerate(powers):
+        state = ProjState._of_primitive(ints)
         if state in seen:
             traj.cycle_start = seen[state]
             traj.cycle_length = k - traj.cycle_start
@@ -172,10 +187,10 @@ def _orbit(mat, vec, kmax, traj):
         seen[state] = k
         traj.states.append(state)
         yield state
-        vec = _primitive(mat_vec(mat, vec))
-        if vec is None:
-            traj.hit_zero = True
+        if k == kmax:
+            traj.hit_zero = next(powers, None) is None
             return
+    traj.hit_zero = True
 
 
 def _walk(mat, vec, kmax):

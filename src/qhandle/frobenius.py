@@ -12,10 +12,42 @@ powers, and that span's exact dimension.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
+from .complexity import primitive_powers
 from .linalg import Echelon, mat_inverse, mat_rank
+
+#: The prime of the generator search (_generators): 2^25 - 39, so the sum of
+#: n products of residues, at most n (p - 1)^2, stays below 2^62 for n <= 4096.
+_GENERATOR_PRIME = 33554393
+
+
+def sparse_multiplier(a):
+    """The map x -> a @ x, for a 2-d array a with few nonzeros and 2-d x.
+
+    Row w of a @ x is summed as c * x[v] over the nonzeros c = a[w, v], so
+    no dense product is formed; its entries are bounded by (nonzeros in row
+    w of a) * max|a| * max|x|.
+    """
+    ws, vs = np.nonzero(a)  # in row order
+    first = np.ones(ws.size, dtype=bool)
+    first[1:] = ws[1:] != ws[:-1]
+    starts = np.flatnonzero(first)
+    rows = ws[starts]
+    coeffs = a[ws, vs][:, None]
+
+    def multiply(x):
+        out = np.zeros((a.shape[0], x.shape[1]), dtype=x.dtype)
+        if rows.size:
+            terms = x[vs]
+            terms *= coeffs
+            out[rows] = np.add.reduceat(terms, starts, dtype=x.dtype)
+        return out
+
+    return multiply
+
 
 # Laurent scalars are sparse maps {exponent: Fraction} with no zero values.
 
@@ -231,14 +263,20 @@ class FrobeniusRing:
         return self._cache["handle_matrix"]
 
     def mult_matrix(self, x: Element):
-        """Matrix of quantum multiplication by x at q = 1; column j is x * e_j."""
+        """Matrix of quantum multiplication by x at q = 1; column j is x * e_j.
+
+        Summed in ints over the common denominator of x's coefficients.
+        """
         n = self.dim
-        mat = [[Fraction(0)] * n for _ in range(n)]
+        den = lcm(*(c.denominator for c in x.coeffs.values()))
+        mat = [[0] * n for _ in range(n)]
         for (i, _), c in x.coeffs.items():
+            c = c.numerator * (den // c.denominator)
             for j in range(n):
                 for w, cs in self._row(i, j).items():
                     mat[w][j] += c * cs
-        return mat
+        zero = Fraction(0)
+        return [[Fraction(v, den) if v else zero for v in row] for row in mat]
 
     def element_vector(self, x: Element):
         """Coordinates of x at q = 1."""
@@ -289,8 +327,6 @@ class FrobeniusRing:
         return max(self.degrees)
 
     def d_x(self):
-        from math import gcd
-
         return gcd(self.tau, self.top_degree())
 
     def dim_bound(self):
@@ -301,22 +337,24 @@ class FrobeniusRing:
         """Exact dimension of Span{Delta^{*k}} at q = 1, with the power list.
 
         Also checks that every handle power stays inside the direct sum of
-        V_j over j divisible by D_X.
+        V_j over j divisible by D_X.  The powers are stepped as primitive
+        integer vectors by the handle matrix scaled to integers
+        (complexity.primitive_powers), which changes no span.  The check reads
+        the support off those q = 1 vectors: Delta is homogeneous, so each
+        basis element occurs in a power with a single q exponent, and the
+        support at q = 1 is the support of the power.
         """
-        delta = self.handle_element()
         dx = self.d_x()
-        allowed = {i for i in range(self.dim) if self.degrees[i] % dx == 0}
+        outside = [i for i in range(self.dim) if self.degrees[i] % dx]
+        unit = self.element_vector(self.unit())
         ech = Echelon()
         powers = []
-        cur = self.unit()
-        for k in range(self.dim):
-            if not set(cur.support()) <= allowed:
+        for k, vec in zip(range(self.dim), primitive_powers(self.handle_matrix(), unit)):
+            if any(vec[i] for i in outside):
                 raise ValueError(f"handle power {k} leaves the V_j (j = 0 mod D_X) sum")
-            if ech.add(self.element_vector(cur)):
-                powers.append(k)
-            else:
+            if not ech.add(vec):
                 break
-            cur = self.product(cur, delta)
+            powers.append(k)
         return ech.rank, powers
 
     # -- construction-time validation ------------------------------------
@@ -369,39 +407,66 @@ class FrobeniusRing:
     def _generators(self):
         """Basis indices whose words, applied to the unit, span the ring at q = 1.
 
-        Greedy in degree order: e_a becomes a generator when it is not yet in
-        the span of the words in the earlier generators applied to the unit,
-        and that span is then closed under every generator with an exact
-        Echelon. Every basis element ends up a generator or inside the span.
+        Greedy in degree order, on integer vectors mod the prime p =
+        _GENERATOR_PRIME: e_a becomes a generator when it is not yet in the
+        span mod p of the words in the earlier generators applied to the
+        unit, and that span is then closed under every generator.  The words
+        are integer vectors, since the structure constants are integers.
+
+        Proof that they span Q^n: every e_a ends up a generator or inside the
+        span mod p, so the words span F_p^n.  Then some n words form an
+        integer matrix whose determinant is nonzero mod p, hence nonzero, so
+        they span Q^n.  A prime that divides some determinant of words can
+        only make the search take more generators than over Q.
+
+        The span is kept as reduced row echelon rows mod p with pivot 1, so
+        reducing v is one product v - v[pivots] R; every entry of such a
+        product or of L_g v is a sum of at most n products of residues, below
+        n (p - 1)^2 < 2^62.
         """
-        n = self.dim
-        ech = Echelon()
-        vecs, gens = [], []
+        n, p = self.dim, _GENERATOR_PRIME
+        if n * (p - 1) ** 2 >= 2 ** 62:
+            raise ValueError(f"ring of dimension {n} is too large for the generator search mod {p}")
+        rref = np.zeros((n, n), dtype=np.int64)
+        pivots, vecs, gens, mult = [], [], [], {}
         todo = []  # (generator, span vector) products not yet taken
 
         def grow(v):
-            if not ech.add(v):
+            r = len(pivots)
+            v = (v - v[pivots] @ rref[:r]) % p
+            nonzero = np.flatnonzero(v)
+            if not nonzero.size:
                 return False
-            vecs.append(ech.rows[-1][1])  # v as reduced when added; kept as is
-            todo.extend((g, vecs[-1]) for g in gens)
+            piv = int(nonzero[0])
+            v = v * pow(int(v[piv]), -1, p) % p
+            hit = np.flatnonzero(rref[:r, piv])  # rows to clear in the new pivot column
+            rref[hit] = (rref[hit] - np.outer(rref[hit, piv], v)) % p
+            rref[r] = v
+            pivots.append(piv)
+            vecs.append(v)  # v as reduced when added; kept as is
+            todo.extend((g, v) for g in gens)
             return True
 
-        grow(self.element_vector(self.unit()))
+        def basis_vector(a):
+            v = np.zeros(n, dtype=np.int64)
+            v[a] = 1
+            return v
+
+        grow(basis_vector(self.unit_index))
         for a in sorted(range(n), key=lambda a: self.degrees[a]):
-            if ech.rank == n:
+            if len(pivots) == n:
                 break
-            if not grow(self.element_vector(self.basis_element(a))):
+            if not grow(basis_vector(a)):
                 continue
             gens.append(a)
+            mult[a] = np.zeros((n, n), dtype=np.int64)  # L_a mod p
+            for j in range(n):
+                for w, c in self._row(a, j).items():
+                    mult[a][w, j] = c % p
             todo.extend((a, v) for v in vecs)
             while todo:
                 g, v = todo.pop()
-                out = [Fraction(0)] * n
-                for j, x in enumerate(v):
-                    if x:
-                        for w, c in self._row(g, j).items():
-                            out[w] += c * x
-                grow(out)
+                grow(mult[g] @ v % p)
         return gens
 
     def _validate_associativity(self):
@@ -416,22 +481,28 @@ class FrobeniusRing:
         contains every word, and the words span the ring. Equality at q = 1
         is enough, because the grading fixes the q-power of every term.
 
-        Every entry of either side is bounded by n * peak^2, so int64 is exact
-        below 2^62; larger constants are checked in Python ints.
+        L_g has few nonzeros, so L_g L_b is summed from them (sparse_multiplier)
+        and the difference with the right side is tested for zero, one b at
+        a time.  Every partial sum on either side is at most n * peak^2, so
+        every partial difference is below 2 n peak^2: the matrices are int32
+        while n * peak^2 < 2^30, int64 while n * peak^2 < 2^62, and Python
+        ints past that.
         """
         n = self.dim
         peak = max(abs(c) for row in self.structure.values() for c in row.values())
-        dtype = np.int64 if n * peak * peak < 2 ** 62 else object
+        bound = n * peak * peak
+        dtype = np.int32 if bound < 2 ** 30 else np.int64 if bound < 2 ** 62 else object
         mats = np.zeros((n, n, n), dtype=dtype)
         for (i, j), row in self.structure.items():
             for w, c in row.items():
                 mats[i, w, j] = mats[j, w, i] = c
         for g in self._generators():
+            left = sparse_multiplier(mats[g])
             for b in range(n):
-                rhs = np.zeros((n, n), dtype=dtype)
+                diff = left(mats[b])
                 for w, c in self._row(g, b).items():
-                    rhs += c * mats[w]
-                if not np.array_equal(mats[g] @ mats[b], rhs):
+                    diff -= c * mats[w]
+                if diff.any():
                     raise ValueError(f"associativity fails at pair ({g}, {b})")
 
     def _validate_frobenius(self):

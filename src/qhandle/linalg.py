@@ -176,8 +176,9 @@ def mat_inverse(a):
 
 def int_scale(m):
     """Scale a rational matrix by the positive lcm of its denominators;
-    returns (integer matrix, multiplier)."""
-    m = frmat(m)
+    returns (integer matrix, multiplier).  Int and Fraction entries are read
+    as they are; any other entry is coerced to a Fraction first."""
+    m = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in m]
     den = math.lcm(*(x.denominator for row in m for x in row)) if m else 1
     return [[x.numerator * (den // x.denominator) for x in row] for row in m], den
 

@@ -14,7 +14,7 @@ from math import comb, factorial, gcd, prod
 
 import numpy as np
 
-from .frobenius import Element, FrobeniusRing
+from .frobenius import Element, FrobeniusRing, sparse_multiplier
 from .partitions import (_add_strips, complement, is_partition, lr_expand, normalize,
                          partitions_in_box)
 
@@ -232,7 +232,8 @@ def _schubert_matrices(k, n, dtype):
     L_(p) counts strips, far below the bound; every later step bounds its
     entries from those of its operands: a product of matrices with entries
     at most a and b has entries at most dim * a * b, and each subtracted
-    matrix adds at most its own peak.
+    matrix adds at most its own peak.  L_(lam_1) has few nonzeros, so each
+    product is summed from them (frobenius.sparse_multiplier).
     """
     basis, index = _gr_basis(k, n)
     dim = len(basis)
@@ -263,7 +264,7 @@ def _schubert_matrices(k, n, dtype):
         bound = dim * peak[a] * peak[b] + sum(peak[w] for _, w in terms)
         if dtype is not object and bound >= _INT64_BOUND:
             return None
-        mats[i] = mats[a] @ mats[b]
+        mats[i] = sparse_multiplier(mats[a])(mats[b])
         for sign, w in terms:
             mats[i] -= sign * mats[w]
         peak[i] = int(abs(mats[i]).max())

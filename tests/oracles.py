@@ -1,6 +1,7 @@
 """Test-only helpers: partition enumeration, an all-pairs associativity check,
-the Littlewood-Richardson build of the Grassmannian structure constants, and
-the Fraction forms of the orbit walk and the eigenstructure.
+the Littlewood-Richardson build of the Grassmannian structure constants, the
+span of handle powers stepped as Fraction ring elements, and the Fraction
+forms of the orbit walk and the eigenstructure.
 
 The Fraction oracles are the exact dynamics as first written, on rational
 arithmetic throughout: a first-entry-1 projective state, a Fraction
@@ -86,6 +87,27 @@ def lr_structure(k, n):
                     row[index[mu]] = row.get(index[mu], 0) + sign * c
             structure[(i, j)] = {w: c for w, c in row.items() if c}
     return structure
+
+
+def element_span_dim(ring):
+    """(rank, powers) of Span{Delta^k} at q = 1, as FrobeniusRing.f_span_dim
+    returns them, with each power stepped as a Fraction Element by
+    ring.product and the V_j (j = 0 mod D_X) check read off the Element's
+    support: the span loop as first written."""
+    delta = ring.handle_element()
+    dx = ring.d_x()
+    allowed = {i for i in range(ring.dim) if ring.degrees[i] % dx == 0}
+    ech = Echelon()
+    powers = []
+    cur = ring.unit()
+    for k in range(ring.dim):
+        if not cur.support() <= allowed:
+            raise ValueError(f"handle power {k} leaves the V_j (j = 0 mod D_X) sum")
+        if not ech.add(ring.element_vector(cur)):
+            break
+        powers.append(k)
+        cur = ring.product(cur, delta)
+    return ech.rank, powers
 
 
 class FractionProjState:

@@ -161,6 +161,17 @@ def test_walk_on_rational_matrices_matches_the_fraction_walk(mat, vec):
     assert (traj.hit_zero, traj.cycle_start, traj.cycle_length) == (hit_zero, start, length)
 
 
+@pytest.mark.parametrize("kmax", [0, 1, 2, 3])
+def test_walk_budget_sees_a_zero_step_like_the_fraction_walk(kmax):
+    # e3 -> e2 -> e1 -> 0: with kmax = 2 the zero is the step after the last state
+    mat, vec = [[0, 1, 0], [0, 0, 1], [0, 0, 0]], [0, 0, 1]
+    traj = complexity._walk(frmat(mat), frvec(vec), kmax)
+    states, hit_zero, start, length = fraction_orbit(mat, vec, kmax)
+    assert [s.vec for s in traj.states] == [s.vec for s in states]
+    assert (traj.hit_zero, traj.cycle_start, traj.cycle_length) == (hit_zero, start, length)
+    assert traj.hit_zero == (kmax >= 2)
+
+
 EIGENVALUES = [Fraction(v) for v in (0, 1, -1, 2, -2, 3, -3)] + [Fraction(1, 2), Fraction(-1, 2)]
 
 

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import associativity_failure
-from qhandle.frobenius import Element, FrobeniusRing, qp_add, qp_eval
+from oracles import associativity_failure, element_span_dim
+from qhandle.acceptance import EST_TABLE, FCI_INSTANCES
+from qhandle.frobenius import _GENERATOR_PRIME, Element, FrobeniusRing, qp_add, qp_eval
 from qhandle.rings import fano_ci, grassmannian, projective_space, quadric
 
 
@@ -121,6 +122,32 @@ def test_dim_bound_and_span():
     assert powers == list(range(9))
 
 
+@pytest.mark.parametrize("make", (
+    [lambda n=n: projective_space(n) for n in range(1, 7)]
+    + [lambda r=r: quadric(r) for r in range(3, 9)]
+    + [lambda m=m, r=r: fano_ci(m, r) for m, r in FCI_INSTANCES + [((2,), 3)]]
+    + [lambda k=k, n=n: grassmannian(k, n) for k, n, _, _ in EST_TABLE]
+), ids=([f"pn:{n}" for n in range(1, 7)] + [f"quadric:{r}" for r in range(3, 9)]
+        + [f"fci:{','.join(map(str, m))};r={r}" for m, r in FCI_INSTANCES + [((2,), 3)]]
+        + [f"gr:{k},{n}" for k, n, _, _ in EST_TABLE]))
+def test_span_matches_the_element_product_loop(make):
+    ring = make()
+    assert ring.f_span_dim() == element_span_dim(ring)
+
+
+def test_span_rejects_a_power_outside_the_allowed_degrees():
+    # Q^4 has tau = 4 = top degree, so D_X = 4 and only degrees 0 and 4 are
+    # allowed; a handle override H leaves them at the first power
+    ring = dataclasses.replace(quadric(4), _cache={})
+    ring.delta_override = ring.element({"H": 1})
+    assert ring.d_x() == 4
+    message = r"handle power 1 leaves the V_j \(j = 0 mod D_X\) sum"
+    with pytest.raises(ValueError, match=message):
+        element_span_dim(ring)
+    with pytest.raises(ValueError, match=message):
+        ring.f_span_dim()
+
+
 def test_constant_pairing():
     g = projective_space(2).constant_pairing()
     assert g == [
@@ -175,7 +202,7 @@ def test_validate_rejects_missing_structure_constant():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: projective_space(2),  # int64 check
+    lambda: projective_space(2),  # int32 check
     lambda: fano_ci((5,), 4),  # constants up to 5^20: Python-int check
 ])
 def test_validate_rejects_non_associative(make):
@@ -191,6 +218,15 @@ def test_validate_catches_a_gap_that_int64_would_wrap():
     bad = projective_space(2)
     a = c = 2 ** 32 + 1
     bad.structure.update({(1, 1): {2: a}, (1, 2): {0: 2 ** 33 + 1}, (2, 2): {1: c}})
+    with pytest.raises(ValueError, match=r"associativity fails at pair \(1, 1\)"):
+        bad.validate()
+
+
+def test_validate_catches_a_gap_that_int32_would_wrap():
+    # as above with a c - b = 2^32: the constants put the check on int64
+    bad = projective_space(2)
+    a = c = 2 ** 16 + 1
+    bad.structure.update({(1, 1): {2: a}, (1, 2): {0: 2 ** 17 + 1}, (2, 2): {1: c}})
     with pytest.raises(ValueError, match=r"associativity fails at pair \(1, 1\)"):
         bad.validate()
 
@@ -257,3 +293,25 @@ def test_validate_rejects_frobenius_failure_in_a_q_dependent_entry():
         bad.pairing[a][b] = {e: 2 * v for e, v in bad.pairing[a][b].items()}
     with pytest.raises(ValueError, match=r"Frobenius condition fails at pair \(3, 4\)"):
         bad.validate()
+
+
+def test_generator_search_survives_an_unlucky_prime():
+    # Q[x]/(x^3 - p^2 q) in the basis 1, x, y = x^2 / p, for the prime p of
+    # the generator search: x x = p y spans y over Q but is 0 mod p, so y
+    # must become a generator of its own
+    p = _GENERATOR_PRIME
+    ring = FrobeniusRing(
+        name="unlucky prime", labels=["1", "x", "y"], degrees=[0, 1, 2], tau=3,
+        pairing=[[{}, {}, {0: Fraction(1)}], [{}, {0: Fraction(p)}, {}],
+                 [{0: Fraction(1)}, {}, {}]],
+        structure={(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1},
+                   (1, 1): {2: p}, (1, 2): {0: p}, (2, 2): {1: 1}},
+        unit_index=0,
+    )
+    assert ring._generators() == [1, 2]
+    ring.validate()
+    assert associativity_failure(ring.structure, ring.dim) is None
+    ring.structure[(2, 2)] = {1: 2}  # y y = 2 q x: (x x) y = 2 p q x but x (x y) = p q x
+    assert associativity_failure(ring.structure, ring.dim) is not None
+    with pytest.raises(ValueError, match="associativity fails at pair"):
+        ring.validate()
