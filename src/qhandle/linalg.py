@@ -1,17 +1,17 @@
 """Exact dense linear algebra over the rationals.
 
-Matrices are lists of rows of rationals: Fraction or int entries. Two exact
-elimination kernels: the incremental reduced row echelon form Echelon, over the
-rationals, gives rank, nullspace, linear solves, inverses and determinants;
-the fraction-free elimination bareiss, over the integers, gives Jordan ranks,
-generalized eigenvectors and leading principal minors. The eigenvalue code
-scales a rational matrix by the positive lcm of its denominators (int_scale),
-which moves every rational eigenvalue onto an integer and leaves every
-eigenvector alone, and works on that integer matrix: the division-free
-characteristic polynomial of Berkowitz, rational root extraction,
-generalized eigenstructure and Sylvester positive-definiteness certificates.
-Also: Krylov ranks and a deterministic floating-point Jacobi eigensolver for
-symmetric matrices.
+Matrices are lists of rows of rationals: Fraction or int entries. One exact
+elimination kernel, Echelon: incremental fraction-free (Bareiss) elimination
+over the integers. Rank, nullspace, linear solves, inverses, determinants,
+Krylov ranks, Jordan ranks, generalized eigenvectors and leading principal
+minors all scale their rows to integers (int_scale) and call it; a solve is
+the kernel vector of [a | -b], an inverse those of [a | -I]. The eigenvalue
+code scales a rational matrix by the positive lcm of its denominators, which
+moves every rational eigenvalue onto an integer and leaves every eigenvector
+alone, and works on that integer matrix: the division-free characteristic
+polynomial of Berkowitz, rational root extraction, generalized eigenstructure
+and Sylvester positive-definiteness certificates. Also a deterministic
+floating-point Jacobi eigensolver for symmetric matrices.
 """
 
 import math
@@ -78,19 +78,32 @@ def is_zero_matrix(a):
     return all(not x for row in a for x in row)
 
 
-class Echelon:
-    """Incremental exact reduced row echelon form: the elimination kernel.
+_ZERO = Fraction(0)
 
-    Every stored row has pivot 1 and is zero in the pivot columns of the
-    other stored rows, so the stored rows are the (unique) RREF of the rows
-    added so far, in insertion order. ``det`` is the determinant of the added
-    rows when they form a square matrix: the product of the pivots times the
-    sign of the pivot permutation, or 0 once an added row was dependent.
+
+class Echelon:
+    """Incremental fraction-free row echelon form over the integers: the exact
+    elimination kernel (Bareiss 1968).
+
+    Stored row i, with pivot column c_i and pivot p_i = row[c_i], is kept at
+    Bareiss stage i: it is zero in c_0 .. c_(i-1), and each entry is the
+    (i+1) x (i+1) minor of the added rows 0 .. i on the columns c_0 .. c_(i-1)
+    and its own column, so p_i is the minor on c_0 .. c_i.  Adding v applies
+    v <- (p_i v - v[c_i] row_i) / p_(i-1) for each stored row in turn.  When
+    v[c_i] is 0 that step only rescales v by p_i / p_(i-1), so it is skipped
+    and the next real step divides by the last pivot that acted instead of
+    p_(i-1); the quotient is again a stage row, so each division is exact.
+    A stage row is a nonzero multiple of v reduced against the earlier rows,
+    so the pivot columns are those of the reduced row echelon form of the
+    added rows in insertion order.  ``det`` is the determinant of the added
+    rows when they form a square matrix: the last pivot times the sign of the
+    pivot permutation, or 0 once an added row was dependent.
     """
 
     def __init__(self):
-        self.rows = []  # (pivot column, vector scaled to pivot 1)
-        self.det = Fraction(1)
+        self.rows = []  # (pivot column, row at its Bareiss stage)
+        self.det = 1
+        self._sign = 1
 
     @classmethod
     def of(cls, rows):
@@ -100,27 +113,27 @@ class Echelon:
         return ech
 
     def add(self, v):
-        """Insert v; returns True if it enlarged the span."""
-        # Structure-constant rows are mostly zeros, so the row operations
-        # skip zero entries rather than pay for Fraction arithmetic on them.
+        """Insert a row of Python ints; returns True if it enlarged the span."""
         v = list(v)
-        for piv, row in self.rows:
-            f = v[piv]
+        if any(type(x) is not int for x in v):
+            raise TypeError("Echelon rows must hold Python ints")
+        last = prev = 1  # the last pivot that acted; p_(i-1)
+        for c, row in self.rows:
+            f = v[c]
+            prev = row[c]
             if f:
-                v = [x - f * y if y else x for x, y in zip(v, row)]
+                v = [(prev * x - f * y) // last for x, y in zip(v, row)]
+                last = prev
         piv = next((i for i, x in enumerate(v) if x), None)
         if piv is None:
-            self.det = Fraction(0)
+            self.det = 0
             return False
-        if sum(q > piv for q, _ in self.rows) % 2:
-            self.det = -self.det
-        self.det *= v[piv]
-        inv = 1 / Fraction(v[piv])
-        v = [x * inv if x else x for x in v]
-        for k, (q, row) in enumerate(self.rows):
-            f = row[piv]
-            if f:
-                self.rows[k] = (q, [x - f * y if y else x for x, y in zip(row, v)])
+        if prev != last:
+            v = [x * prev // last for x in v]
+        if sum(c > piv for c, _ in self.rows) % 2:
+            self._sign = -self._sign
+        if self.det:
+            self.det = self._sign * v[piv]
         self.rows.append((piv, v))
         return True
 
@@ -128,50 +141,73 @@ class Echelon:
     def rank(self):
         return len(self.rows)
 
+    def kernel_vector(self, free, size):
+        """The first size entries, as Fractions, of the vector x that every
+        added row annihilates with x[free] = 1 and x zero at every other
+        non-pivot column; free must not be a pivot column.
+
+        Back substitution over the integers in reverse insertion order: row
+        i meets x only at c_i and at columns already fixed, so it fixes
+        x[c_i] after x is scaled by p_i / g, g the gcd of p_i and the rest of
+        the row's sum, which keeps x integral.
+        """
+        x = {free: 1}
+        for c, row in reversed(self.rows):
+            s = 0  # a plain loop: x is often short, and sum() pays per call
+            for j, v in x.items():
+                s += row[j] * v
+            if s:
+                p = row[c]
+                g = math.gcd(s, p)
+                if p != g:
+                    x = {j: v * (p // g) for j, v in x.items()}
+                x[c] = -s // g
+        d = x[free]
+        out = [_ZERO] * size
+        for j, v in x.items():
+            if j < size:
+                out[j] = Fraction(v, d)
+        return out
+
     def nullspace(self, cols):
         """Basis of the vectors of length cols orthogonal to every added row,
-        one per free column in ascending order, that entry set to 1."""
-        pivots = {piv for piv, _ in self.rows}
-        basis = []
-        for fc in range(cols):
-            if fc in pivots:
-                continue
-            v = [Fraction(0)] * cols
-            v[fc] = Fraction(1)
-            for piv, row in self.rows:
-                v[piv] = -row[fc]
-            basis.append(v)
-        return basis
+        one per free column in ascending order, that entry set to 1 and the
+        other free entries 0."""
+        pivots = {c for c, _ in self.rows}
+        return [self.kernel_vector(fc, cols) for fc in range(cols) if fc not in pivots]
 
 
 def mat_rank(a):
     """Rank by exact elimination."""
-    return Echelon.of(a).rank
+    return Echelon.of(int_scale(a)[0]).rank
 
 
 def nullspace(a):
     """Basis of the right nullspace, as a list of vectors."""
-    return Echelon.of(a).nullspace(len(a[0]) if a else 0)
+    return Echelon.of(int_scale(a)[0]).nullspace(len(a[0]) if a else 0)
 
 
 def solve_linear(a, b):
-    """One solution x of a x = b (free variables 0), or None if inconsistent."""
+    """One solution x of a x = b (free variables 0), or None if inconsistent:
+    the kernel vector of [a | -b] that is 1 in the last column."""
     cols = len(a[0]) if a else 0
-    x = [Fraction(0)] * cols
-    for piv, row in Echelon.of([[*row, bb] for row, bb in zip(a, b)]).rows:
-        if piv == cols:
-            return None
-        x[piv] = row[cols]
-    return x
+    ech = Echelon.of(int_scale([[*row, -bb] for row, bb in zip(a, b)])[0])
+    if any(c == cols for c, _ in ech.rows):
+        return None
+    return ech.kernel_vector(cols, cols)
 
 
 def mat_inverse(a):
-    """Inverse of a square matrix, or None if it is singular."""
+    """Inverse of a square matrix, or None if it is singular: column j is the
+    kernel vector of [a | -I] that is 1 in column n + j.  With a scaled by d
+    to integers, each augmented row is scaled whole: [d a | -d I]."""
     n = len(a)
-    ech = Echelon.of([[*row, *unit] for row, unit in zip(a, identity(n))])
-    if any(piv >= n for piv, _ in ech.rows):
+    ints, den = int_scale(a)
+    ech = Echelon.of([*row, *(-den if i == j else 0 for j in range(n))]
+                     for i, row in enumerate(ints))
+    if any(c >= n for c, _ in ech.rows):
         return None
-    return [row[n:] for _, row in sorted(ech.rows)]  # pivots are distinct
+    return [list(row) for row in zip(*(ech.kernel_vector(n + j, n) for j in range(n)))]
 
 
 def int_scale(m):
@@ -426,64 +462,6 @@ def rational_roots(coeffs):
     return roots
 
 
-def bareiss(rows):
-    """Fraction-free row echelon form of an integer matrix (Bareiss 1968).
-
-    Returns one (source row, pivot column, row) per pivot, in order.  Each
-    step pivots on the first row, at or below the current one, that is
-    nonzero in the next column that has such a row.  After k steps every entry
-    below the pivot rows is a (k+1) x (k+1) minor of the input, so each
-    division is exact and the integers stay the size of minors; the k-th pivot
-    is the k x k minor on the first k pivot rows and columns.  The number of
-    pivots is the rank.
-    """
-    a = [list(row) for row in rows]
-    source = list(range(len(a)))
-    steps = []
-    prev = 1
-    for c in range(len(a[0]) if a else 0):
-        r = len(steps)
-        p = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        source[r], source[p] = source[p], source[r]
-        pivot_row = a[r]
-        piv = pivot_row[c]
-        tail = pivot_row[c:]
-        for i in range(r + 1, len(a)):
-            row = a[i]
-            f = row[c]
-            if f:
-                row[c:] = [(x * piv - f * y) // prev for x, y in zip(row[c:], tail)]
-            else:
-                row[c:] = [x * piv // prev for x in row[c:]]
-        steps.append((source[r], c, pivot_row))
-        prev = piv
-    return steps
-
-
-def _echelon_nullspace(steps, cols):
-    """The nullspace basis of Echelon.nullspace from bareiss steps: one vector
-    per free column in ascending order, that entry 1 and the other free
-    entries 0, found by back substitution over the integers."""
-    pivots = {c for _, c, _ in steps}
-    basis = []
-    for fc in range(cols):
-        if fc in pivots:
-            continue
-        x = [0] * cols
-        x[fc] = 1
-        for _, c, row in reversed(steps):
-            s = sum(a * b for a, b in zip(row[c + 1:], x[c + 1:]) if b)
-            g = math.gcd(s, row[c]) if row[c] > 0 else -math.gcd(s, row[c])
-            if row[c] != g:
-                x = [v * (row[c] // g) for v in x]
-            x[c] = -s // g
-        basis.append([Fraction(v, x[fc]) for v in x])
-    return basis
-
-
 @dataclass
 class EigenData:
     """One rational eigenvalue with its generalized eigenspace data."""
@@ -509,9 +487,9 @@ def rational_eigenstructure(m):
     whose candidates p/q are small; those of d M are d times larger and
     may carry a prime factor of d too large to split off.  The rest runs on
     the matrix scaled by d to integers, whose rational eigenvalues are the
-    integers d * value: ranks of the integer powers of (d M - d value I) by
-    bareiss give the Jordan blocks, and its last elimination the basis,
-    which is Echelon.nullspace's.
+    integers d * value: the Echelon ranks of the integer powers of
+    (d M - d value I) give the Jordan blocks, and the nullspace of the last
+    one the basis.
     """
     n = len(m)
     if any(len(row) != n for row in m):
@@ -528,8 +506,8 @@ def rational_eigenstructure(m):
         for j in range(mult):
             if j:
                 power = mat_mul(power, shifted)
-            steps = bareiss(power)
-            ranks.append(len(steps))
+            ech = Echelon.of(power)
+            ranks.append(ech.rank)
             if ranks[-1] == n - mult:
                 # the kernel is the whole generalized eigenspace: ranks are final
                 ranks += [ranks[-1]] * (mult - 1 - j)
@@ -542,7 +520,7 @@ def rational_eigenstructure(m):
             exactly_j = (r_prev - r_j) - (r_j - r_next)
             blocks.extend([j] * exactly_j)
         blocks.sort(reverse=True)
-        entries.append(EigenData(lam, mult, blocks, _echelon_nullspace(steps, n)))
+        entries.append(EigenData(lam, mult, blocks, ech.nullspace(n)))
     total = sum(mult for _, mult in roots)
     return EigenStructure(entries, split_over_rationals=(total == n))
 
@@ -550,9 +528,10 @@ def rational_eigenstructure(m):
 def is_positive_definite(m):
     """Sylvester test: (verdict, leading principal minors), exact.
 
-    The bareiss pivots of the integer-scaled matrix are its leading principal
-    minors when every step pivots on the diagonal.  A zero leading minor makes
-    a step pivot elsewhere; the minors then come from direct determinants.
+    The Echelon pivots of the integer-scaled matrix are its leading principal
+    minors when row k pivots in column k for every k.  A zero leading minor
+    moves a pivot elsewhere; the minors then come from the determinants of
+    the leading blocks.
     """
     n = len(m)
     if any(len(row) != n for row in m):
@@ -563,12 +542,12 @@ def is_positive_definite(m):
             if m[i][j] != m[j][i]:
                 raise ValueError(f"matrix is not symmetric at ({i}, {j})")
     ints, den = int_scale(m)
-    steps = bareiss(ints)
-    if [(r, c) for r, c, _ in steps] == [(k, k) for k in range(n)]:
-        minors = [Fraction(row[k], den ** (k + 1)) for k, (_, _, row) in enumerate(steps)]
+    ech = Echelon.of(ints)
+    if [c for c, _ in ech.rows] == list(range(n)):
+        minors = [Fraction(row[k], den ** (k + 1)) for k, (_, row) in enumerate(ech.rows)]
     else:
-        minors = [Echelon.of([row[: k + 1] for row in m[: k + 1]]).det
-                  for k in range(n)]
+        minors = [Fraction(Echelon.of([row[: k + 1] for row in ints[: k + 1]]).det,
+                           den ** (k + 1)) for k in range(n)]
     ok = all(d > 0 for d in minors)
     return ok, minors
 
@@ -577,12 +556,11 @@ def krylov_rank(m, v, cap):
     """Rank of {v, M v, ..., M^(cap-1) v} by exact elimination."""
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    v = frvec(v)
-    if all(not x for x in v):
+    (cur,), _ = int_scale([v])
+    if all(not x for x in cur):
         raise ValueError("Krylov start vector must be nonzero")
-    m = frmat(m)
+    m, _ = int_scale(m)
     ech = Echelon()
-    cur = v
     for _ in range(cap):
         if not ech.add(cur):
             break

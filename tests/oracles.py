@@ -1,13 +1,17 @@
 """Test-only helpers: partition enumeration, an all-pairs associativity check,
 the Littlewood-Richardson build of the Grassmannian structure constants, the
-span of handle powers stepped as Fraction ring elements, and the Fraction
-forms of the orbit walk and the eigenstructure.
+span of handle powers stepped as Fraction ring elements, the Fraction
+reduced row echelon form, and the Fraction forms of the orbit walk and the
+eigenstructure.
 
-The Fraction oracles are the exact dynamics as first written, on rational
-arithmetic throughout: a first-entry-1 projective state, a Fraction
-matrix-vector orbit walk, the Faddeev-LeVerrier characteristic polynomial,
-Jordan ranks from Echelon on Fraction powers, and limit points from Fraction
-Jordan chains.  The library runs the same mathematics on integers.
+The Fraction oracles are the exact algorithms as first written, on rational
+arithmetic throughout: an incremental reduced row echelon form
+(FractionEchelon) with its rank, determinant, nullspace, solve and inverse; a
+first-entry-1 projective state, a Fraction matrix-vector orbit walk, the
+Faddeev-LeVerrier characteristic polynomial, Jordan ranks and eigenbases
+from FractionEchelon on Fraction powers, and limit points from Fraction
+Jordan chains.  They import no elimination from qhandle.linalg; the library
+runs the same mathematics on integers.
 
 The Schur and characteristic-polynomial oracles that the acceptance criteria
 share with the tests live in qhandle._oracles.
@@ -15,7 +19,7 @@ share with the tests live in qhandle._oracles.
 
 from fractions import Fraction
 
-from qhandle.linalg import Echelon, rational_roots, solve_linear
+from qhandle.linalg import rational_roots
 from qhandle.partitions import lr_expand, partitions_in_box
 from qhandle.rings import reduce_sigma_hat
 
@@ -89,6 +93,93 @@ def lr_structure(k, n):
     return structure
 
 
+class FractionEchelon:
+    """Incremental exact reduced row echelon form over the rationals.
+
+    Every stored row has pivot 1 and is zero in the pivot columns of the
+    other stored rows, so the stored rows are the (unique) RREF of the rows
+    added so far, in insertion order. ``det`` is the determinant of the added
+    rows when they form a square matrix: the product of the pivots times the
+    sign of the pivot permutation, or 0 once an added row was dependent.
+    """
+
+    def __init__(self):
+        self.rows = []  # (pivot column, vector scaled to pivot 1)
+        self.det = Fraction(1)
+
+    @classmethod
+    def of(cls, rows):
+        ech = cls()
+        for row in rows:
+            ech.add(row)
+        return ech
+
+    def add(self, v):
+        """Insert v; returns True if it enlarged the span."""
+        # Structure-constant rows are mostly zeros, so the row operations
+        # skip zero entries rather than pay for Fraction arithmetic on them.
+        v = list(v)
+        for piv, row in self.rows:
+            f = v[piv]
+            if f:
+                v = [x - f * y if y else x for x, y in zip(v, row)]
+        piv = next((i for i, x in enumerate(v) if x), None)
+        if piv is None:
+            self.det = Fraction(0)
+            return False
+        if sum(q > piv for q, _ in self.rows) % 2:
+            self.det = -self.det
+        self.det *= v[piv]
+        inv = 1 / Fraction(v[piv])
+        v = [x * inv if x else x for x in v]
+        for k, (q, row) in enumerate(self.rows):
+            f = row[piv]
+            if f:
+                self.rows[k] = (q, [x - f * y if y else x for x, y in zip(row, v)])
+        self.rows.append((piv, v))
+        return True
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def nullspace(self, cols):
+        """Basis of the vectors of length cols orthogonal to every added row,
+        one per free column in ascending order, that entry set to 1."""
+        pivots = {piv for piv, _ in self.rows}
+        basis = []
+        for fc in range(cols):
+            if fc in pivots:
+                continue
+            v = [Fraction(0)] * cols
+            v[fc] = Fraction(1)
+            for piv, row in self.rows:
+                v[piv] = -row[fc]
+            basis.append(v)
+        return basis
+
+
+def fraction_solve(a, b):
+    """One solution x of a x = b (free variables 0), or None if inconsistent."""
+    cols = len(a[0]) if a else 0
+    x = [Fraction(0)] * cols
+    for piv, row in FractionEchelon.of([[*row, bb] for row, bb in zip(a, b)]).rows:
+        if piv == cols:
+            return None
+        x[piv] = row[cols]
+    return x
+
+
+def fraction_inverse(a):
+    """Inverse of a square matrix, or None if it is singular."""
+    n = len(a)
+    ech = FractionEchelon.of([[*row, *(Fraction(int(i == j)) for j in range(n))]
+                              for i, row in enumerate(a)])
+    if any(piv >= n for piv, _ in ech.rows):
+        return None
+    return [row[n:] for _, row in sorted(ech.rows)]  # pivots are distinct
+
+
 def element_span_dim(ring):
     """(rank, powers) of Span{Delta^k} at q = 1, as FrobeniusRing.f_span_dim
     returns them, with each power stepped as a Fraction Element by
@@ -97,7 +188,7 @@ def element_span_dim(ring):
     delta = ring.handle_element()
     dx = ring.d_x()
     allowed = {i for i in range(ring.dim) if ring.degrees[i] % dx == 0}
-    ech = Echelon()
+    ech = FractionEchelon()
     powers = []
     cur = ring.unit()
     for k in range(ring.dim):
@@ -190,7 +281,7 @@ def fraction_eigenstructure(m):
         for j in range(mult):
             if j:
                 power = fraction_mat_mul(power, shifted)
-            ech = Echelon.of(power)
+            ech = FractionEchelon.of(power)
             ranks.append(ech.rank)
         ranks.append(ranks[-1])
         blocks = []
@@ -209,7 +300,7 @@ def fraction_limit_points(mat, z):
     assert split, "matrix is not split over the rationals"
     owners = [value for value, _, _, basis in entries for _ in basis]
     columns = [b for _, _, _, basis in entries for b in basis]
-    coefs = solve_linear([[col[i] for col in columns] for i in range(n)], z)
+    coefs = fraction_solve([[col[i] for col in columns] for i in range(n)], z)
     comps = {}
     for value, column, c in zip(owners, columns, coefs):
         acc = comps.setdefault(value, [Fraction(0)] * n)

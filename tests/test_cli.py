@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -260,6 +261,37 @@ def test_estimate_past_the_old_recursion_limit(capsys):
 def test_text_format(capsys):
     code, out, _ = run_cli(capsys, "estimate", "3", "7", "--format", "text")
     assert code == 0 and "Est: 35" in out
+
+
+#: (argv, exit code, SHA-256 of stdout) recorded before the elimination kernel
+#: moved from Fractions to integers; they run the inverse, rank, span,
+#: eigenstructure, solve and leading-minor paths on Grassmannians, a quadric,
+#: a projective space and an fci ring.
+GOLDEN = [
+    (["amatrix", "gr:2,5"], 0, "3eaa493b6c1652ad31748940a1ccfe1553f52e2c6a65eade30745a5a407478a8"),
+    (["amatrix", "gr:3,6"], 0, "5f0fc0a2adbaa52c9a7a51e8d48f2f8831ec957325570efedce59b42abc0ddc0"),
+    (["amatrix", "gr:3,7"], 0, "f80685ef03d8c254d559aa795c63cfb9d247a4924c6d591b71d39bd39f2eaab7"),
+    (["amatrix", "quadric:5"], 0, "b616ec871b366fef6755beaf659971ca6cbd42fda7ad0341eddd9e95e4bb91f4"),
+    (["amatrix", "pn:4"], 0, "4fc78f45f280f4a87a42b7c69301d89957457562eeb453093af751fcc9b7a49f"),
+    (["amatrix", "fci:5;r=4"], 1, "32de026915d9e7787dd8a6077dbafb86cda7b78f97d46166c43a7d1d8db56059"),
+    (["dimf", "gr:2,5"], 0, "9f6d7c31e81d3389fdafaebe5e9f92d353743bf99f9d4fa1b4f2f6c036432b99"),
+    (["dimf", "gr:3,6"], 0, "4ce4297ddbcf3134672f28ae3ec00f3019157d776abddaf5450593fb52890862"),
+    (["dimf", "gr:3,7"], 0, "10869adbca40be4d8c4c962555ea44d6826a67daca5a2ddf881ff84ed18f5675"),
+    (["dimf", "quadric:5"], 0, "6138d63d927fee4d05780eca7a2e89db8ce752eb5cf7f7f90a6114f87bae36e6"),
+    (["dimf", "pn:4"], 0, "3568ae5325b80f503f6d5ecd3909b96a71fc831488557eea53ac37cbb03ca6ab"),
+    (["dimf", "fci:5;r=4"], 0, "7862d2926d8f297d61f4a013497a498f0d2f710a6c7ec4432412f499400fef49"),
+    (["sinfty", "quadric:5"], 0, "4c35e4bbb652fe7e09856e9cd619a1ae62697ff6f1fe40a2c17f69f77910208d"),
+    (["sinfty", "gr:3,6"], 0, "bb4ad58fa2beba64a1d9196c60f5797f1b824707194469545d9c7ad07aa6ea7f"),
+    (["sinfty", "fci:5;r=4"], 0, "9d89003808dbdd6ee8103a8527780a428792b2305b91aea30dd7977f20f97df9"),
+    (["sinfty", "pn:4"], 0, "ae88ddbc99ed6cc6b2ffb2dbf5bb1e8ac0f4bfc20833bb69787b3ff4f87b902c"),
+    (["delta", "gr:3,7"], 0, "e6662cdcb2b9810de93168dfc20f02205ad8edcc3ea8d72e1f2b3797237fed70"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=[" ".join(a) for a, _, _ in GOLDEN])
+def test_outputs_match_the_recorded_bytes(capsys, argv, code, digest):
+    got, out, _ = run_cli(capsys, *argv)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
 def test_module_entry_point():

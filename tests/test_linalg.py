@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import faddeev_leverrier, fraction_eigenstructure
+from oracles import (FractionEchelon, faddeev_leverrier, fraction_eigenstructure,
+                     fraction_inverse, fraction_solve)
 
 from qhandle._oracles import det_int
 from qhandle.linalg import (Echelon, _divisors, _factorize, char_poly, frmat,
@@ -188,6 +189,8 @@ def test_rational_eigenstructure_non_split():
 def test_is_positive_definite():
     ok, minors = is_positive_definite([[2, 1], [1, 2]])
     assert ok and minors == [Fraction(2), Fraction(3)]
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert is_positive_definite([[half, third], [third, 1]]) == (True, [half, Fraction(7, 18)])
     ok, minors = is_positive_definite([[1, 2], [2, 1]])
     assert not ok
     with pytest.raises(ValueError):
@@ -195,9 +198,12 @@ def test_is_positive_definite():
 
 
 def test_is_positive_definite_zero_pivot_fallback():
-    # a zero leading entry stalls Bareiss; the minors then come from Echelon
+    # a zero leading minor moves a pivot off the diagonal; the minors then
+    # come from the determinants of the leading blocks
     assert is_positive_definite([[0, 1], [1, 0]]) == (False, [0, -1])
     assert is_positive_definite([[1, 1, 0], [1, 1, 1], [0, 1, 1]]) == (False, [1, 0, -1])
+    half = Fraction(1, 2)
+    assert is_positive_definite([[0, half], [half, 0]]) == (False, [0, -half ** 2])
 
 
 def test_krylov_rank():
@@ -210,52 +216,75 @@ def test_krylov_rank():
 
 def test_echelon_rank():
     ech = Echelon()
-    assert ech.add(frvec([1, 2, 3]))
-    assert ech.add(frvec([0, 1, 1]))
-    assert not ech.add(frvec([1, 3, 4]))
+    assert ech.add([1, 2, 3])
+    assert ech.add([0, 1, 1])
+    assert not ech.add([1, 3, 4])
     assert ech.rank == 2
 
 
+def test_echelon_rejects_entries_that_are_not_ints():
+    # floor division would take a Fraction row without an error and give a
+    # wrong rank
+    with pytest.raises(TypeError):
+        Echelon().add([1, Fraction(2)])
+
+
 small_ints = st.integers(min_value=-4, max_value=4)
+small_rationals = st.builds(Fraction, small_ints, st.sampled_from([1, 2, 3]))
+fives = st.lists(small_rationals, min_size=5, max_size=5)
 
 
 @st.composite
-def int_matrices(draw, square=False):
+def kernel_matrices(draw, square=False):
+    """Matrices of size up to 5 x 5, either integer or with denominators 1..6."""
     rows = draw(st.integers(1, 5))
     cols = rows if square else draw(st.integers(1, 5))
-    return draw(st.lists(st.lists(small_ints, min_size=cols, max_size=cols),
-                         min_size=rows, max_size=rows))
+    dens = draw(st.sampled_from([[1], [1, 2, 3, 6]]))
+    return [[Fraction(draw(small_ints), draw(st.sampled_from(dens)))
+             for _ in range(cols)] for _ in range(rows)]
 
 
+# pivot 2, then a row that is zero in its column: its rescale is deferred;
+# then a negative pivot, deferred the same way
+@example([[2, 0, 0], [0, 3, 0], [0, 1, 1]])
+@example([[-2, 0, 1], [0, 3, 1], [1, 1, 1]])
+@example([[Fraction(1, 2), 1], [0, Fraction(-1, 3)]])
 @settings(max_examples=200, deadline=None)
-@given(int_matrices(square=True))
+@given(kernel_matrices(square=True))
 def test_kernel_det_and_inverse(a):
-    det = det_int(a)
-    assert Echelon.of(frmat(a)).det == det
-    inv = mat_inverse(frmat(a))
+    ints, _ = int_scale(a)
+    det = det_int(ints)
+    assert Echelon.of(ints).det == det
+    inv = mat_inverse(a)
+    assert inv == fraction_inverse(a)
     assert (inv is None) == (det == 0)
     if inv is not None:
         assert mat_mul(inv, frmat(a)) == identity(len(a))
 
 
+# the deferred rescale, on an inconsistent and on a reachable right-hand side
+@example([[2, 0, 0, 1], [0, 3, 0, 1], [0, 1, 1, 0]], [1, 1, 1, 0, 0], [1, 2, 3, 0, 0], False)
+@example([[-2, 0, 1], [0, 3, 1], [0, 1, 1]], [1, -1, 2, 0, 0], [0, 0, 0, 0, 0], True)
 @settings(max_examples=200, deadline=None)
-@given(int_matrices(), st.data())
-def test_kernel_solve_and_nullspace(a, data):
+@given(kernel_matrices(), fives, fives, st.booleans())
+def test_kernel_solve_and_nullspace(a, x0, other, reach):
     cols = len(a[0])
-    m = frmat(a)
-    basis = nullspace(m)
-    assert mat_rank(m) + len(basis) == cols
+    ech = Echelon.of(int_scale(a)[0])
+    ref = FractionEchelon.of(a)
+    assert mat_rank(a) == ech.rank == ref.rank
+    assert [c for c, _ in ech.rows] == [c for c, _ in ref.rows]
+    basis = nullspace(a)
+    assert basis == ref.nullspace(cols)
+    assert ech.rank + len(basis) == cols
     for v in basis:
-        assert not any(mat_vec(m, v))
-    x0 = data.draw(st.lists(small_ints, min_size=cols, max_size=cols))
-    reachable = mat_vec(m, frvec(x0))
-    b = data.draw(st.one_of(st.just(reachable),
-                            st.lists(small_ints, min_size=len(a), max_size=len(a))))
-    x = solve_linear(m, frvec(b))
-    if b == reachable:
+        assert not any(mat_vec(a, v))
+    b = mat_vec(a, x0[:cols]) if reach else other[:len(a)]
+    x = solve_linear(a, b)
+    assert x == fraction_solve(a, b)
+    if reach:
         assert x is not None
     if x is not None:
-        assert mat_vec(m, x) == b
+        assert mat_vec(a, x) == b
 
 
 def test_sym_float_eigs():
