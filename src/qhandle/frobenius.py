@@ -7,46 +7,19 @@ q-power of each term is not stored: the grading fixes it as
 (deg e_i + deg e_j - deg e_w) / tau. On top of that it provides the handle
 element, multiplication matrices at q = 1, quantum powers, the point-class
 order, the graded V_j split, the dimension bound for the span of handle
-powers, and that span's exact dimension.
+powers, and that span's exact dimension. All arithmetic is on Python ints
+and Fractions.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-import numpy as np
-
 from .complexity import primitive_powers
 from .linalg import Echelon, mat_inverse, mat_rank
 
-#: The prime of the generator search (_generators): 2^25 - 39, so the sum of
-#: n products of residues, at most n (p - 1)^2, stays below 2^62 for n <= 4096.
+#: The prime of the generator search (_generators): 2^25 - 39.
 _GENERATOR_PRIME = 33554393
-
-
-def sparse_multiplier(a):
-    """The map x -> a @ x, for a 2-d array a with few nonzeros and 2-d x.
-
-    Row w of a @ x is summed as c * x[v] over the nonzeros c = a[w, v], so
-    no dense product is formed; its entries are bounded by (nonzeros in row
-    w of a) * max|a| * max|x|.
-    """
-    ws, vs = np.nonzero(a)  # in row order
-    first = np.ones(ws.size, dtype=bool)
-    first[1:] = ws[1:] != ws[:-1]
-    starts = np.flatnonzero(first)
-    rows = ws[starts]
-    coeffs = a[ws, vs][:, None]
-
-    def multiply(x):
-        out = np.zeros((a.shape[0], x.shape[1]), dtype=x.dtype)
-        if rows.size:
-            terms = x[vs]
-            terms *= coeffs
-            out[rows] = np.add.reduceat(terms, starts, dtype=x.dtype)
-        return out
-
-    return multiply
 
 
 # Laurent scalars are sparse maps {exponent: Fraction} with no zero values.
@@ -133,8 +106,9 @@ class FrobeniusRing:
 
     structure[(i, j)], for i <= j, is the row {w: c} of e_i * e_j: each c is
     a nonzero int and stands for the term c q^d e_w, where
-    d = (deg e_i + deg e_j - deg e_w) / tau. Rows stay sparse: a dense
-    n x n x n table would cost n^3 words per ring.
+    d = (deg e_i + deg e_j - deg e_w) / tau. Rows stay sparse, and
+    validate() works on them directly: a dense n x n x n table would cost
+    n^3 words per ring.
     """
 
     name: str
@@ -419,91 +393,96 @@ class FrobeniusRing:
         they span Q^n.  A prime that divides some determinant of words can
         only make the search take more generators than over Q.
 
-        The span is kept as reduced row echelon rows mod p with pivot 1, so
-        reducing v is one product v - v[pivots] R; every entry of such a
-        product or of L_g v is a sum of at most n products of residues, below
-        n (p - 1)^2 < 2^62.
+        The span is kept as reduced row echelon rows mod p, sparse maps
+        {column: residue} keyed by their pivot, each with 1 at its pivot and
+        0 in every other pivot column; so reducing v is one sum, v minus
+        v[pivot] times the row of each pivot in v's support.
         """
         n, p = self.dim, _GENERATOR_PRIME
-        if n * (p - 1) ** 2 >= 2 ** 62:
-            raise ValueError(f"ring of dimension {n} is too large for the generator search mod {p}")
-        rref = np.zeros((n, n), dtype=np.int64)
-        pivots, vecs, gens, mult = [], [], [], {}
+        rref = {}  # pivot -> row
+        vecs, gens = [], []
         todo = []  # (generator, span vector) products not yet taken
 
         def grow(v):
-            r = len(pivots)
-            v = (v - v[pivots] @ rref[:r]) % p
-            nonzero = np.flatnonzero(v)
-            if not nonzero.size:
+            out = dict(v)
+            for piv in [w for w in v if w in rref]:
+                for w, c in rref[piv].items():
+                    out[w] = (out.get(w, 0) - v[piv] * c) % p
+            out = {w: c for w, c in out.items() if c}
+            if not out:
                 return False
-            piv = int(nonzero[0])
-            v = v * pow(int(v[piv]), -1, p) % p
-            hit = np.flatnonzero(rref[:r, piv])  # rows to clear in the new pivot column
-            rref[hit] = (rref[hit] - np.outer(rref[hit, piv], v)) % p
-            rref[r] = v
-            pivots.append(piv)
+            piv = min(out)
+            scale = pow(out[piv], -1, p)
+            v = {w: c * scale % p for w, c in out.items()}
+            for other, row in rref.items():  # clear the new pivot column
+                if piv in row:
+                    row = dict(row)
+                    c = row[piv]
+                    for w, d in v.items():
+                        row[w] = (row.get(w, 0) - c * d) % p
+                    rref[other] = {w: d for w, d in row.items() if d}
+            rref[piv] = v
             vecs.append(v)  # v as reduced when added; kept as is
             todo.extend((g, v) for g in gens)
             return True
 
-        def basis_vector(a):
-            v = np.zeros(n, dtype=np.int64)
-            v[a] = 1
-            return v
+        def times(g, v):  # L_g v mod p
+            out = {}
+            for j, c in v.items():
+                for w, d in self._row(g, j).items():
+                    out[w] = out.get(w, 0) + c * d
+            return {w: c % p for w, c in out.items() if c % p}
 
-        grow(basis_vector(self.unit_index))
+        grow({self.unit_index: 1})
         for a in sorted(range(n), key=lambda a: self.degrees[a]):
-            if len(pivots) == n:
+            if len(rref) == n:
                 break
-            if not grow(basis_vector(a)):
+            if not grow({a: 1}):
                 continue
             gens.append(a)
-            mult[a] = np.zeros((n, n), dtype=np.int64)  # L_a mod p
-            for j in range(n):
-                for w, c in self._row(a, j).items():
-                    mult[a][w, j] = c % p
             todo.extend((a, v) for v in vecs)
             while todo:
-                g, v = todo.pop()
-                grow(mult[g] @ v % p)
+                grow(times(*todo.pop()))
         return gens
 
     def _validate_associativity(self):
         """L_g L_b = sum_w c^w_gb L_w at q = 1 for every generator g (see
         _generators) and every basis element b.
 
-        L_a is the matrix of multiplication by e_a, scattered from the rows.
-        This proves the ring associative: let S = {a : L_a L_x = L_ax for all
-        x}. S is a subspace and contains 1 (the unit law is checked first),
-        and the check puts every generator in S. If g, a are in S then
-        L_ga = L_g L_a, so L_ga L_x = L_g L_ax = L_g(ax) = L_(ga)x. So S
-        contains every word, and the words span the ring. Equality at q = 1
-        is enough, because the grading fixes the q-power of every term.
+        L_a is the matrix of multiplication by e_a; its column j is the row
+        e_a * e_j.  This proves the ring associative: let S = {a : L_a L_x =
+        L_ax for all x}. S is a subspace and contains 1 (the unit law is
+        checked first), and the check puts every generator in S. If g, a are
+        in S then L_ga = L_g L_a, so L_ga L_x = L_g L_ax = L_g(ax) = L_(ga)x.
+        So S contains every word, and the words span the ring. Equality at
+        q = 1 is enough, because the grading fixes the q-power of every term.
 
-        L_g has few nonzeros, so L_g L_b is summed from them (sparse_multiplier)
-        and the difference with the right side is tested for zero, one b at
-        a time.  Every partial sum on either side is at most n * peak^2, so
-        every partial difference is below 2 n peak^2: the matrices are int32
-        while n * peak^2 < 2^30, int64 while n * peak^2 < 2^62, and Python
-        ints past that.
+        The check runs one column j at a time, on the sparse rows in Python
+        ints: column j of L_g L_b is sum_v c^v_bj row(g, v), and column j of
+        the right side is sum_w c^w_gb row(w, j); their difference must be
+        0.  The left side depends on b and j only through e_b * e_j, so it
+        is summed once per pair b <= j and checked against the right sides
+        of (b, j) and (j, b).  The error names the least failing b.
         """
         n = self.dim
-        peak = max(abs(c) for row in self.structure.values() for c in row.values())
-        bound = n * peak * peak
-        dtype = np.int32 if bound < 2 ** 30 else np.int64 if bound < 2 ** 62 else object
-        mats = np.zeros((n, n, n), dtype=dtype)
-        for (i, j), row in self.structure.items():
-            for w, c in row.items():
-                mats[i, w, j] = mats[j, w, i] = c
+        rows = [[self._row(i, j) for j in range(n)] for i in range(n)]
         for g in self._generators():
-            left = sparse_multiplier(mats[g])
+            bad = []
             for b in range(n):
-                diff = left(mats[b])
-                for w, c in self._row(g, b).items():
-                    diff -= c * mats[w]
-                if diff.any():
-                    raise ValueError(f"associativity fails at pair ({g}, {b})")
+                for j in range(b, n):
+                    left = {}
+                    for v, c in rows[b][j].items():
+                        for w, d in rows[g][v].items():
+                            left[w] = left.get(w, 0) + c * d
+                    for x, y in ((b, j), (j, b)) if b < j else ((b, j),):
+                        diff = dict(left)
+                        for w, c in rows[g][x].items():
+                            for u, d in rows[w][y].items():
+                                diff[u] = diff.get(u, 0) - c * d
+                        if any(diff.values()):
+                            bad.append(x)
+            if bad:
+                raise ValueError(f"associativity fails at pair ({g}, {min(bad)})")
 
     def _validate_frobenius(self):
         """<e_i, e_j> = <e_i * e_j, 1> for every pair i <= j, as Laurent

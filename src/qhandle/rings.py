@@ -12,9 +12,7 @@ from functools import cache
 from itertools import combinations
 from math import comb, factorial, gcd, prod
 
-import numpy as np
-
-from .frobenius import Element, FrobeniusRing, sparse_multiplier
+from .frobenius import Element, FrobeniusRing
 from .partitions import (_add_strips, complement, is_partition, lr_expand, normalize,
                          partitions_in_box)
 
@@ -218,29 +216,20 @@ def _gr_label(lam):
     return "1" if not lam else "s[" + ",".join(str(p) for p in lam) + "]"
 
 
-#: int64 is used for the Schubert matrices only while every entry bound
-#: stays below this; past it the build restarts on Python ints.
-_INT64_BOUND = 2 ** 62
-
-
-def _schubert_matrices(k, n, dtype):
+def _schubert_matrices(k, n):
     """Matrices L_lam of multiplication by sigma_lam at q = 1, one per basis
-    partition, stacked in one (dim, dim, dim) array: mats[i] is L_basis[i].
+    partition: mats[i] is L_basis[i] as a list of sparse columns {w: c},
+    where column j is the row e_i * e_j of the structure constants.
 
-    Returns None when dtype is int64 and an entry bound reaches _INT64_BOUND;
-    dtype=object computes the same matrices in Python ints.  An entry of
-    L_(p) counts strips, far below the bound; every later step bounds its
-    entries from those of its operands: a product of matrices with entries
-    at most a and b has entries at most dim * a * b, and each subtracted
-    matrix adds at most its own peak.  L_(lam_1) has few nonzeros, so each
-    product is summed from them (frobenius.sparse_multiplier).
+    Column j of L_(lam_1) L_lam' is the sum of c * (column v of L_(lam_1))
+    over the terms c e_v of column j of L_lam'.  Column j of L_i is column i
+    of L_j, since the ring is commutative, so a column whose matrix L_j is
+    already built is shared from it rather than summed.
     """
     basis, index = _gr_basis(k, n)
     dim = len(basis)
-    mats = np.zeros((dim, dim, dim), dtype=dtype)
-    peak = [0] * dim
-    mats[0] = np.identity(dim, dtype=dtype)
-    peak[0] = 1
+    mats = [None] * dim
+    mats[0] = [{j: 1} for j in range(dim)]
 
     def reduced(nu):
         if nu in index:
@@ -249,25 +238,34 @@ def _schubert_matrices(k, n, dtype):
         return (sign, index[mu]) if mu is not None else None
 
     for p in range(1, n - k + 1):
-        i = index[(p,)]
-        for j, mu in enumerate(basis):
+        cols = []
+        for mu in basis:
+            col = {}
             for nu in _add_strips(mu, p, k):
                 term = reduced(nu)
                 if term is not None:
-                    mats[i, term[1], j] += term[0]
-        peak[i] = int(abs(mats[i]).max())
+                    col[term[1]] = col.get(term[1], 0) + term[0]
+            cols.append({w: c for w, c in col.items() if c})
+        mats[index[(p,)]] = cols
     for lam in sorted((lam for lam in basis if len(lam) > 1),
                       key=lambda lam: (sum(lam), -lam[0])):
-        i, a, b = index[lam], index[lam[:1]], index[lam[1:]]
+        i, a, b = index[lam], mats[index[lam[:1]]], mats[index[lam[1:]]]
         terms = [reduced(nu) for nu in _add_strips(lam[1:], lam[0], k) if nu != lam]
-        terms = [t for t in terms if t is not None]
-        bound = dim * peak[a] * peak[b] + sum(peak[w] for _, w in terms)
-        if dtype is not object and bound >= _INT64_BOUND:
-            return None
-        mats[i] = sparse_multiplier(mats[a])(mats[b])
-        for sign, w in terms:
-            mats[i] -= sign * mats[w]
-        peak[i] = int(abs(mats[i]).max())
+        terms = [(sign, mats[w]) for sign, w in filter(None, terms)]
+        cols = []
+        for j in range(dim):
+            if mats[j] is not None:
+                cols.append(mats[j][i])
+                continue
+            col = {}
+            for v, c in b[j].items():
+                for w, d in a[v].items():
+                    col[w] = col.get(w, 0) + c * d
+            for sign, m in terms:
+                for w, d in m[j].items():
+                    col[w] = col.get(w, 0) - sign * d
+            cols.append({w: c for w, c in col.items() if c})
+        mats[i] = cols
     return mats
 
 
@@ -293,11 +291,9 @@ def grassmannian(k, n):
     = lam_i for i >= 2, so |eta| = |lam| forces eta_1 > lam_1 unless eta =
     lam.  Such an eta inside the box comes earlier in the order; one outside
     it reduces to a lower weight or vanishes.  Column j of L_i is the row
-    e_i * e_j of the structure constants.
-
-    The matrices live in one int64 array while the bound in
-    _schubert_matrices allows it, and in Python ints otherwise; the array is
-    freed before validate() builds its own.
+    e_i * e_j of the structure constants, taken with its terms in basis
+    order.  Each matrix is a list of sparse integer columns, so the build
+    holds only the nonzeros (_schubert_matrices).
     """
     if not 2 <= k <= n - 2:
         raise ValueError("need 2 <= k <= n - 2")
@@ -308,15 +304,8 @@ def grassmannian(k, n):
     pairing = [[{} for _ in range(dim)] for _ in range(dim)]
     for i, lam in enumerate(basis):
         pairing[i][index[complement(lam, k, n)]] = {0: Fraction(1)}
-    mats = _schubert_matrices(k, n, np.int64)
-    if mats is None:
-        mats = _schubert_matrices(k, n, object)
-    structure = {(i, j): {} for i in range(dim) for j in range(i, dim)}
-    for i in range(dim):
-        ws, js = np.nonzero(mats[i, :, i:])
-        for w, j, c in zip(ws.tolist(), (js + i).tolist(), mats[i, ws, js + i].tolist()):
-            structure[(i, j)][w] = c
-    del mats
+    structure = {(i, j): dict(sorted(cols[j].items()))
+                 for i, cols in enumerate(_schubert_matrices(k, n)) for j in range(i, dim)}
     ring = FrobeniusRing(
         name=f"Gr({k},{n})", labels=labels, degrees=degrees, tau=n,
         pairing=pairing, structure=structure, unit_index=0,

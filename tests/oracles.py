@@ -1,5 +1,6 @@
 """Test-only helpers: partition enumeration, an all-pairs associativity check,
-the Littlewood-Richardson build of the Grassmannian structure constants, the
+the Littlewood-Richardson build of the Grassmannian structure constants, a
+modular check of them against Schur values at the points of the ring, the
 span of handle powers stepped as Fraction ring elements, the Fraction
 reduced row echelon form, and the Fraction forms of the orbit walk and the
 eigenstructure.
@@ -18,7 +19,10 @@ share with the tests live in qhandle._oracles.
 """
 
 from fractions import Fraction
+from itertools import combinations
+from math import isqrt
 
+from qhandle._oracles import det_int
 from qhandle.linalg import rational_roots
 from qhandle.partitions import lr_expand, partitions_in_box
 from qhandle.rings import reduce_sigma_hat
@@ -91,6 +95,50 @@ def lr_structure(k, n):
                     row[index[mu]] = row.get(index[mu], 0) + sign * c
             structure[(i, j)] = {w: c for w, c in row.items() if c}
     return structure
+
+
+def schur_value_failure(ring, k, n):
+    """First pair (i, j), i <= j, at which the structure constants of a
+    Gr(k, n) ring disagree with the Schur values at the points of the ring,
+    or None.
+
+    At q = 1, QH*(Gr(k, n)) is semisimple (Siebert-Tian 1997; Rietsch,
+    Duke 2001): its points are the k-subsets J of the roots of
+    x^n = (-1)^(k-1), and sigma_lam takes the value s_lam(x_J) at J.  So
+    sum_w c^w_ij s_w(x_J) = s_i(x_J) s_j(x_J) for every pair and every J.
+
+    The check is modular.  It runs in F_p for the least prime p = 1 mod 2n
+    above 2^20, where the roots are odd or even powers of an element of
+    order 2n, and takes each s_lam(x_J) as the bialternant
+    det(x_j^(lam_i + k - i)) / det(x_j^(k - i)).  It asserts that the
+    matrix V[lam, J] of these values is invertible mod p, so agreement
+    fixes every c^w_ij mod p; an error by a multiple of p goes unseen.
+
+    It shares no code with the build: each partition is read off the
+    ring's labels, and nothing comes from qhandle.partitions or
+    qhandle.rings.
+    """
+    p = 2 ** 20 + 1
+    while p % (2 * n) != 1 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        p += 1
+    z = next(z for z in (pow(a, (p - 1) // (2 * n), p) for a in range(2, p))
+             if all(pow(z, d, p) != 1 for d in range(1, 2 * n)))
+    roots = [pow(z, m, p) for m in range(2 * n) if m % 2 == (k - 1) % 2]
+    parts = [() if label == "1" else tuple(int(x) for x in label[2:-1].split(","))
+             for label in ring.labels]
+    values = []  # values[J][w] = s_w(x_J) mod p
+    for xs in combinations(roots, k):
+        inv = pow(det_int([[pow(x, k - i - 1, p) for x in xs] for i in range(k)]), -1, p)
+        values.append([
+            det_int([[pow(x, lam[i] + k - i - 1, p) for x in xs] for i in range(k)])
+            * inv % p
+            for lam in (part + (0,) * (k - len(part)) for part in parts)])
+    assert det_int(values) % p, "the Schur values are singular mod p"
+    for (i, j), row in sorted(ring.structure.items()):
+        for vals in values:
+            if (sum(c * vals[w] for w, c in row.items()) - vals[i] * vals[j]) % p:
+                return i, j
+    return None
 
 
 class FractionEchelon:

@@ -294,14 +294,31 @@ def test_outputs_match_the_recorded_bytes(capsys, argv, code, digest):
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
-def test_module_entry_point():
+def _src_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "qhandle", "estimate", "2", "4"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["Est"] == 2
+
+
+def test_builds_and_runs_without_numpy():
+    # a fresh interpreter, so no other test's imports are counted
+    script = (
+        "import sys, qhandle.cli\n"
+        "qhandle.cli.build_ring('gr:3,6').validate()\n"
+        "code = qhandle.cli.run(['sinfty', 'gr:3,6', '--from', 'unit'])\n"
+        "assert code == 0 and 'numpy' not in sys.modules, code\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.skipif(shutil.which("qh") is None,

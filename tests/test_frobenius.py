@@ -202,8 +202,8 @@ def test_validate_rejects_missing_structure_constant():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: projective_space(2),  # int32 check
-    lambda: fano_ci((5,), 4),  # constants up to 5^20: Python-int check
+    lambda: projective_space(2),
+    lambda: fano_ci((5,), 4),  # constants up to 5^20
 ])
 def test_validate_rejects_non_associative(make):
     bad = make()
@@ -223,7 +223,7 @@ def test_validate_catches_a_gap_that_int64_would_wrap():
 
 
 def test_validate_catches_a_gap_that_int32_would_wrap():
-    # as above with a c - b = 2^32: the constants put the check on int64
+    # as above with a c - b = 2^32, which vanishes in int32 arithmetic
     bad = projective_space(2)
     a = c = 2 ** 16 + 1
     bad.structure.update({(1, 1): {2: a}, (1, 2): {0: 2 ** 17 + 1}, (2, 2): {1: c}})
@@ -244,7 +244,7 @@ def test_validate_rejects_frobenius_failure():
     lambda: quadric(5),
     lambda: grassmannian(2, 5),
     lambda: grassmannian(3, 6),
-    lambda: fano_ci((5,), 4),  # Python-int check
+    lambda: fano_ci((5,), 4),  # constants up to 5^20
 ], ids=["pn:3", "quadric:4", "quadric:5", "gr:2,5", "gr:3,6", "fci:5;r=4"])
 def test_generator_check_agrees_with_the_all_pairs_oracle(make):
     # a private copy: grassmannian rings are shared through functools.cache
@@ -284,6 +284,32 @@ def test_associativity_is_checked_for_every_generator():
     assert associativity_failure(ring.structure, ring.dim) is not None
     with pytest.raises(ValueError, match=r"associativity fails at pair \(2, 2\)"):
         ring._validate_associativity()
+
+
+def test_associativity_is_checked_in_both_orders_of_a_pair():
+    # (e2 e4) e3 = e3 e3 = q e3 but e2 (e4 e3) = 0; every check of
+    # (e_g e_b) e_j = e_g (e_b e_j) with b <= j holds, so only the order
+    # b > j exposes it
+    ring = FrobeniusRing(
+        name="late pair", labels=["1", "a", "b", "c", "d"], degrees=[0, 1, 2, 3, 4],
+        tau=3, pairing=[[{} for _ in range(5)] for _ in range(5)],
+        structure={**{(0, j): {j: 1} for j in range(5)},
+                   **{(i, j): {} for i in range(1, 5) for j in range(i, 5)},
+                   (2, 2): {4: 1}, (2, 4): {3: 1}, (3, 3): {3: 1}},
+        unit_index=0,
+    )
+    assert ring._generators() == [1, 2]
+    assert associativity_failure(ring.structure, ring.dim) is not None
+    with pytest.raises(ValueError, match=r"associativity fails at pair \(2, 4\)"):
+        ring._validate_associativity()
+
+
+@pytest.mark.parametrize("k, n, gens", [
+    (2, 4, [1, 2]), (2, 5, [1]), (2, 6, [1, 2]), (2, 7, [1]), (2, 8, [1, 2]),
+    (3, 6, [1, 2, 4]), (3, 7, [1]), (3, 8, [1, 2]), (3, 9, [1, 4]), (4, 8, [1, 2, 7]),
+])
+def test_generators_of_the_table_rings(k, n, gens):
+    assert grassmannian(k, n)._generators() == gens
 
 
 def test_validate_rejects_frobenius_failure_in_a_q_dependent_entry():

@@ -1,10 +1,10 @@
+import dataclasses
 from fractions import Fraction
 from math import comb, gcd
 
-import numpy as np
 import pytest
 
-from oracles import lr_structure
+from oracles import lr_structure, schur_value_failure
 
 from qhandle import rings
 from qhandle._oracles import poly_from_roots
@@ -211,6 +211,19 @@ def test_grassmannian_matches_the_lr_build(k, n):
     assert grassmannian(k, n).structure == lr_structure(k, n)
 
 
+@pytest.mark.parametrize("k, n", [(2, 5), (2, 6), (3, 6), (3, 7), (2, 8), (3, 8)])
+def test_grassmannian_matches_the_schur_values(k, n):
+    assert schur_value_failure(grassmannian(k, n), k, n) is None
+
+
+def test_schur_values_catch_a_changed_constant():
+    ring = grassmannian(3, 7)
+    row = ring.structure[(1, 1)]  # s[1] s[1] = s[2] + s[1,1]
+    w = min(row)
+    mutant = dataclasses.replace(ring, structure={**ring.structure, (1, 1): {**row, w: row[w] + 1}})
+    assert schur_value_failure(mutant, 3, 7) == (1, 1)
+
+
 def _conjugate(lam):
     return tuple(sum(1 for part in lam if part > i) for i in range(lam[0] if lam else 0))
 
@@ -227,19 +240,6 @@ def test_grassmannian_duality(k, n):
     handle = {(perm[w], e): c for (w, e), c in ring.handle_element().coeffs.items()}
     assert dual.handle_element().coeffs == handle
     assert dual.f_span_dim() == ring.f_span_dim()
-
-
-@pytest.mark.parametrize("k, n", [(3, 8), (4, 8)])
-def test_schubert_matrices_python_ints_match_int64(k, n):
-    wide = rings._schubert_matrices(k, n, object)
-    assert {type(c) for c in wide.flat} == {int}
-    assert np.array_equal(wide, rings._schubert_matrices(k, n, np.int64))
-
-
-def test_grassmannian_falls_back_to_python_ints(monkeypatch):
-    monkeypatch.setattr(rings, "_INT64_BOUND", 2)
-    assert rings._schubert_matrices(3, 6, np.int64) is None
-    assert grassmannian.__wrapped__(3, 6).structure == grassmannian(3, 6).structure
 
 
 def test_grassmannian_handle_frozen():
