@@ -10,37 +10,32 @@ library, and a test keeps it that way.
 
 from fractions import Fraction
 from functools import cache
+from itertools import product
 
 
 @cache
 def ssyt_weights(shape, nvars):
     """Multiset of content vectors of semistandard tableaux of the given
-    shape with entries in 1..nvars, as {weight tuple: count}."""
+    shape with entries in 1..nvars, as {weight tuple: count}.
+
+    By the branching rule (Macdonald I.(5.11)): the entries equal to nvars
+    form a horizontal strip lam/mu, so s_lam(x_1..x_n) is the sum over the
+    partitions mu with lam_(i+1) <= mu_i <= lam_i and at most n - 1 parts of
+    s_mu(x_1..x_(n-1)) x_n^|lam/mu|.
+    """
     shape = tuple(shape)
+    if len(shape) > nvars:
+        return {}
     if not shape:
         return {(0,) * nvars: 1}
-    rows = len(shape)
+    total = sum(shape)
     out = {}
-
-    def fill(r, c, done, cur):
-        if r == rows:
-            weight = [0] * nvars
-            for row in done:
-                for x in row:
-                    weight[x - 1] += 1
-            key = tuple(weight)
-            out[key] = out.get(key, 0) + 1
-            return
-        if c == shape[r]:
-            fill(r + 1, 0, done + (tuple(cur),), [])
-            return
-        lo = cur[c - 1] if c else 1
-        if r:
-            lo = max(lo, done[r - 1][c] + 1)
-        for x in range(lo, nvars + 1):
-            fill(r, c + 1, done, cur + [x])
-
-    fill(0, 0, (), [])
+    for mu in product(*(range(lo, hi + 1) for lo, hi in zip(shape[1:] + (0,), shape))):
+        inner = tuple(x for x in mu if x)
+        strip = total - sum(inner)
+        for weight, count in ssyt_weights(inner, nvars - 1).items():
+            key = weight + (strip,)
+            out[key] = out.get(key, 0) + count
     return out
 
 

@@ -19,8 +19,8 @@ from ._oracles import poly_from_roots, schur_product_expansion, schur_value
 from .complexity import (ProjState, chordal, exact_complexity,
                          limit_points_real, s_infinity, trajectory)
 from .linalg import (char_poly, frmat, frvec, int_scale, is_positive_definite,
-                     is_zero_matrix, krylov_rank, mat_inverse, mat_mul,
-                     mat_vec, poly_deriv, poly_gcd, sym_float_eigs, zeros)
+                     krylov_rank, mat_inverse, mat_mul, mat_vec, poly_deriv,
+                     poly_gcd, sym_float_eigs)
 
 STANDARD_GRASSMANNIANS = [(2, 4), (2, 5), (2, 6), (2, 7), (2, 8),
                           (3, 6), (3, 7), (3, 8)]
@@ -219,36 +219,51 @@ def criterion_6():
     return c
 
 
+#: criterion 7's diagonal entries, up to sign; twice each is an integer
+_LIMIT_MENU = (Fraction(5), Fraction(4), Fraction(3), Fraction(2),
+              Fraction(1), Fraction(1, 2))
+#: criterion 7's witness is the state of M^_WITNESS_STEPS z
+_WITNESS_STEPS = 200
+
+
+def _limit_trial(rng, dim):
+    """Draw one trial of criterion 7: (diag, p, m, z, far).
+
+    M = P J P^-1 for J = diag(diag) and a random invertible integer P, z a
+    nonzero integer vector, and far the class of M^_WITNESS_STEPS z.  All of
+    it is built on integers: with (Q, d) = int_scale(P^-1), 2J is integral
+    and M = P (2J) Q / (2d), made Fractions once.  P (2J)^s Q z is
+    (2^s d) M^s z, a positive multiple, so it is the same projective class.
+    """
+    diag = [rng.choice(_LIMIT_MENU) * rng.choice([1, -1]) for _ in range(dim)]
+    while True:
+        p = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(dim)]
+        p_inv = mat_inverse(p)
+        if p_inv is not None:
+            break
+    q, d = int_scale(p_inv)
+    two_j = [int(2 * x) for x in diag]
+    pj = [[x * t for x, t in zip(row, two_j)] for row in p]
+    m = [[Fraction(x, 2 * d) for x in row] for row in mat_mul(pj, q)]
+    z = [rng.randint(-4, 4) for _ in range(dim)]
+    if not any(z):
+        z[0] = 1
+    qz = mat_vec(q, z)
+    far = ProjState(mat_vec(p, [t ** _WITNESS_STEPS * x for t, x in zip(two_j, qz)]))
+    return diag, p, m, z, far
+
+
 def criterion_7():
     c = _Checker("limit points of random diagonalizable iterations")
     rng = random.Random(90125)
-    menu = [Fraction(5), Fraction(4), Fraction(3), Fraction(2),
-            Fraction(1), Fraction(1, 2)]
     dim, trials = 6, 100
     bad_counts = bad_witness = 0
     for _ in range(trials):
-        diag = [rng.choice(menu) * rng.choice([1, -1]) for _ in range(dim)]
-        jmat = [[diag[i] if i == j else Fraction(0) for j in range(dim)]
-                for i in range(dim)]
-        while True:
-            p = [[Fraction(rng.randint(-3, 3)) for _ in range(dim)]
-                 for _ in range(dim)]
-            p_inv = mat_inverse(p)
-            if p_inv is not None:
-                break
-        m = mat_mul(mat_mul(p, jmat), p_inv)
-        z = [Fraction(rng.randint(-4, 4)) for _ in range(dim)]
-        if all(x == 0 for x in z):
-            z[0] = Fraction(1)
+        _, _, m, z, far = _limit_trial(rng, dim)
         rep = limit_points_real(m, z)
         if rep.finite_orbit or not 1 <= len(rep.points) <= 2:
             bad_counts += 1
             continue
-        m_int, _ = int_scale(m)
-        far = [x.numerator for x in z]
-        for _ in range(200):
-            far = mat_vec(m_int, far)
-        far = ProjState(far)
         if min(chordal(far, pt) for pt in rep.points) > 1e-6:
             bad_witness += 1
     c.check(bad_counts == 0,
@@ -339,13 +354,13 @@ def criterion_8():
     rng = random.Random(2001)
     ch_ok = True
     for dim in range(1, 13):
-        m = [[Fraction(rng.randint(-5, 5)) for _ in range(dim)] for _ in range(dim)]
-        acc = zeros(dim, dim)
-        for coef in char_poly(m):
+        m = [[rng.randint(-5, 5) for _ in range(dim)] for _ in range(dim)]
+        acc = [[0] * dim for _ in range(dim)]
+        for coef in char_poly(m):  # monic with integer coefficients
             acc = mat_mul(acc, m)
             for i in range(dim):
-                acc[i][i] += coef
-        ch_ok = ch_ok and is_zero_matrix(acc)
+                acc[i][i] += int(coef)
+        ch_ok = ch_ok and not any(x for row in acc for x in row)
     c.check(ch_ok, "random matrices up to 12x12 satisfy their characteristic polynomial")
     return c
 

@@ -28,14 +28,6 @@ def frvec(entries):
     return [Fraction(x) for x in entries]
 
 
-def identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def zeros(r, c):
-    return [[Fraction(0)] * c for _ in range(r)]
-
-
 def mat_mul(a, b):
     """Product of two matrices; integer matrices give an integer product."""
     n, m, p = len(a), len(b), len(b[0])
@@ -59,23 +51,6 @@ def mat_vec(a, v):
     """a v; an integer matrix and vector give an integer vector."""
     support = [(j, x) for j, x in enumerate(v) if x]
     return [sum(row[j] * x for j, x in support) for row in a]
-
-
-def mat_pow(a, k):
-    n = len(a)
-    out = identity(n)
-    base = [row[:] for row in a]
-    while k:
-        if k & 1:
-            out = mat_mul(out, base)
-        k >>= 1
-        if k:
-            base = mat_mul(base, base)
-    return out
-
-
-def is_zero_matrix(a):
-    return all(not x for row in a for x in row)
 
 
 _ZERO = Fraction(0)

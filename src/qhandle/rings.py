@@ -576,7 +576,7 @@ def fci_report(ring):
     together with its structural checks.
     """
     from . import complexity
-    from .linalg import is_zero_matrix, mat_pow
+    from .linalg import int_scale, mat_mul
 
     meta = ring.meta
     r, tau, chi, kappa = meta["r"], meta["tau"], meta["chi"], meta["kappa"]
@@ -621,5 +621,11 @@ def fci_report(ring):
             a[j][j + 1] == xi for j in range(1, r))
         shifted = [[x - beta * (i == j) for j, x in enumerate(row)]
                    for i, row in enumerate(a)]
-        report["jordan_depth_ok"] = not is_zero_matrix(mat_pow(shifted, r - 1))
+        # (A - beta I)^(r-1) on the matrix scaled to integers: a positive
+        # scale keeps every zero test
+        ints, _ = int_scale(shifted)
+        power = ints
+        for _ in range(r - 2):
+            power = mat_mul(power, ints)
+        report["jordan_depth_ok"] = r < 2 or any(x for row in power for x in row)
     return report

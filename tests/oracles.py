@@ -1,9 +1,10 @@
-"""Test-only helpers: partition enumeration, an all-pairs associativity check,
-the Littlewood-Richardson build of the Grassmannian structure constants, a
-modular check of them against Schur values at the points of the ring, the
-span of handle powers stepped as Fraction ring elements, the Fraction
-reduced row echelon form, and the Fraction forms of the orbit walk and the
-eigenstructure.
+"""Test-only helpers: partition enumeration, semistandard tableaux filled in
+one at a time, an all-pairs associativity check, the Littlewood-Richardson
+build of the Grassmannian structure constants, modular checks of them and of
+the handle against Schur values at the points of the ring, the span of
+handle powers stepped as Fraction ring elements, the generator search over
+Q, the Fraction reduced row echelon form, and the Fraction forms of the
+orbit walk and the eigenstructure.
 
 The Fraction oracles are the exact algorithms as first written, on rational
 arithmetic throughout: an incremental reduced row echelon form
@@ -19,6 +20,7 @@ share with the tests live in qhandle._oracles.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import isqrt
 
@@ -42,6 +44,39 @@ def partitions_up_to(w, max_len=None):
 
     for total in range(1, w + 1):
         rec(total, total, [])
+    return out
+
+
+def tableau_weights(shape, nvars):
+    """{weight tuple: count} over the semistandard tableaux of the given shape
+    with entries in 1..nvars, each tableau filled in one at a time: the
+    reference for qhandle._oracles.ssyt_weights, which sums by the branching
+    rule."""
+    shape = tuple(shape)
+    if not shape:
+        return {(0,) * nvars: 1}
+    rows = len(shape)
+    out = {}
+
+    def fill(r, c, done, cur):
+        if r == rows:
+            weight = [0] * nvars
+            for row in done:
+                for x in row:
+                    weight[x - 1] += 1
+            key = tuple(weight)
+            out[key] = out.get(key, 0) + 1
+            return
+        if c == shape[r]:
+            fill(r + 1, 0, done + (tuple(cur),), [])
+            return
+        lo = cur[c - 1] if c else 1
+        if r:
+            lo = max(lo, done[r - 1][c] + 1)
+        for x in range(lo, nvars + 1):
+            fill(r, c + 1, done, cur + [x])
+
+    fill(0, 0, (), [])
     return out
 
 
@@ -97,6 +132,30 @@ def lr_structure(k, n):
     return structure
 
 
+@cache
+def _schur_points(labels, k, n):
+    """(p, parts, values) for the Schur-value checks of a Gr(k, n) ring with
+    these labels: the prime p, the partition of each label, and values[J][w]
+    = s_w(x_J) mod p for each point J (see schur_value_failure)."""
+    p = 2 ** 20 + 1
+    while p % (2 * n) != 1 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        p += 1
+    z = next(z for z in (pow(a, (p - 1) // (2 * n), p) for a in range(2, p))
+             if all(pow(z, d, p) != 1 for d in range(1, 2 * n)))
+    roots = [pow(z, m, p) for m in range(2 * n) if m % 2 == (k - 1) % 2]
+    parts = [() if label == "1" else tuple(int(x) for x in label[2:-1].split(","))
+             for label in labels]
+    values = []  # values[J][w] = s_w(x_J) mod p
+    for xs in combinations(roots, k):
+        inv = pow(det_int([[pow(x, k - i - 1, p) for x in xs] for i in range(k)]), -1, p)
+        values.append([
+            det_int([[pow(x, lam[i] + k - i - 1, p) for x in xs] for i in range(k)])
+            * inv % p
+            for lam in (part + (0,) * (k - len(part)) for part in parts)])
+    assert det_int(values) % p, "the Schur values are singular mod p"
+    return p, parts, values
+
+
 def schur_value_failure(ring, k, n):
     """First pair (i, j), i <= j, at which the structure constants of a
     Gr(k, n) ring disagree with the Schur values at the points of the ring,
@@ -118,26 +177,39 @@ def schur_value_failure(ring, k, n):
     ring's labels, and nothing comes from qhandle.partitions or
     qhandle.rings.
     """
-    p = 2 ** 20 + 1
-    while p % (2 * n) != 1 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
-        p += 1
-    z = next(z for z in (pow(a, (p - 1) // (2 * n), p) for a in range(2, p))
-             if all(pow(z, d, p) != 1 for d in range(1, 2 * n)))
-    roots = [pow(z, m, p) for m in range(2 * n) if m % 2 == (k - 1) % 2]
-    parts = [() if label == "1" else tuple(int(x) for x in label[2:-1].split(","))
-             for label in ring.labels]
-    values = []  # values[J][w] = s_w(x_J) mod p
-    for xs in combinations(roots, k):
-        inv = pow(det_int([[pow(x, k - i - 1, p) for x in xs] for i in range(k)]), -1, p)
-        values.append([
-            det_int([[pow(x, lam[i] + k - i - 1, p) for x in xs] for i in range(k)])
-            * inv % p
-            for lam in (part + (0,) * (k - len(part)) for part in parts)])
-    assert det_int(values) % p, "the Schur values are singular mod p"
+    p, _, values = _schur_points(tuple(ring.labels), k, n)
     for (i, j), row in sorted(ring.structure.items()):
         for vals in values:
             if (sum(c * vals[w] for w, c in row.items()) - vals[i] * vals[j]) % p:
                 return i, j
+    return None
+
+
+def handle_value_failure(ring, k, n):
+    """Index of the first point J, in the order of schur_value_failure's
+    points, at which the q = 1 handle element of a Gr(k, n) ring takes the
+    wrong value, or None.
+
+    At q = 1 the pairing is <sigma_lam, sigma_mu> = delta(mu, lam^vee), with
+    lam^vee the complement of lam in the k x (n - k) box, so the handle is
+    sum_lam sigma_lam sigma_(lam^vee) and its value at J is
+    sum_lam s_lam(x_J) s_(lam^vee)(x_J).  The check runs mod p on the
+    Schur values of schur_value_failure; V is invertible mod p, so agreement
+    at every J fixes each q = 1 coefficient of the handle mod p.
+    """
+    p, parts, values = _schur_points(tuple(ring.labels), k, n)
+    index = {part: w for w, part in enumerate(parts)}
+    dual = []
+    for part in parts:
+        padded = part + (0,) * (k - len(part))
+        dual.append(index[tuple(x for x in (n - k - y for y in reversed(padded)) if x)])
+    coeffs = [c.numerator * pow(c.denominator, -1, p)
+              for c in ring.element_vector(ring.handle_element())]
+    for at, vals in enumerate(values):
+        got = sum(c * v for c, v in zip(coeffs, vals))
+        want = sum(v * vals[dual[w]] for w, v in enumerate(vals))
+        if (got - want) % p:
+            return at
     return None
 
 
@@ -205,6 +277,46 @@ class FractionEchelon:
                 v[piv] = -row[fc]
             basis.append(v)
         return basis
+
+
+def identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def zeros(r, c):
+    return [[Fraction(0)] * c for _ in range(r)]
+
+
+def fraction_generators(ring):
+    """FrobeniusRing._generators as a greedy search over Q.
+
+    In degree order, e_a becomes a generator when it is not in the span of
+    the words in the earlier generators applied to the unit; that span is
+    then closed under every generator.  Each word is an Element stepped by
+    ring.product, and its q = 1 vector goes into a FractionEchelon.
+    """
+    ech = FractionEchelon()
+    words, gens = [], []
+
+    def grow(x):
+        if not ech.add(ring.element_vector(x)):
+            return False
+        words.append(x)
+        return True
+
+    grow(ring.unit())
+    for a in sorted(range(ring.dim), key=lambda a: ring.degrees[a]):
+        if ech.rank == ring.dim:
+            break
+        if not grow(ring.basis_element(a)):
+            continue
+        gens.append(a)
+        todo = [(g, x) for g in gens for x in words]
+        while todo:
+            g, x = todo.pop()
+            if grow(ring.product(ring.basis_element(g), x)):
+                todo.extend((h, words[-1]) for h in gens)
+    return gens
 
 
 def fraction_solve(a, b):

@@ -6,12 +6,18 @@ that broke.
 """
 
 import ast
+import random
 import sys
+from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
 
+from oracles import fraction_inverse, fraction_mat_mul, partitions_up_to, tableau_weights
 from qhandle import _oracles, acceptance
+from qhandle.complexity import ProjState
+from qhandle.linalg import int_scale, mat_vec
 from qhandle.partitions import est_bound
 
 
@@ -52,6 +58,91 @@ def test_criterion_7_random_limit_certification():
 
 def test_criterion_8_oracle_cross_checks():
     _assert_criterion(acceptance.criterion_8())
+
+
+def test_criterion_7_trials_match_the_fraction_construction():
+    # replays the draws of criterion 7 as first written, on Fractions, and
+    # checks that the integer build gives the same matrix and witness class
+    menu = [Fraction(5), Fraction(4), Fraction(3), Fraction(2),
+            Fraction(1), Fraction(1, 2)]
+    dim = 6
+    replay, rng = random.Random(90125), random.Random(90125)
+    for _ in range(100):
+        diag = [replay.choice(menu) * replay.choice([1, -1]) for _ in range(dim)]
+        jmat = [[diag[i] if i == j else Fraction(0) for j in range(dim)]
+                for i in range(dim)]
+        while True:
+            p = [[Fraction(replay.randint(-3, 3)) for _ in range(dim)]
+                 for _ in range(dim)]
+            p_inv = fraction_inverse(p)
+            if p_inv is not None:
+                break
+        z = [Fraction(replay.randint(-4, 4)) for _ in range(dim)]
+        if all(x == 0 for x in z):
+            z[0] = Fraction(1)
+        got_diag, got_p, m, got_z, far = acceptance._limit_trial(rng, dim)
+        assert (got_diag, got_p, got_z) == (diag, p, z)
+        assert m == fraction_mat_mul(fraction_mat_mul(p, jmat), p_inv)
+        m_int, _ = int_scale(m)
+        walk = [x.numerator for x in z]
+        for _ in range(200):
+            walk = mat_vec(m_int, walk)
+        assert ProjState(walk) == far
+    assert replay.random() == rng.random()
+
+
+def test_criterion_7_counts_a_wrong_witness(monkeypatch):
+    # a walk of 20 steps, and the class of P (2J)^200 z with the conjugation
+    # by P^-1 left out; M^199 z would not do, as its class also lies within
+    # 1e-6 of a reported limit point (the other one when there are two)
+    trial = acceptance._limit_trial
+
+    def unconjugated(rng, dim):
+        diag, p, m, z, _ = trial(rng, dim)
+        far = ProjState(mat_vec(p, [int(2 * d) ** 200 * x for d, x in zip(diag, z)]))
+        return diag, p, m, z, far
+
+    for steps, draw in ((20, trial), (200, unconjugated)):
+        monkeypatch.setattr(acceptance, "_WITNESS_STEPS", steps)
+        monkeypatch.setattr(acceptance, "_limit_trial", draw)
+        assert acceptance.criterion_7().details == [
+            "ok: 100 random 6x6 conjugated diagonal matrices all have 1 or 2 limit points",
+            "FAIL: the step-200 state is within 1e-6 of a reported limit point "
+            "in every trial"], steps
+
+
+def _hook_content_count(shape, nvars):
+    """Number of semistandard tableaux: prod over boxes of (n + c) / h."""
+    cols = [sum(1 for part in shape if part > j) for j in range(shape[0] if shape else 0)]
+    num = prod(nvars + j - i for i, part in enumerate(shape) for j in range(part))
+    den = prod(part - j + cols[j] - i - 1 for i, part in enumerate(shape) for j in range(part))
+    assert num % den == 0
+    return num // den
+
+
+def test_ssyt_weights_match_the_tableau_enumeration(monkeypatch):
+    # every (shape, nvars) that criterion 8 reaches (the monomial test in
+    # test_partitions.py runs the same pairs), recorded through the module
+    # name that the recursion also calls, from an empty cache
+    reached = set()
+    branching = _oracles.ssyt_weights
+    branching.cache_clear()
+
+    def record(shape, nvars):
+        reached.add((tuple(shape), nvars))
+        return branching(shape, nvars)
+
+    monkeypatch.setattr(_oracles, "ssyt_weights", record)
+    shapes = partitions_up_to(6)
+    for i, lam in enumerate(shapes):
+        for mu in shapes[i:]:
+            if sum(lam) + sum(mu) <= 8:
+                _oracles.schur_product_expansion(lam, mu, len(lam) + len(mu))
+    assert len(reached) > 100
+    for shape, nvars in sorted(reached):
+        got = branching(shape, nvars)
+        assert got == tableau_weights(shape, nvars), (shape, nvars)
+        assert sum(got.values()) == _hook_content_count(shape, nvars), (shape, nvars)
 
 
 @pytest.mark.xfail(strict=True,

@@ -285,6 +285,11 @@ GOLDEN = [
     (["sinfty", "fci:5;r=4"], 0, "9d89003808dbdd6ee8103a8527780a428792b2305b91aea30dd7977f20f97df9"),
     (["sinfty", "pn:4"], 0, "ae88ddbc99ed6cc6b2ffb2dbf5bb1e8ac0f4bfc20833bb69787b3ff4f87b902c"),
     (["delta", "gr:3,7"], 0, "e6662cdcb2b9810de93168dfc20f02205ad8edcc3ea8d72e1f2b3797237fed70"),
+    # recorded before criteria 7 and 8 moved from Fraction matrix products to
+    # integer kernels and the Schur oracle to the branching rule
+    (["verify"], 0, "5a37ee076cfb4d0534706f381513289a9341ff0e78959565210aedb7bb69b9e0"),
+    (["verify", "--format", "text"], 0,
+     "1f8b9fa133eccd067edb7a0b692e08c302f30ee1f114d9a331bdc94adac71c0e"),
 ]
 
 

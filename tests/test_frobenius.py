@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import associativity_failure, element_span_dim
+from oracles import associativity_failure, element_span_dim, fraction_generators
 from qhandle.acceptance import EST_TABLE, FCI_INSTANCES
 from qhandle.frobenius import _GENERATOR_PRIME, Element, FrobeniusRing, qp_add, qp_eval
 from qhandle.rings import fano_ci, grassmannian, projective_space, quadric
@@ -310,6 +310,21 @@ def test_associativity_is_checked_in_both_orders_of_a_pair():
 ])
 def test_generators_of_the_table_rings(k, n, gens):
     assert grassmannian(k, n)._generators() == gens
+
+
+GENERATOR_RINGS = [(f"gr:{k},{n}", grassmannian, (k, n)) for k, n, dim, _ in EST_TABLE
+                   if dim <= 56] + [("pn:4", projective_space, (4,)),
+                                    ("quadric:5", quadric, (5,)),
+                                    ("fci:5;r=4", fano_ci, ((5,), 4))]
+
+
+@pytest.mark.parametrize("build, args", [spec[1:] for spec in GENERATOR_RINGS],
+                         ids=[spec[0] for spec in GENERATOR_RINGS])
+def test_generators_match_the_greedy_search_over_q(build, args):
+    # the span mod p must be closed under true products: a closure that
+    # drops or bends a word changes which basis elements become generators
+    ring = build(*args)
+    assert ring._generators() == fraction_generators(ring)
 
 
 def test_validate_rejects_frobenius_failure_in_a_q_dependent_entry():

@@ -4,7 +4,7 @@ from math import comb, gcd
 
 import pytest
 
-from oracles import lr_structure, schur_value_failure
+from oracles import handle_value_failure, lr_structure, schur_value_failure
 
 from qhandle import rings
 from qhandle._oracles import poly_from_roots
@@ -213,7 +213,9 @@ def test_grassmannian_matches_the_lr_build(k, n):
 
 @pytest.mark.parametrize("k, n", [(2, 5), (2, 6), (3, 6), (3, 7), (2, 8), (3, 8)])
 def test_grassmannian_matches_the_schur_values(k, n):
-    assert schur_value_failure(grassmannian(k, n), k, n) is None
+    ring = grassmannian(k, n)
+    assert schur_value_failure(ring, k, n) is None
+    assert handle_value_failure(ring, k, n) is None
 
 
 def test_schur_values_catch_a_changed_constant():
@@ -222,6 +224,15 @@ def test_schur_values_catch_a_changed_constant():
     w = min(row)
     mutant = dataclasses.replace(ring, structure={**ring.structure, (1, 1): {**row, w: row[w] + 1}})
     assert schur_value_failure(mutant, 3, 7) == (1, 1)
+
+
+def test_schur_values_catch_a_changed_handle():
+    ring = grassmannian(3, 7)
+    handle = ring.handle_element()
+    w, e = min(handle.coeffs)
+    mutant = dataclasses.replace(
+        ring, delta_override=handle + ring.element({(w, e): 1}), _cache={})
+    assert handle_value_failure(mutant, 3, 7) is not None
 
 
 def _conjugate(lam):
