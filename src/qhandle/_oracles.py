@@ -51,7 +51,8 @@ def poly_mul(a, b):
 
 def schur_product_expansion(lam, mu, nvars):
     """Coefficients of the product s_lam * s_mu as a Schur combination,
-    recovered by repeatedly stripping the lexicographically largest weight."""
+    recovered by repeatedly stripping the lexicographically largest weight;
+    a strip that leaves that weight (inconsistent weights) raises."""
     prod = poly_mul(ssyt_weights(tuple(lam), nvars), ssyt_weights(tuple(mu), nvars))
     coeffs = {}
     while prod:
@@ -66,6 +67,7 @@ def schur_product_expansion(lam, mu, nvars):
                 prod[e] = v
             else:
                 prod.pop(e, None)
+        assert top not in prod, (lam, mu, top)
     return coeffs
 
 

@@ -127,8 +127,8 @@ def cmd_ring(args):
         "labels": list(ring.labels), "degrees": list(ring.degrees),
         "unit": ring.labels[ring.unit_index],
         "point": None if ring.point_index is None else ring.labels[ring.point_index],
-        "pairing": [[laurent_json(ring.pairing[i][j]) for j in range(ring.dim)]
-                    for i in range(ring.dim)],
+        "pairing": [[laurent_json(row.get(j, {})) for j in range(ring.dim)]
+                    for row in ring.pairing],
     }
 
 

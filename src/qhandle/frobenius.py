@@ -1,7 +1,7 @@
 """Graded Frobenius algebras over Laurent polynomials in the quantum parameter q.
 
 A FrobeniusRing stores an ordered basis with integer (complex) degrees, the
-q-degree tau, a pairing matrix with Laurent-polynomial entries, and the full
+q-degree tau, the pairing as sparse rows of Laurent polynomials, and the full
 table of structure constants e_i * e_j as sparse rows of integers. The
 q-power of each term is not stored: the grading fixes it as
 (deg e_i + deg e_j - deg e_w) / tau. On top of that it provides the handle
@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .complexity import primitive_powers
-from .linalg import Echelon, mat_inverse, mat_rank
+from .linalg import Echelon
 
 #: The prime of the generator search (_generators): 2^25 - 39.
 _GENERATOR_PRIME = 33554393
@@ -106,16 +106,17 @@ class FrobeniusRing:
 
     structure[(i, j)], for i <= j, is the row {w: c} of e_i * e_j: each c is
     a nonzero int and stands for the term c q^d e_w, where
-    d = (deg e_i + deg e_j - deg e_w) / tau. Rows stay sparse, and
-    validate() works on them directly: a dense n x n x n table would cost
-    n^3 words per ring.
+    d = (deg e_i + deg e_j - deg e_w) / tau. pairing[i] is the row
+    {j: <e_i, e_j>} of the nonzero pairings, each a Laurent scalar. Rows stay
+    sparse, and validate() works on them directly: a dense n x n x n table
+    would cost n^3 words per ring.
     """
 
     name: str
     labels: list
     degrees: list
     tau: int
-    pairing: list  # n x n Laurent scalars
+    pairing: list  # row i: {j: nonzero Laurent scalar <e_i, e_j>}
     structure: dict  # (i, j) with i <= j -> {w: nonzero int}
     unit_index: int
     point_index: int | None = None
@@ -187,42 +188,47 @@ class FrobeniusRing:
             acc = self.product(acc, x)
         return acc
 
-    def constant_pairing(self):
-        """The pairing as a Fraction matrix; error if any entry involves q."""
-        g = []
-        for row in self.pairing:
-            out = []
-            for entry in row:
-                if any(e != 0 for e in entry):
-                    raise ValueError("pairing has q-dependent entries")
-                out.append(entry.get(0, Fraction(0)))
-            g.append(out)
-        return g
+    def _pairing_rows(self, at, last=None):
+        """The pairing at q = at as dense int rows, row i followed by last[i]
+        if given, each row scaled by the lcm of its denominators, which keeps
+        the rank and every solution."""
+        rows = []
+        for i, row in enumerate(self.pairing):
+            vals = {j: qp_eval(e, at) for j, e in row.items()}
+            den = lcm(*(v.denominator for v in vals.values()))
+            dense = [0] * self.dim + ([den * last[i]] if last else [])
+            for j, v in vals.items():
+                dense[j] = v.numerator * (den // v.denominator)
+            rows.append(dense)
+        return rows
 
     def handle_element(self) -> Element:
-        """Handle element: sum over i, j of g^{ij} e_i * e_j.
+        """Handle element Delta = sum over i, j of g^{ij} e_i * e_j, by traces.
 
-        g^{ij} is the inverse of the constant pairing, computed once; a
-        singular pairing raises ValueError. When a delta override is
-        installed (rings whose modeled part cannot see the full pairing), it
-        is returned instead.
+        g_ij = <e_i, e_j>; the Frobenius condition gives sum g^{ij} <e_i e_j,
+        e_x> = sum g^{ij} <e_i, e_j e_x> = sum_{i,j,k} g^{ji} g_ik c^k_jx =
+        sum_i [e_i](e_x e_i) = tr(L_x).  So at q = 1 Delta solves G Delta = t,
+        t_x = tr(L_x): the kernel vector of [G | -t] that is 1 in its last
+        column.  validate makes G graded of degree top = max deg, so Delta is
+        homogeneous of degree top and its term on e_w carries
+        q^((top - deg e_w) / tau).  A singular or q-dependent pairing raises
+        ValueError; an installed delta override (rings whose modeled part
+        cannot see the full pairing) is returned instead.
         """
         if self.delta_override is not None:
             return self.delta_override
         if "handle" in self._cache:
             return self._cache["handle"]
-        ginv = mat_inverse(self.constant_pairing())
-        if ginv is None:
+        if any(e for row in self.pairing for entry in row.values() for e in entry):
+            raise ValueError("pairing has q-dependent entries")
+        n, top = self.dim, self.top_degree()
+        trace = [sum(self._row(x, j).get(j, 0) for j in range(n)) for x in range(n)]
+        ech = Echelon.of(self._pairing_rows(1, [-t for t in trace]))
+        if ech.rank < n or any(c == n for c, _ in ech.rows):
             raise ValueError("pairing matrix is singular")
-        coeffs = {}
-        for i, ginv_row in enumerate(ginv):
-            for j, gij in enumerate(ginv_row):
-                if not gij:
-                    continue
-                for w, c in self._row(i, j).items():
-                    key = (w, self._q_power(i, j, w))
-                    coeffs[key] = coeffs.get(key, 0) + gij * c
-        delta = Element(coeffs)
+        delta = Element({(w, (top - self.degrees[w]) // self.tau): c
+                         for w, c in enumerate(ech.kernel_vector(n, n)) if c})
+        assert all((top - self.degrees[w]) % self.tau == 0 for w in delta.support())
         self._cache["handle"] = delta
         return delta
 
@@ -334,13 +340,15 @@ class FrobeniusRing:
     # -- construction-time validation ------------------------------------
 
     def validate(self):
-        """Check pairing symmetry/invertibility, grading, unit, associativity,
-        and the Frobenius condition; failures name the offending pair.
+        """Check pairing symmetry/grading/invertibility, grading, unit,
+        associativity and the Frobenius condition; errors name the failing pair.
 
-        The grading check requires every structure constant to be a nonzero
-        int whose degree gap deg e_i + deg e_j - deg e_w is a nonnegative
-        multiple of tau, so every q-power read off the grading is a
-        nonnegative integer. Commutativity is built into the storage. The
+        Every term q^s of <e_i, e_j> must have deg e_i + deg e_j = top + s tau,
+        top the largest degree, so the pairing and its inverse are graded of
+        degree top (handle_element needs it). Every structure constant must
+        be a nonzero int whose degree gap deg e_i + deg e_j - deg e_w is a
+        nonnegative multiple of tau, so every q-power read off the grading is
+        a nonnegative integer. Commutativity is built into the storage. The
         last two checks are reductions, proved in full in their docstrings:
 
         - associativity is tested only as L_g L_b = L_gb for g in a set of
@@ -355,17 +363,19 @@ class FrobeniusRing:
         n = self.dim
         if not (len(self.degrees) == n and len(self.pairing) == n):
             raise ValueError("inconsistent basis sizes")
-        for i in range(n):
-            for j in range(i, n):
-                if (i, j) not in self.structure:
-                    raise ValueError(f"missing structure constant ({i}, {j})")
-                if self.pairing[i][j] != self.pairing[j][i]:
-                    raise ValueError(f"pairing not symmetric at ({i}, {j})")
-        for at in (1, 2, 3):
-            g = [[qp_eval(e, at) for e in row] for row in self.pairing]
-            if mat_rank(g) == n:
-                break
-        else:
+        for key in ((i, j) for i in range(n) for j in range(i, n)):
+            if key not in self.structure:
+                raise ValueError(f"missing structure constant {key}")
+        pairs = [(i, j, entry) for i, row in enumerate(self.pairing) for j, entry in row.items()]
+        bad = [(min(i, j), max(i, j)) for i, j, entry in pairs
+               if not 0 <= j < n or self.pairing[j].get(i, {}) != entry]
+        if bad:
+            raise ValueError("pairing not symmetric at ({}, {})".format(*min(bad)))
+        top = self.top_degree()
+        for i, j, s in ((i, j, s) for i, j, entry in pairs for s, v in entry.items() if v):
+            if self.degrees[i] + self.degrees[j] != top + s * self.tau:
+                raise ValueError(f"pairing grading fails at ({i}, {j}) term q^{s}")
+        if not any(Echelon.of(self._pairing_rows(at)).rank == n for at in (1, 2, 3)):
             raise ValueError("pairing not certified invertible at q = 1, 2, 3")
         for (i, j), row in self.structure.items():
             for w, c in row.items():
@@ -491,16 +501,19 @@ class FrobeniusRing:
         validate runs this after the unit law and associativity, and then it
         is the Frobenius condition <e_i * e_j, e_k> = <e_i, e_j * e_k> for
         every triple: given it, <ab, c> = <(ab)c, 1> = <a(bc), 1> = <a, bc>
-        by bilinearity, and conversely <a, b> = <a, b * 1> = <ab, 1>.
+        by bilinearity, and conversely <a, b> = <a, b * 1> = <ab, 1>.  The
+        sum runs over the support of the counit eps_w = <e_w, 1> only.
         """
-        n = self.dim
-        unit = self.unit_index
+        n, unit = self.dim, self.unit_index
+        counit = {w: row[unit] for w, row in enumerate(self.pairing) if row.get(unit)}
         for i in range(n):
             for j in range(i, n):
+                row = self.structure[(i, j)]
                 got = {}
-                for w, c in self.structure[(i, j)].items():
-                    d = self._q_power(i, j, w)
-                    got = qp_add(got, {e + d: c * v for e, v in self.pairing[w][unit].items()})
-                want = {e: v for e, v in self.pairing[i][j].items() if v}
+                for w, eps in counit.items():
+                    if w in row:
+                        d = self._q_power(i, j, w)
+                        got = qp_add(got, {e + d: row[w] * v for e, v in eps.items()})
+                want = {e: v for e, v in self.pairing[i].get(j, {}).items() if v}
                 if got != want:
                     raise ValueError(f"Frobenius condition fails at pair ({i}, {j})")

@@ -152,16 +152,6 @@ class Echelon:
         return [self.kernel_vector(fc, cols) for fc in range(cols) if fc not in pivots]
 
 
-def mat_rank(a):
-    """Rank by exact elimination."""
-    return Echelon.of(int_scale(a)[0]).rank
-
-
-def nullspace(a):
-    """Basis of the right nullspace, as a list of vectors."""
-    return Echelon.of(int_scale(a)[0]).nullspace(len(a[0]) if a else 0)
-
-
 def solve_linear(a, b):
     """One solution x of a x = b (free variables 0), or None if inconsistent:
     the kernel vector of [a | -b] that is 1 in the last column."""

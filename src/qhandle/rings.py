@@ -26,8 +26,7 @@ def projective_space(n):
         raise ValueError("n must be at least 1")
     labels = ["1" if i == 0 else "H" if i == 1 else f"H^{i}" for i in range(n + 1)]
     degrees = list(range(n + 1))
-    pairing = [[{0: Fraction(1)} if i + j == n else {} for j in range(n + 1)]
-               for i in range(n + 1)]
+    pairing = [{n - i: {0: Fraction(1)}} for i in range(n + 1)]
     structure = {(i, j): {(i + j) % (n + 1): 1}
                  for i in range(n + 1) for j in range(i, n + 1)}
     ring = FrobeniusRing(
@@ -141,7 +140,7 @@ def quadric(r):
                  for i in range(dim) for j in range(i, dim)}
 
     diagonal = even and m % 2 == 0
-    pairing = [[{} for _ in range(dim)] for _ in range(dim)]
+    pairing = [{} for _ in range(dim)]
     for a in range(r + 1):
         if not (even and a == m):
             pairing[h_index(a)][h_index(r - a)] = {0: Fraction(1)}
@@ -301,9 +300,7 @@ def grassmannian(k, n):
     dim = len(basis)
     labels = [_gr_label(lam) for lam in basis]
     degrees = [sum(lam) for lam in basis]
-    pairing = [[{} for _ in range(dim)] for _ in range(dim)]
-    for i, lam in enumerate(basis):
-        pairing[i][index[complement(lam, k, n)]] = {0: Fraction(1)}
+    pairing = [{index[complement(lam, k, n)]: {0: Fraction(1)}} for lam in basis]
     structure = {(i, j): dict(sorted(cols[j].items()))
                  for i, cols in enumerate(_schubert_matrices(k, n)) for j in range(i, dim)}
     ring = FrobeniusRing(
@@ -470,13 +467,9 @@ def fano_ci(m, r):
                 c *= mpow
             structure[(i, j)] = {e: c}
 
-    pairing = [[{} for _ in range(r + 1)] for _ in range(r + 1)]
-    for a in range(r + 1):
-        for b in range(r + 1):
-            d = a + b - r
-            if d >= 0 and d % tau == 0:
-                s = d // tau
-                pairing[a][b] = {s: Fraction(mprod * mpow ** s)}
+    # <H^a, H^b> = mprod mpow^s q^s where a + b = r + s tau
+    pairing = [{r - a + s * tau: {s: Fraction(mprod * mpow ** s)} for s in range(a // tau + 1)}
+               for a in range(r + 1)]
 
     constants = {"mprod": mprod, "mfact": mfact, "mpow": mpow}
     if hat:
@@ -621,11 +614,12 @@ def fci_report(ring):
             a[j][j + 1] == xi for j in range(1, r))
         shifted = [[x - beta * (i == j) for j, x in enumerate(row)]
                    for i, row in enumerate(a)]
-        # (A - beta I)^(r-1) on the matrix scaled to integers: a positive
-        # scale keeps every zero test
-        ints, _ = int_scale(shifted)
+        # the beta-block B (rows and columns 1..r) is one Jordan block:
+        # (B - beta I)^(r-1) != 0 = (B - beta I)^r, on B scaled to integers
+        ints, _ = int_scale([row[1:] for row in shifted[1:]])
         power = ints
         for _ in range(r - 2):
             power = mat_mul(power, ints)
-        report["jordan_depth_ok"] = r < 2 or any(x for row in power for x in row)
+        report["jordan_depth_ok"] = (any(x for row in power for x in row)
+                                     and not any(x for row in mat_mul(power, ints) for x in row))
     return report

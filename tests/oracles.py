@@ -3,8 +3,8 @@ one at a time, an all-pairs associativity check, the Littlewood-Richardson
 build of the Grassmannian structure constants, modular checks of them and of
 the handle against Schur values at the points of the ring, the span of
 handle powers stepped as Fraction ring elements, the generator search over
-Q, the Fraction reduced row echelon form, and the Fraction forms of the
-orbit walk and the eigenstructure.
+Q, the handle as the pairing double sum, the Fraction reduced row echelon
+form, and the Fraction forms of the orbit walk and the eigenstructure.
 
 The Fraction oracles are the exact algorithms as first written, on rational
 arithmetic throughout: an incremental reduced row echelon form
@@ -338,6 +338,24 @@ def fraction_inverse(a):
     if any(piv >= n for piv, _ in ech.rows):
         return None
     return [row[n:] for _, row in sorted(ech.rows)]  # pivots are distinct
+
+
+def pairing_double_sum(ring):
+    """The handle element by its definition, sum over i, j of g^{ij} e_i * e_j:
+    g^{ij} is the fraction_inverse of the constant pairing and e_i * e_j a
+    ring.product of Elements, so nothing is shared with the trace solve of
+    FrobeniusRing.handle_element."""
+    n = ring.dim
+    entries = [[ring.pairing[i].get(j, {}) for j in range(n)] for i in range(n)]
+    assert all(set(e) <= {0} for row in entries for e in row), "q-dependent pairing"
+    ginv = fraction_inverse([[Fraction(e.get(0, 0)) for e in row] for row in entries])
+    assert ginv is not None, "singular pairing"
+    out = ring.zero()
+    for i, row in enumerate(ginv):
+        for j, g in enumerate(row):
+            if g:
+                out = out + ring.product(ring.basis_element(i), ring.basis_element(j)).scale(g)
+    return out
 
 
 def element_span_dim(ring):

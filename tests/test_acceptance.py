@@ -145,6 +145,27 @@ def test_ssyt_weights_match_the_tableau_enumeration(monkeypatch):
         assert sum(got.values()) == _hook_content_count(shape, nvars), (shape, nvars)
 
 
+def test_schur_expansion_fails_fast_on_inconsistent_weights(monkeypatch):
+    # s[1,1] weighted twice at its own leading weight leaves that weight in
+    # the product after its strip; the expansion must assert rather than
+    # flip its sign forever, and the stand-in stops a run that never ends
+    calls = []
+
+    def doubled(shape, nvars):
+        calls.append(shape)
+        if len(calls) > 1000:
+            raise RuntimeError("schur_product_expansion did not stop")
+        weights = dict(tableau_weights(shape, nvars))
+        lead = tuple(shape) + (0,) * (nvars - len(shape))
+        if len(shape) > 1:
+            weights[lead] *= 2
+        return weights
+
+    monkeypatch.setattr(_oracles, "ssyt_weights", doubled)
+    with pytest.raises(AssertionError):
+        _oracles.schur_product_expansion((1,), (1,), 2)
+
+
 @pytest.mark.xfail(strict=True,
                    reason="published table row gr:3,9 prints 9; the defining "
                           "formula gives 10")

@@ -285,6 +285,14 @@ GOLDEN = [
     (["sinfty", "fci:5;r=4"], 0, "9d89003808dbdd6ee8103a8527780a428792b2305b91aea30dd7977f20f97df9"),
     (["sinfty", "pn:4"], 0, "ae88ddbc99ed6cc6b2ffb2dbf5bb1e8ac0f4bfc20833bb69787b3ff4f87b902c"),
     (["delta", "gr:3,7"], 0, "e6662cdcb2b9810de93168dfc20f02205ad8edcc3ea8d72e1f2b3797237fed70"),
+    # recorded before the pairing moved to sparse rows and the handle to the
+    # trace solve; fci:3;r=4 has a q-dependent pairing entry
+    (["ring", "gr:3,7"], 0, "8ea75c81c3f7377165d48c1c80086ad58cada5c61023759164070af78d96f459"),
+    (["ring", "quadric:4"], 0, "c1bb4ff561714b70a3caaadee8aed006a6af431c94d039f2ed5ec82c8ba9ac2c"),
+    (["ring", "fci:3;r=4"], 0, "eb0776abb41558fc3e9588008eea304f053bf659eff02cf6fa0c1ab687b8e632"),
+    (["delta", "pn:4"], 0, "ab5ea2ada3a460d929c5c76c30161f85df841baa1df0391a2b25ea34cad7760d"),
+    (["delta", "quadric:6"], 0, "790b745b865dbc2ea99224af844dde519615665af9dcd91b2b767b76c84df728"),
+    (["estimate", "--table"], 0, "d7786fb11f9d0b6fd271a6fb29670af480893edce793e4842573816c15ce85d5"),
     # recorded before criteria 7 and 8 moved from Fraction matrix products to
     # integer kernels and the Schur oracle to the branching rule
     (["verify"], 0, "5a37ee076cfb4d0534706f381513289a9341ff0e78959565210aedb7bb69b9e0"),

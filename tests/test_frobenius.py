@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import associativity_failure, element_span_dim, fraction_generators
+from oracles import (associativity_failure, element_span_dim, fraction_generators,
+                     pairing_double_sum)
 from qhandle.acceptance import EST_TABLE, FCI_INSTANCES
 from qhandle.frobenius import _GENERATOR_PRIME, Element, FrobeniusRing, qp_add, qp_eval
 from qhandle.rings import fano_ci, grassmannian, projective_space, quadric
@@ -148,21 +149,27 @@ def test_span_rejects_a_power_outside_the_allowed_degrees():
         ring.f_span_dim()
 
 
-def test_constant_pairing():
-    g = projective_space(2).constant_pairing()
-    assert g == [
-        [Fraction(0), Fraction(0), Fraction(1)],
-        [Fraction(0), Fraction(1), Fraction(0)],
-        [Fraction(1), Fraction(0), Fraction(0)],
-    ]
-    with pytest.raises(ValueError):
-        fano_ci((4,), 3).constant_pairing()
+def test_handle_of_fci_without_override_raises_q_dependent():
+    # the constant pairing of P^2, stored as its nonzero rows
+    assert projective_space(2).pairing == [{2: {0: 1}}, {1: {0: 1}}, {0: {0: 1}}]
+    ring = dataclasses.replace(fano_ci((4,), 3), delta_override=None, _cache={})
+    with pytest.raises(ValueError, match="pairing has q-dependent entries"):
+        ring.handle_element()
 
 
 def test_validate_rejects_broken_pairing():
     bad = projective_space(2)
     bad.pairing[0][2] = {0: Fraction(2)}  # breaks symmetry with pairing[2][0]
     with pytest.raises(ValueError, match="pairing not symmetric"):
+        bad.validate()
+
+
+def test_validate_rejects_an_ungraded_pairing_entry():
+    # <1, H> = 1 is symmetric and keeps the pairing invertible, but
+    # deg 1 + deg H = 1 is not top + s tau = 2 + 3 s
+    bad = projective_space(2)
+    bad.pairing[0][1] = bad.pairing[1][0] = {0: Fraction(1)}
+    with pytest.raises(ValueError, match=r"pairing grading fails at \(0, 1\) term q\^0"):
         bad.validate()
 
 
@@ -175,7 +182,7 @@ def test_validate_rejects_broken_unit():
 
 def test_singular_pairing_is_rejected():
     bad = projective_space(2)
-    bad.pairing[1][1] = {}  # zeroes the middle row of the anti-diagonal pairing
+    del bad.pairing[1][1]  # zeroes the middle row of the anti-diagonal pairing
     with pytest.raises(ValueError, match="pairing matrix is singular"):
         bad.handle_element()
     with pytest.raises(ValueError, match="not certified invertible"):
@@ -274,7 +281,7 @@ def test_associativity_is_checked_for_every_generator():
     # the second generator b exposes (b b) c = c against b (b c) = 0
     ring = FrobeniusRing(
         name="two generators", labels=["1", "a", "b", "c"], degrees=[0, 1, 1, 2],
-        tau=1, pairing=[[{} for _ in range(4)] for _ in range(4)],
+        tau=1, pairing=[{} for _ in range(4)],
         structure={(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (0, 3): {3: 1},
                    (1, 1): {}, (1, 2): {}, (1, 3): {}, (2, 2): {3: 1}, (2, 3): {},
                    (3, 3): {3: 1}},
@@ -292,7 +299,7 @@ def test_associativity_is_checked_in_both_orders_of_a_pair():
     # b > j exposes it
     ring = FrobeniusRing(
         name="late pair", labels=["1", "a", "b", "c", "d"], degrees=[0, 1, 2, 3, 4],
-        tau=3, pairing=[[{} for _ in range(5)] for _ in range(5)],
+        tau=3, pairing=[{} for _ in range(5)],
         structure={**{(0, j): {j: 1} for j in range(5)},
                    **{(i, j): {} for i in range(1, 5) for j in range(i, 5)},
                    (2, 2): {4: 1}, (2, 4): {3: 1}, (3, 3): {3: 1}},
@@ -336,19 +343,22 @@ def test_validate_rejects_frobenius_failure_in_a_q_dependent_entry():
         bad.validate()
 
 
-def test_generator_search_survives_an_unlucky_prime():
+def _unlucky_prime_ring():
     # Q[x]/(x^3 - p^2 q) in the basis 1, x, y = x^2 / p, for the prime p of
-    # the generator search: x x = p y spans y over Q but is 0 mod p, so y
-    # must become a generator of its own
+    # the generator search: x x = p y spans y over Q but is 0 mod p
     p = _GENERATOR_PRIME
-    ring = FrobeniusRing(
+    return FrobeniusRing(
         name="unlucky prime", labels=["1", "x", "y"], degrees=[0, 1, 2], tau=3,
-        pairing=[[{}, {}, {0: Fraction(1)}], [{}, {0: Fraction(p)}, {}],
-                 [{0: Fraction(1)}, {}, {}]],
+        pairing=[{2: {0: Fraction(1)}}, {1: {0: Fraction(p)}}, {0: {0: Fraction(1)}}],
         structure={(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1},
                    (1, 1): {2: p}, (1, 2): {0: p}, (2, 2): {1: 1}},
         unit_index=0,
     )
+
+
+def test_generator_search_survives_an_unlucky_prime():
+    # y must become a generator of its own
+    ring = _unlucky_prime_ring()
     assert ring._generators() == [1, 2]
     ring.validate()
     assert associativity_failure(ring.structure, ring.dim) is None
@@ -356,3 +366,26 @@ def test_generator_search_survives_an_unlucky_prime():
     assert associativity_failure(ring.structure, ring.dim) is not None
     with pytest.raises(ValueError, match="associativity fails at pair"):
         ring.validate()
+
+
+def _scaled_pairing(ring, c):
+    # c <., .> is again a Frobenius pairing of the ring, with handle Delta / c
+    pairing = [{j: {e: c * v for e, v in entry.items()} for j, entry in row.items()}
+               for row in ring.pairing]
+    return dataclasses.replace(ring, pairing=pairing, _cache={})
+
+
+HANDLE_RINGS = ([(f"pn:{n}", projective_space, (n,)) for n in range(1, 7)]
+                + [(f"quadric:{r}", quadric, (r,)) for r in range(2, 9)]
+                + [(f"gr:{k},{n}", grassmannian, (k, n)) for k, n, _, _ in EST_TABLE]
+                + [("unlucky prime", _unlucky_prime_ring, ()),
+                   ("quadric:4 pairing / 2",
+                    lambda: _scaled_pairing(quadric(4), Fraction(1, 2)), ())])
+
+
+@pytest.mark.parametrize("build, args", [spec[1:] for spec in HANDLE_RINGS],
+                         ids=[spec[0] for spec in HANDLE_RINGS])
+def test_handle_matches_the_pairing_double_sum(build, args):
+    ring = build(*args)
+    ring.validate()
+    assert ring.handle_element() == pairing_double_sum(ring)

@@ -4,7 +4,8 @@ from math import comb, gcd
 
 import pytest
 
-from oracles import handle_value_failure, lr_structure, schur_value_failure
+from oracles import (fraction_mat_mul, handle_value_failure, lr_structure,
+                     schur_value_failure)
 
 from qhandle import rings
 from qhandle._oracles import poly_from_roots
@@ -64,7 +65,7 @@ def test_quadric_4_is_gr_2_4():
             mapped = Element({(to_gr[w], d): c for (w, d), c in got.coeffs.items()})
             assert mapped == gr.product(gr.basis_element(to_gr[a]),
                                         gr.basis_element(to_gr[b]))
-            assert q4.pairing[a][b] == gr.pairing[to_gr[a]][to_gr[b]]
+        assert {to_gr[b]: e for b, e in q4.pairing[a].items()} == gr.pairing[to_gr[a]]
 
 
 def test_quadric_product_table_odd():
@@ -94,13 +95,13 @@ def test_quadric_product_table_even():
 
 def test_quadric_pairing():
     ring = quadric(4)
-    g = ring.constant_pairing()
+    g = ring.pairing
     idx = ring.label_index
-    assert g[idx("1")][idx("s4")] == 1
-    assert g[idx("H")][idx("s3")] == 1
-    assert g[idx("s2+")][idx("s2+")] == 1
-    assert g[idx("s2-")][idx("s2-")] == 1
-    assert g[idx("s2+")][idx("s2-")] == 0
+    one = {0: 1}
+    assert g[idx("1")] == {idx("s4"): one}
+    assert g[idx("H")] == {idx("s3"): one}
+    assert g[idx("s2+")] == {idx("s2+"): one}  # and <s2+, s2-> = 0
+    assert g[idx("s2-")] == {idx("s2-"): one}
     assert ring.meta["middle_pairing"] == "diagonal"
 
 
@@ -211,7 +212,7 @@ def test_grassmannian_matches_the_lr_build(k, n):
     assert grassmannian(k, n).structure == lr_structure(k, n)
 
 
-@pytest.mark.parametrize("k, n", [(2, 5), (2, 6), (3, 6), (3, 7), (2, 8), (3, 8)])
+@pytest.mark.parametrize("k, n", [row[:2] for row in EST_TABLE])
 def test_grassmannian_matches_the_schur_values(k, n):
     ring = grassmannian(k, n)
     assert schur_value_failure(ring, k, n) is None
@@ -372,6 +373,23 @@ def test_fci_report_triangular():
     assert rep["dim_f_computed"] == rep["dim_f_predicted"] == 4
     a = rep["a_matrix"]
     assert a[0][0] == 3986944 and a[0][1] == 7744 and a[1][1] == 2004480
+
+
+@pytest.mark.parametrize("m, r", [((4,), 3), ((2, 3), 3), ((5,), 4)])
+def test_fci_report_jordan_depth_is_r(m, r):
+    # the beta-block B (rows and columns 1..r of A) has (B - beta I)^(r-1)
+    # != 0 = (B - beta I)^r, so a check at the power r in place of r - 1
+    # turns jordan_depth_ok False; on the whole of A - beta I every power is
+    # nonzero, since its (0, 0) entry is (alpha - beta)^k
+    rep = fci_report(fano_ci(m, r))
+    assert rep["jordan_depth_ok"] and rep["alpha"] != rep["beta"]
+    shifted = [[Fraction(x - rep["beta"] * (i == j)) for j, x in enumerate(row[1:])]
+               for i, row in enumerate(rep["a_matrix"][1:])]
+    power = shifted
+    for _ in range(r - 2):
+        power = fraction_mat_mul(power, shifted)
+    assert any(x for row in power for x in row)
+    assert not any(x for row in fraction_mat_mul(power, shifted) for x in row)
 
 
 def test_fci_report_skips_prediction_without_kappa():
