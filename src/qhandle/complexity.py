@@ -12,12 +12,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (
+    _berkowitz,
     _jacobi,
-    frvec,
+    _synth_div,
+    char_poly,
     int_scale,
     mat_vec,
-    rational_eigenstructure,
-    solve_linear,
+    rational_roots,
 )
 
 
@@ -236,8 +237,10 @@ class LimitReport:
 
     points lists the at most two projective limit classes of the nonzero
     iterates; finite_orbit means the iterates are eventually zero, in which
-    case there are no limit directions.  dominant is the spectral radius of
-    the part of M meeting z; depth is the largest Jordan depth there.
+    case there are no limit directions.  dominant is the largest |v| over the
+    eigenvalues v of M at which z has a nonzero generalized eigenvector
+    component; depth is the longest Jordan chain of those components at
+    +-dominant.
     """
 
     points: list
@@ -246,78 +249,93 @@ class LimitReport:
     depth: int = 0
 
 
-def limit_points_real(mat, z, _eig=None):
-    """Limit classes of M^k z for a matrix split over the rationals.
+def limit_points_real(mat, z, _roots=None):
+    """Limit classes of M^k z for a matrix M split over the rationals.
 
-    z is decomposed into generalized eigenvector components; the dominant
-    magnitude with a nonzero component wins, with the top corank term of each
-    sign surviving.  Raises ValueError for a zero z or a non-split matrix.
+    Let D = d M be M scaled to integers (int_scale) and f the characteristic
+    polynomial of D, whose x^(n-k) coefficient is d^k times that of M.  For a
+    rational eigenvalue v of multiplicity m, g_v = f / (x - d v)^m is an
+    integer polynomial.  g_v(D) is zero on every other generalized eigenspace,
+    as each of its factors (x - d w)^(m_w) kills its own.  On the v-space,
+    where d v is the only eigenvalue of D, it commutes with N = D - d v I and
+    is invertible, since g_v(d v) != 0.  So y = g_v(D) z equals g_v(D) z_v,
+    z_v the v-component of z: y is nonzero exactly when z_v is, its N-chain
+    N^k y = g_v(D) N^k z_v has the same length r, and its last nonzero term is
+    g_v(d v) N^(r-1) z_v, because N^(r-1) z_v lies in ker N.
+
+    M^k z_v grows like binomial(k, r-1) v^(k-r+1) (M - v I)^(r-1) z_v, so the
+    largest |v| with a nonzero y wins, and at it the top term of each sign
+    whose chain is longest survives.  The roots are those of char_poly(M) of
+    M itself, whose candidates p/q are small; those of D are d times larger
+    and may carry a prime factor of d too large to split off.  Raises
+    ValueError for a zero z or a non-split matrix.
     """
     ints, den = int_scale(mat)
-    z = frvec(z)
+    (z,), _ = int_scale([z])
     n = len(z)
     if len(ints) != n or any(len(row) != n for row in ints):
         raise ValueError("matrix and vector sizes differ")
-    if all(x == 0 for x in z):
+    if not any(z):
         raise ValueError("z must be nonzero")
-    eig = _eig if _eig is not None else rational_eigenstructure(mat)
-    if not eig.split_over_rationals:
+    roots = dict(rational_roots(char_poly(mat)) if _roots is None else _roots)
+    if sum(roots.values()) != n:
         raise ValueError("matrix is not split over the rationals")
-    columns = []
-    owners = []
-    for entry in eig.entries:
-        for b in entry.basis:
-            columns.append(b)
-            owners.append(entry.value)
-    stacked = [[columns[j][i] for j in range(n)] for i in range(n)]
-    coefs = solve_linear(stacked, z)
-    assert coefs is not None, "generalized eigenbasis must span"
-    comps = {}
-    for value, column, c in zip(owners, columns, coefs):
-        if c == 0:
-            continue
-        acc = comps.setdefault(value, [Fraction(0)] * n)
-        for i in range(n):
-            acc[i] += c * column[i]
-    comps = {v: w for v, w in comps.items() if any(x != 0 for x in w)}
-    magnitudes = [abs(v) for v in comps if v != 0]
-    if not magnitudes:
-        return LimitReport(points=[], finite_orbit=True)
-    lam = max(magnitudes)
-    tops = {v: comps[v] for v in (lam, -lam) if v in comps}
-    scale = math.lcm(*(x.denominator for w in tops.values() for x in w))
+    f = _berkowitz(ints)
+    shift = {v: (v * den).numerator for v in roots}  # the eigenvalue d v of D
 
-    def jordan_chain(value, vec):
-        """vec, (d M - value I) vec, ... up to the last nonzero term."""
+    def cofactor(v):
+        """g_v = f / (x - d v)^m by synthetic division."""
+        g = f
+        for _ in range(roots[v]):
+            g, rem = _synth_div(g, shift[v])
+            assert rem == 0, "d v must be a root of f of its multiplicity"
+        return g
+
+    def apply(g, vec):
+        """g(D) vec by Horner's rule."""
+        out = [g[0] * x for x in vec]
+        for c in g[1:]:
+            out = [a + c * b for a, b in zip(mat_vec(ints, out), vec)]
+        return out
+
+    for lam in sorted({abs(v) for v in roots if v}, reverse=True):
+        gs = {v: cofactor(v) for v in (lam, -lam) if v in roots}
+        tops = {v: apply(g, z) for v, g in gs.items()}
+        tops = {v: y for v, y in tops.items() if any(y)}
+        if tops:
+            break
+    else:
+        return LimitReport(points=[], finite_orbit=True)
+
+    def jordan_chain(dv, vec):
+        """vec, (D - d v I) vec, ... up to the last nonzero term."""
         chain = []
         while any(vec):
             chain.append(vec)
-            vec = [a - value * b for a, b in zip(mat_vec(ints, vec), vec)]
+            vec = [a - dv * b for a, b in zip(mat_vec(ints, vec), vec)]
         return chain
 
-    chains = {v: jordan_chain((v * den).numerator, [(x * scale).numerator for x in w])
-              for v, w in tops.items()}
+    chains = {v: jordan_chain(shift[v], y) for v, y in tops.items()}
     r = max(len(chain) for chain in chains.values())
-    # The top term v^(1-r) (M - v I)^(r-1) c survives only on the longest
-    # chains.  Here the chain of v runs on d M and on c scaled by a positive
-    # integer, so its last entry is that term times sign(v)^(r-1) and a
-    # positive factor common to both signs, which no projective class sees.
+    # The top term v^(1-r) (M - v I)^(r-1) z_v survives only on the longest
+    # chains.  The chain of v runs on D and on z scaled by a positive
+    # integer, so its last entry is that term times sign(v)^(r-1), a positive
+    # factor common to both signs, and g_v(d v).
     parts = {v: [x if v > 0 or r % 2 else -x for x in chain[r - 1]]
              for v, chain in chains.items() if len(chain) == r}
-    plus = parts.get(lam)
-    minus = parts.get(-lam)
-    if minus is None:
-        points = [ProjState(plus)]
-    elif plus is None:
-        points = [ProjState(minus)]
-    else:
-        points = []
-        for cand in ([a + b for a, b in zip(plus, minus)],
-                     [a - b for a, b in zip(plus, minus)]):
-            if any(cand):
-                state = ProjState(cand)
-                if state not in points:
-                    points.append(state)
+    if len(parts) == 1:
+        return LimitReport(points=[ProjState(p) for p in parts.values()], dominant=lam, depth=r)
+    # Each sign also takes the other's g(d v), so both carry one common
+    # factor, which neither the classes of plus +- minus nor their order see.
+    plus = [x * _synth_div(gs[-lam], shift[-lam])[1] for x in parts[lam]]
+    minus = [x * _synth_div(gs[lam], shift[lam])[1] for x in parts[-lam]]
+    points = []
+    for cand in ([a + b for a, b in zip(plus, minus)],
+                 [a - b for a, b in zip(plus, minus)]):
+        if any(cand):
+            state = ProjState(cand)
+            if state not in points:
+                points.append(state)
     return LimitReport(points=points, dominant=lam, depth=r)
 
 
@@ -359,9 +377,9 @@ def s_infinity(ring, s0, kmax=None, tol=1e-9):
     traj = _walk(mat, z, kmax)
     if traj.closed:
         return SInfinityReport(points=[], exact=True, method="finite-orbit")
-    eig = rational_eigenstructure(mat)
-    if eig.split_over_rationals:
-        report = limit_points_real(mat, z, _eig=eig)
+    roots = rational_roots(char_poly(mat))
+    if sum(m for _, m in roots) == len(mat):
+        report = limit_points_real(mat, z, _roots=roots)
         if report.finite_orbit:
             return SInfinityReport(points=[], exact=True, method="finite-orbit")
         visited = set(traj.states)

@@ -2,20 +2,17 @@
 
 Matrices are lists of rows of rationals: Fraction or int entries. One exact
 elimination kernel, Echelon: incremental fraction-free (Bareiss) elimination
-over the integers. Rank, nullspace, linear solves, inverses, determinants,
-Krylov ranks, Jordan ranks, generalized eigenvectors and leading principal
-minors all scale their rows to integers (int_scale) and call it; a solve is
-the kernel vector of [a | -b], an inverse those of [a | -I]. The eigenvalue
-code scales a rational matrix by the positive lcm of its denominators, which
-moves every rational eigenvalue onto an integer and leaves every eigenvector
-alone, and works on that integer matrix: the division-free characteristic
-polynomial of Berkowitz, rational root extraction, generalized eigenstructure
-and Sylvester positive-definiteness certificates. Also a deterministic
+over the integers. Ranks, kernel vectors, inverses, determinants, Krylov
+ranks and leading principal minors all scale their rows to integers
+(int_scale) and call it; an inverse is the kernel vectors of [a | -I]. The
+characteristic polynomial is that of Berkowitz, division-free, on the matrix
+scaled by the positive lcm of its denominators, which moves every rational
+eigenvalue onto an integer; with it come rational root extraction and
+Sylvester positive-definiteness certificates. Also a deterministic
 floating-point Jacobi eigensolver for symmetric matrices.
 """
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -143,23 +140,6 @@ class Echelon:
             if j < size:
                 out[j] = Fraction(v, d)
         return out
-
-    def nullspace(self, cols):
-        """Basis of the vectors of length cols orthogonal to every added row,
-        one per free column in ascending order, that entry set to 1 and the
-        other free entries 0."""
-        pivots = {c for c, _ in self.rows}
-        return [self.kernel_vector(fc, cols) for fc in range(cols) if fc not in pivots]
-
-
-def solve_linear(a, b):
-    """One solution x of a x = b (free variables 0), or None if inconsistent:
-    the kernel vector of [a | -b] that is 1 in the last column."""
-    cols = len(a[0]) if a else 0
-    ech = Echelon.of(int_scale([[*row, -bb] for row, bb in zip(a, b)])[0])
-    if any(c == cols for c, _ in ech.rows):
-        return None
-    return ech.kernel_vector(cols, cols)
 
 
 def mat_inverse(a):
@@ -425,69 +405,6 @@ def rational_roots(coeffs):
                 roots.append((cand, mult))
     roots.sort(key=lambda t: t[0])
     return roots
-
-
-@dataclass
-class EigenData:
-    """One rational eigenvalue with its generalized eigenspace data."""
-
-    value: Fraction
-    multiplicity: int
-    blocks: list  # Jordan block sizes, descending
-    basis: list  # generalized eigenvectors spanning ker (M - value I)^multiplicity
-
-
-@dataclass
-class EigenStructure:
-    entries: list = field(default_factory=list)
-    split_over_rationals: bool = False
-
-
-def rational_eigenstructure(m):
-    """Rational eigenvalues with multiplicities, Jordan block sizes, and
-    generalized eigenbases; split_over_rationals is true when the
-    characteristic polynomial factors completely over the rationals.
-
-    The roots are taken from the characteristic polynomial of M itself,
-    whose candidates p/q are small; those of d M are d times larger and
-    may carry a prime factor of d too large to split off.  The rest runs on
-    the matrix scaled by d to integers, whose rational eigenvalues are the
-    integers d * value: the Echelon ranks of the integer powers of
-    (d M - d value I) give the Jordan blocks, and the nullspace of the last
-    one the basis.
-    """
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix must be square")
-    ints, den = int_scale(m)
-    roots = rational_roots(char_poly(m))
-    entries = []
-    for lam, mult in roots:
-        shift = (lam * den).numerator
-        shifted = [[x - shift if i == j else x for j, x in enumerate(row)]
-                   for i, row in enumerate(ints)]
-        ranks = [n]
-        power = shifted
-        for j in range(mult):
-            if j:
-                power = mat_mul(power, shifted)
-            ech = Echelon.of(power)
-            ranks.append(ech.rank)
-            if ranks[-1] == n - mult:
-                # the kernel is the whole generalized eigenspace: ranks are final
-                ranks += [ranks[-1]] * (mult - 1 - j)
-                break
-        blocks = []
-        for j in range(1, mult + 1):
-            r_prev = ranks[j - 1]
-            r_j = ranks[j]
-            r_next = ranks[j + 1] if j + 1 < len(ranks) else ranks[-1]
-            exactly_j = (r_prev - r_j) - (r_j - r_next)
-            blocks.extend([j] * exactly_j)
-        blocks.sort(reverse=True)
-        entries.append(EigenData(lam, mult, blocks, ech.nullspace(n)))
-    total = sum(mult for _, mult in roots)
-    return EigenStructure(entries, split_over_rationals=(total == n))
 
 
 def is_positive_definite(m):

@@ -12,8 +12,10 @@ arithmetic throughout: an incremental reduced row echelon form
 first-entry-1 projective state, a Fraction matrix-vector orbit walk, the
 Faddeev-LeVerrier characteristic polynomial, Jordan ranks and eigenbases
 from FractionEchelon on Fraction powers, and limit points from Fraction
-Jordan chains.  They import no elimination from qhandle.linalg; the library
-runs the same mathematics on integers.
+Jordan chains on the components of a generalized eigenbasis.  They import no
+elimination from qhandle.linalg; the library runs the same mathematics on
+integers, except that it isolates a component with a cofactor of the
+characteristic polynomial instead of an eigenbasis.
 
 The Schur and characteristic-polynomial oracles that the acceptance criteria
 share with the tests live in qhandle._oracles.

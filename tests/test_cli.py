@@ -298,6 +298,16 @@ GOLDEN = [
     (["verify"], 0, "5a37ee076cfb4d0534706f381513289a9341ff0e78959565210aedb7bb69b9e0"),
     (["verify", "--format", "text"], 0,
      "1f8b9fa133eccd067edb7a0b692e08c302f30ee1f114d9a331bdc94adac71c0e"),
+    # rational-split runs with points, recorded while the limit points still
+    # came from a generalized eigenbasis
+    (["sinfty", "gr:2,4"], 0, "01636b8318c32ec1c75200c1e6cceab62e80e13c905dea845310bdce689ed158"),
+    (["sinfty", "gr:3,6", "--from", "s[1]"], 0,
+     "f396761327eb221bda86c758866f5b477731eba0045e76774a4d263b4180f3d1"),
+    (["sinfty", "quadric:3", "--from", "point"], 0,
+     "d28b6dc90d097281402a5637b630e75677456801b49a28112d2ee165f4baab44"),
+    (["sinfty", "fci:4;r=3", "--from", "Hhat"], 0,
+     "21d56bde4f01be0b828fc4dfc48eb4d9c944c4ee38af3d737e6bc3de2ce16d6d"),
+    (["sinfty", "fci:2,3;r=3"], 0, "492e62ea4d08d1f6d499b2c6894a96a5db4dd8e9362ca14530dbd253aa3cb25b"),
 ]
 
 

@@ -6,15 +6,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (FractionEchelon, faddeev_leverrier, fraction_eigenstructure,
-                     fraction_inverse, fraction_solve, identity, zeros)
+                     fraction_inverse, fraction_limit_points, fraction_solve,
+                     identity, zeros)
 
 from qhandle._oracles import det_int
+from qhandle.complexity import limit_points_real
 from qhandle.linalg import (Echelon, _divisors, _factorize, char_poly, frmat,
                             frvec, int_scale, is_positive_definite, krylov_rank,
                             mat_inverse, mat_mul, mat_vec, poly_deriv,
-                            poly_divmod, poly_gcd,
-                            rational_eigenstructure, rational_roots,
-                            solve_linear, sym_float_eigs)
+                            poly_divmod, poly_gcd, rational_roots,
+                            sym_float_eigs)
 
 
 def test_char_poly_known():
@@ -40,10 +41,18 @@ def rational_matrices(draw):
 @given(rational_matrices())
 def test_char_poly_and_eigenstructure_match_the_fraction_oracle(m):
     assert char_poly(m) == faddeev_leverrier(m)
-    eig = rational_eigenstructure(m)
-    entries, split = fraction_eigenstructure(m)
-    assert eig.split_over_rationals == split
-    assert [(e.value, e.multiplicity, e.blocks, e.basis) for e in eig.entries] == entries
+    n = len(m)
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    if fraction_eigenstructure(m)[1]:
+        for z in units:
+            rep = limit_points_real(m, z)
+            points, finite, dominant, depth = fraction_limit_points(m, z)
+            assert [p.vec for p in rep.points] == [p.vec for p in points]
+            assert (rep.finite_orbit, rep.dominant, rep.depth) == (finite, dominant, depth)
+    else:
+        for z in units:
+            with pytest.raises(ValueError):
+                limit_points_real(m, z)
 
 
 def test_cayley_hamilton_random():
@@ -127,57 +136,13 @@ def test_rational_roots_random_products():
             assert (r, roots.count(r)) in got
 
 
-def test_solve_linear_round_trip():
-    rng = random.Random(3)
-    for _ in range(20):
-        dim = rng.randint(1, 6)
-        while True:
-            a = [[Fraction(rng.randint(-5, 5)) for _ in range(dim)]
-                 for _ in range(dim)]
-            if Echelon.of(int_scale(a)[0]).rank == dim:
-                break
-        x = [Fraction(rng.randint(-5, 5)) for _ in range(dim)]
-        b = mat_vec(a, x)
-        assert solve_linear(a, b) == x
-
-
-def test_solve_linear_singular():
-    # inconsistent system: no solution
-    assert solve_linear(frmat([[1, 1], [1, 1]]), frvec([1, 0])) is None
-    # consistent but singular: some particular solution comes back
-    sol = solve_linear(frmat([[1, 2], [2, 4]]), frvec([1, 2]))
-    assert sol is not None and sol[0] + 2 * sol[1] == 1
-
-
 def test_nullspace_and_rank():
     a = frmat([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     ech = Echelon.of(int_scale(a)[0])
     assert ech.rank == 2
-    basis = ech.nullspace(3)
-    assert len(basis) == 1
-    for v in basis:
-        assert all(x == 0 for x in mat_vec(a, v))
-
-
-def test_rational_eigenstructure_diagonalizable():
-    eig = rational_eigenstructure(frmat([[2, 0], [0, 3]]))
-    assert eig.split_over_rationals
-    values = {e.value: e.multiplicity for e in eig.entries}
-    assert values == {Fraction(2): 1, Fraction(3): 1}
-
-
-def test_rational_eigenstructure_jordan_block():
-    eig = rational_eigenstructure(frmat([[3, 1], [0, 3]]))
-    assert eig.split_over_rationals
-    assert len(eig.entries) == 1
-    entry = eig.entries[0]
-    assert entry.value == 3 and entry.multiplicity == 2
-    assert len(entry.basis) == 2
-
-
-def test_rational_eigenstructure_non_split():
-    eig = rational_eigenstructure(frmat([[0, -1], [1, 0]]))
-    assert not eig.split_over_rationals
+    assert [c for c, _ in ech.rows] == [0, 1]  # column 2 is the one free column
+    v = ech.kernel_vector(2, 3)
+    assert v[2] == 1 and all(x == 0 for x in mat_vec(a, v))
 
 
 def test_is_positive_definite():
@@ -266,14 +231,17 @@ def test_kernel_solve_and_nullspace(a, x0, other, reach):
     ech = Echelon.of(int_scale(a)[0])
     ref = FractionEchelon.of(a)
     assert ech.rank == ref.rank
-    assert [c for c, _ in ech.rows] == [c for c, _ in ref.rows]
-    basis = ech.nullspace(cols)
+    pivots = [c for c, _ in ech.rows]
+    assert pivots == [c for c, _ in ref.rows]
+    basis = [ech.kernel_vector(fc, cols) for fc in range(cols) if fc not in pivots]
     assert basis == ref.nullspace(cols)
     assert ech.rank + len(basis) == cols
     for v in basis:
         assert not any(mat_vec(a, v))
     b = mat_vec(a, x0[:cols]) if reach else other[:len(a)]
-    x = solve_linear(a, b)
+    # a solution is the kernel vector of [a | -b] that is 1 in the last column
+    aug = Echelon.of(int_scale([[*row, -bb] for row, bb in zip(a, b)])[0])
+    x = None if any(c == cols for c, _ in aug.rows) else aug.kernel_vector(cols, cols)
     assert x == fraction_solve(a, b)
     if reach:
         assert x is not None
