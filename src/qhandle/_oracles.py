@@ -1,11 +1,11 @@
 """Independent oracles shared by the acceptance criteria and the test suite.
 
 Nothing here touches the package's own code: Schur polynomials are built by
-direct semistandard tableau enumeration, products by monomial-dictionary
-convolution, Schur values by the bialternant ratio at integer points, and
-characteristic polynomials from their roots.  So agreement with lr_expand or
-char_poly is a genuine cross-check.  The module imports only the standard
-library, and a test keeps it that way.
+the branching rule on semistandard tableaux, products by monomial-dictionary
+convolution on weights packed into ints, Schur values by the bialternant
+ratio at integer points, and characteristic polynomials from their roots.  So
+agreement with lr_expand or char_poly is a genuine cross-check.  The module
+imports only the standard library, and a test keeps it that way.
 """
 
 from fractions import Fraction
@@ -39,35 +39,51 @@ def ssyt_weights(shape, nvars):
     return out
 
 
-def poly_mul(a, b):
-    """Convolution of two {exponent tuple: coefficient} dictionaries."""
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            out[key] = out.get(key, 0) + ca * cb
-    return {k: v for k, v in out.items() if v}
-
-
 def schur_product_expansion(lam, mu, nvars):
     """Coefficients of the product s_lam * s_mu as a Schur combination,
     recovered by repeatedly stripping the lexicographically largest weight;
-    a strip that leaves that weight (inconsistent weights) raises."""
-    prod = poly_mul(ssyt_weights(tuple(lam), nvars), ssyt_weights(tuple(mu), nvars))
+    a strip that leaves that weight (inconsistent weights) raises.
+
+    Each weight is packed into one int in base |lam| + |mu| + 1, the first
+    variable most significant.  No exponent of a factor or of the product
+    reaches the base, so adding packed ints adds the weights and comparing
+    them compares the weights lexicographically."""
+    lam, mu = tuple(lam), tuple(mu)
+    base = sum(lam) + sum(mu) + 1
+
+    def packed(shape):
+        out = {}
+        for weight, count in ssyt_weights(shape, nvars).items():
+            key = 0
+            for e in weight:
+                key = key * base + e
+            out[key] = count
+        return out
+
+    prod = {}
+    right = packed(mu)
+    for ka, ca in packed(lam).items():
+        for kb, cb in right.items():
+            prod[ka + kb] = prod.get(ka + kb, 0) + ca * cb
     coeffs = {}
     while prod:
         top = max(prod)
         c = prod[top]
-        nu = tuple(x for x in top if x)
-        assert all(nu[i] >= nu[i + 1] for i in range(len(nu) - 1)), (lam, mu, top)
+        weight, rest = [], top
+        for _ in range(nvars):
+            rest, e = divmod(rest, base)
+            weight.append(e)
+        weight.reverse()
+        nu = tuple(x for x in weight if x)
+        assert all(nu[i] >= nu[i + 1] for i in range(len(nu) - 1)), (lam, mu, weight)
         coeffs[nu] = c
-        for e, cc in ssyt_weights(nu, nvars).items():
+        for e, cc in packed(nu).items():
             v = prod.get(e, 0) - c * cc
             if v:
                 prod[e] = v
             else:
                 prod.pop(e, None)
-        assert top not in prod, (lam, mu, top)
+        assert top not in prod, (lam, mu, weight)
     return coeffs
 
 
@@ -97,13 +113,18 @@ def det_int(rows):
 
 
 @cache
+def _vandermonde(nvars):
+    """The bialternant's denominator det(x_i^(nvars-1-j)) at the first nvars primes."""
+    return det_int([[x ** (nvars - 1 - j) for j in range(nvars)] for x in POINTS[:nvars]])
+
+
+@cache
 def schur_value(lam, nvars):
     """s_lam evaluated at the first nvars primes, via the bialternant ratio."""
     xs = POINTS[:nvars]
     lam = tuple(lam) + (0,) * (nvars - len(lam))
     num = [[x ** (lam[j] + nvars - 1 - j) for j in range(nvars)] for x in xs]
-    den = [[x ** (nvars - 1 - j) for j in range(nvars)] for x in xs]
-    d = det_int(den)
+    d = _vandermonde(nvars)
     n = det_int(num)
     assert n % d == 0
     return n // d

@@ -6,6 +6,7 @@ Partitions are plain tuples of weakly decreasing positive integers; the empty
 partition is ().
 """
 
+from functools import cache
 from math import gcd
 
 
@@ -199,13 +200,17 @@ def lr_coefficient_len2(lam, nu, mu) -> int:
     return 1
 
 
+@cache
 def _add_strips(prev, size, max_rows):
     """Partitions reachable from prev by adding a horizontal strip of `size` boxes.
 
     A horizontal strip adds at most one box per column: new_i <= prev_{i-1}
     for every row i >= 2. Results are capped at max_rows rows. prev must be
-    a normalized partition: the recursion then builds weakly decreasing
-    nonnegative rows, so each result only needs its trailing zeros stripped.
+    a normalized partition of at most max_rows rows: the recursion then
+    builds weakly decreasing nonnegative rows, so each result only needs its
+    trailing zeros stripped.  Results are cached, since LR expansion and the
+    Grassmannian build ask for the same strips many times; they are tuples so
+    that no caller can alter them.
     """
     prevp = list(prev)
     nrows = min(len(prev) + 1, max_rows)
@@ -228,9 +233,9 @@ def _add_strips(prev, size, max_rows):
             built.pop()
 
     if size == 0:
-        return [prev]
+        return (prev,)
     rec(0, size)
-    return out
+    return tuple(out)
 
 
 def lr_expand(lam, mu, max_rows: int) -> dict:

@@ -1,11 +1,12 @@
+from itertools import product
 from math import comb, gcd
 
 from oracles import partitions_up_to
 from qhandle._oracles import schur_product_expansion, schur_value
-from qhandle.partitions import (complement, est_bound, in_box, is_partition,
-                                lr_coefficient, lr_coefficient_len2, lr_expand,
-                                normalize, partitions_in_box, partitions_of,
-                                restricted_count)
+from qhandle.partitions import (_add_strips, complement, est_bound, in_box,
+                                is_partition, lr_coefficient, lr_coefficient_len2,
+                                lr_expand, normalize, partitions_in_box,
+                                partitions_of, restricted_count)
 
 
 def test_is_partition():
@@ -147,6 +148,29 @@ def test_lr_expand_against_monomial_oracle():
             assert got == schur_product_expansion(lam, mu, nvars), (lam, mu)
             checked += 1
     assert checked > 100
+
+
+def test_add_strips_matches_brute_force():
+    # every nu containing prev, |prev| + size boxes, at most max_rows rows and
+    # nu_(i+1) <= prev_i, in lexicographic order of the rows as the strip
+    # recursion builds them; callers never pass a prev taller than the cap
+    for prev in partitions_in_box(4, 5):
+        for max_rows in range(len(prev) or 1, 5):
+            padded = prev + (0,) * (max_rows - len(prev))
+            for size in range(6):
+                ranges = [range(padded[i], (padded[i - 1] if i else padded[0] + size) + 1)
+                          for i in range(max_rows)]
+                want = [normalize(nu) for nu in product(*ranges)
+                        if sum(nu) == sum(prev) + size and is_partition(nu)]
+                got = _add_strips(prev, size, max_rows)
+                assert isinstance(got, tuple)
+                assert list(got) == want, (prev, size, max_rows)
+
+
+def test_schur_product_expansion_at_the_edge_of_the_packing_base():
+    # one variable carries the whole degree 8, which is base - 1
+    assert schur_product_expansion((4,), (4,), 2) == {
+        (8,): 1, (7, 1): 1, (6, 2): 1, (5, 3): 1, (4, 4): 1}
 
 
 def test_two_row_closed_form_matches_general():
