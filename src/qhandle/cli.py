@@ -11,8 +11,7 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
-from math import comb, isfinite, nan
+from math import comb, gcd, isfinite, nan
 
 from . import acceptance, complexity, partitions, rings
 from .linalg import is_positive_definite
@@ -70,12 +69,6 @@ def parse_state(ring, text):
                      "or a basis label")
 
 
-def _scalar(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    return x
-
-
 def element_json(ring, x):
     """Element as {label: {q exponent: coefficient}} with string rationals."""
     out = {}
@@ -108,9 +101,22 @@ def element_str(ring, x):
 
 
 def state_json(ring, point):
-    coords = point.vec if isinstance(point, complexity.ProjState) else point
-    return {ring.labels[i]: _scalar(v)
-            for i, v in enumerate(coords) if v != 0}
+    """{label: coordinate} over the nonzero coordinates of a state: a
+    float tuple as it is, or a ProjState as x / pivot over its integers x,
+    pivot the first nonzero one, written as str(Fraction(x, pivot)) would."""
+    if not isinstance(point, complexity.ProjState):
+        return {ring.labels[i]: v for i, v in enumerate(point) if v != 0}
+    ints = point.ints
+    pivot = next(x for x in ints if x)
+    out = {}
+    for i, x in enumerate(ints):
+        if x:
+            g = gcd(x, pivot)
+            num, den = x // g, pivot // g
+            if den < 0:
+                num, den = -num, -den
+            out[ring.labels[i]] = str(num) if den == 1 else f"{num}/{den}"
+    return out
 
 
 def laurent_json(laurent):

@@ -8,14 +8,13 @@ real matrix iterations, and the set of non-orbit accumulation points.
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (
     _berkowitz,
     _jacobi,
+    _non_split_prime,
     _synth_div,
-    char_poly,
     int_scale,
     mat_vec,
     rational_roots,
@@ -137,7 +136,6 @@ def chordal(x, y):
     return math.sqrt(max(val, 0.0))
 
 
-@dataclass
 class Trajectory:
     """Orbit prefix of a state under handle multiplication.
 
@@ -146,10 +144,11 @@ class Trajectory:
     exact revisit when one occurs within the step budget.
     """
 
-    states: list
-    hit_zero: bool = False
-    cycle_start: int = None
-    cycle_length: int = None
+    def __init__(self, states, hit_zero=False, cycle_start=None, cycle_length=None):
+        self.states = states
+        self.hit_zero = hit_zero
+        self.cycle_start = cycle_start
+        self.cycle_length = cycle_length
 
     @property
     def closed(self):
@@ -231,7 +230,6 @@ def approx_complexity(ring, s0, target, eps, kmax=None):
                       lambda state, goal: chordal(state, goal) <= eps)
 
 
-@dataclass
 class LimitReport:
     """Exact accumulation data of the iteration M^k z.
 
@@ -243,13 +241,22 @@ class LimitReport:
     +-dominant.
     """
 
-    points: list
-    finite_orbit: bool = False
-    dominant: Fraction = None
-    depth: int = 0
+    def __init__(self, points, finite_orbit=False, dominant=None, depth=0):
+        self.points = points
+        self.finite_orbit = finite_orbit
+        self.dominant = dominant
+        self.depth = depth
 
 
-def limit_points_real(mat, z, _roots=None):
+def _char_roots(ints, den):
+    """(f, roots) for M = ints / den: f = det(x I - ints) as integers, and
+    the rational roots of det(x I - M), whose x^(n-k) coefficient is f's
+    over den^k, as (root, multiplicity) pairs."""
+    f = _berkowitz(ints)
+    return f, rational_roots([Fraction(c, den ** k) for k, c in enumerate(f)])
+
+
+def limit_points_real(mat, z, _char=None):
     """Limit classes of M^k z for a matrix M split over the rationals.
 
     Let D = d M be M scaled to integers (int_scale) and f the characteristic
@@ -265,9 +272,11 @@ def limit_points_real(mat, z, _roots=None):
 
     M^k z_v grows like binomial(k, r-1) v^(k-r+1) (M - v I)^(r-1) z_v, so the
     largest |v| with a nonzero y wins, and at it the top term of each sign
-    whose chain is longest survives.  The roots are those of char_poly(M) of
-    M itself, whose candidates p/q are small; those of D are d times larger
-    and may carry a prime factor of d too large to split off.  Raises
+    whose chain is longest survives.  The roots are those of the
+    characteristic polynomial of M itself, whose candidates p/q are small;
+    those of D are d times larger and may carry a prime factor of d too large
+    to split off.  One Berkowitz run gives f and, scaled, that polynomial;
+    _char passes in a _char_roots result already computed.  Raises
     ValueError for a zero z or a non-split matrix.
     """
     ints, den = int_scale(mat)
@@ -277,10 +286,10 @@ def limit_points_real(mat, z, _roots=None):
         raise ValueError("matrix and vector sizes differ")
     if not any(z):
         raise ValueError("z must be nonzero")
-    roots = dict(rational_roots(char_poly(mat)) if _roots is None else _roots)
+    f, roots = _char or _char_roots(ints, den)
+    roots = dict(roots)
     if sum(roots.values()) != n:
         raise ValueError("matrix is not split over the rationals")
-    f = _berkowitz(ints)
     shift = {v: (v * den).numerator for v in roots}  # the eigenvalue d v of D
 
     def cofactor(v):
@@ -339,7 +348,6 @@ def limit_points_real(mat, z, _roots=None):
     return LimitReport(points=points, dominant=lam, depth=r)
 
 
-@dataclass
 class SInfinityReport:
     """Accumulation points of an orbit that are not orbit states.
 
@@ -348,10 +356,11 @@ class SInfinityReport:
     Float results carry the states as float tuples and are approximate.
     """
 
-    points: list
-    exact: bool
-    method: str
-    notes: str = ""
+    def __init__(self, points, exact, method, notes=""):
+        self.points = points
+        self.exact = exact
+        self.method = method
+        self.notes = notes
 
 
 def _float_cluster(states, tol):
@@ -370,6 +379,18 @@ def s_infinity(ring, s0, kmax=None, tol=1e-9):
     visited orbit states are removed.  Otherwise a float eigenvector path is
     used (symmetric power of the handle when available, power iteration as a
     last resort) and the result is approximate.
+
+    The split test first asks for a certificate that M is not split, which
+    is cheap beside the characteristic polynomial and its rational roots.
+    Let D = d M be M scaled to integers and f = det(x I - D), monic over Z,
+    so each rational root of f is an integer.  If M splits over Q, so does
+    f, into factors x - r with r in Z; then f mod p splits over F_p for any
+    prime p, and so does each divisor of f mod p.  For a few small primes p
+    the minimal polynomial m of the sequence w D^k v mod p (k < 2n, w and v
+    fixed vectors; Berlekamp-Massey) is such a divisor.  If m has fewer
+    roots in F_p, counted with multiplicity, than its degree, M is not
+    split, and Berkowitz and the rational root search are skipped
+    (linalg._non_split_prime).  Without a certificate they decide.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
@@ -377,9 +398,10 @@ def s_infinity(ring, s0, kmax=None, tol=1e-9):
     traj = _walk(mat, z, kmax)
     if traj.closed:
         return SInfinityReport(points=[], exact=True, method="finite-orbit")
-    roots = rational_roots(char_poly(mat))
-    if sum(m for _, m in roots) == len(mat):
-        report = limit_points_real(mat, z, _roots=roots)
+    ints, den = int_scale(mat)
+    char = None if _non_split_prime(ints) else _char_roots(ints, den)
+    if char and sum(m for _, m in char[1]) == len(mat):
+        report = limit_points_real(mat, z, _char=char)
         if report.finite_orbit:
             return SInfinityReport(points=[], exact=True, method="finite-orbit")
         visited = set(traj.states)

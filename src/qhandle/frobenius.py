@@ -11,7 +11,6 @@ powers, and that span's exact dimension. All arithmetic is on Python ints
 and Fractions.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -100,7 +99,6 @@ class Element:
         return f"Element({self.coeffs!r})"
 
 
-@dataclass
 class FrobeniusRing:
     """Graded Frobenius algebra with materialized integer structure constants.
 
@@ -112,17 +110,19 @@ class FrobeniusRing:
     would cost n^3 words per ring.
     """
 
-    name: str
-    labels: list
-    degrees: list
-    tau: int
-    pairing: list  # row i: {j: nonzero Laurent scalar <e_i, e_j>}
-    structure: dict  # (i, j) with i <= j -> {w: nonzero int}
-    unit_index: int
-    point_index: int | None = None
-    delta_override: Element | None = None
-    meta: dict = field(default_factory=dict)
-    _cache: dict = field(default_factory=dict, repr=False)
+    def __init__(self, name, labels, degrees, tau, pairing, structure, unit_index,
+                 point_index=None, delta_override=None, meta=None, _cache=None):
+        self.name = name
+        self.labels = labels
+        self.degrees = degrees
+        self.tau = tau
+        self.pairing = pairing  # row i: {j: nonzero Laurent scalar <e_i, e_j>}
+        self.structure = structure  # (i, j) with i <= j -> {w: nonzero int}
+        self.unit_index = unit_index
+        self.point_index = point_index
+        self.delta_override = delta_override
+        self.meta = {} if meta is None else meta
+        self._cache = {} if _cache is None else _cache
 
     @property
     def dim(self):

@@ -8,8 +8,11 @@ ranks and leading principal minors all scale their rows to integers
 characteristic polynomial is that of Berkowitz, division-free, on the matrix
 scaled by the positive lcm of its denominators, which moves every rational
 eigenvalue onto an integer; with it come rational root extraction and
-Sylvester positive-definiteness certificates. Also a deterministic
-floating-point Jacobi eigensolver for symmetric matrices.
+Sylvester positive-definiteness certificates.  A cheaper certificate that
+the characteristic polynomial does not split over Q reads the minimal
+polynomial of a Krylov sequence modulo a few small primes (Berlekamp-Massey).
+Also a deterministic floating-point Jacobi eigensolver for symmetric
+matrices.
 """
 
 import math
@@ -185,6 +188,84 @@ def _berkowitz(a):
         poly = [sum(toeplitz[i - j] * poly[j] for j in range(min(i, k) + 1))
                 for i in range(k + 2)]
     return poly
+
+
+#: The primes of _non_split_prime, tried in order.  One prime alone can miss:
+#: 101 certifies neither gr:2,5 nor gr:3,10, and 103 neither gr:2,6 nor gr:4,8.
+_CERT_PRIMES = (101, 103, 107)
+
+
+def _berlekamp_massey(seq, p):
+    """Minimal polynomial over F_p of a linearly recurrent sequence, monic in
+    descending degree: the least m = x^L + m_1 x^(L-1) + ... + m_L with
+    s_(k+L) + m_1 s_(k+L-1) + ... + m_L s_k = 0 for every k.
+
+    Berlekamp-Massey (Massey 1969) on the connection polynomial
+    c(x) = x^L m(1/x).  The answer is exact when seq holds at least 2 L terms.
+    """
+    c, b = [1], [1]  # ascending; b is c before the last change of L
+    order, shift, last = 0, 1, 1
+    for i, s in enumerate(seq):
+        d = s
+        for j in range(1, min(order, len(c) - 1) + 1):
+            d += c[j] * seq[i - j]
+        d %= p
+        if not d:
+            shift += 1
+            continue
+        coef = d * pow(last, -1, p) % p
+        prev = list(c)
+        c += [0] * (len(b) + shift - len(c))
+        for j, x in enumerate(b):
+            c[j + shift] = (c[j + shift] - coef * x) % p
+        if 2 * order <= i:
+            order, b, last, shift = i + 1 - order, prev, d, 1
+        else:
+            shift += 1
+    return (c + [0] * order)[:order + 1]
+
+
+def _roots_mod_p(m, p):
+    """Number of roots in F_p of the polynomial m, counted with multiplicity:
+    each residue divides m out by synthetic division while the remainder is 0."""
+    count = 0
+    for r in range(p):
+        while len(m) > 1:
+            q = [m[0]]
+            for c in m[1:-1]:
+                q.append((c + r * q[-1]) % p)
+            if (m[-1] + r * q[-1]) % p:
+                break
+            m = q
+            count += 1
+    return count
+
+
+def _non_split_prime(a):
+    """A prime that proves det(x I - a) does not split over Q, or None.
+
+    a is a square integer matrix, so f = det(x I - a) is monic over Z and a
+    split f is a product of factors x - r with r in Z; then f mod p, and each
+    of its divisors, splits over F_p.  One divisor is m, the minimal
+    polynomial of the sequence w a^k v mod p for fixed vectors w and v and
+    k < 2n.  So a prime p at which m has fewer roots in F_p, counted with
+    multiplicity, than its degree proves that f does not split; None proves
+    nothing.  One walk modulo the product of _CERT_PRIMES serves them all.
+    """
+    n = len(a)
+    mod = math.prod(_CERT_PRIMES)
+    rows = [[(j, x % mod) for j, x in enumerate(row) if x % mod] for row in a]
+    w = [pow(2, i, mod) for i in range(n)]
+    v = [pow(3, i, mod) for i in range(n)]
+    seq = []
+    for _ in range(2 * n):
+        seq.append(sum(x * y for x, y in zip(w, v)))
+        v = [sum(x * v[j] for j, x in row) % mod for row in rows]
+    for p in _CERT_PRIMES:
+        m = _berlekamp_massey([s % p for s in seq], p)
+        if _roots_mod_p(m, p) < len(m) - 1:
+            return p
+    return None
 
 
 def char_poly(m):

@@ -4,7 +4,8 @@ build of the Grassmannian structure constants, modular checks of them and of
 the handle against Schur values at the points of the ring, the span of
 handle powers stepped as Fraction ring elements, the generator search over
 Q, the handle as the pairing double sum, the Fraction reduced row echelon
-form, and the Fraction forms of the orbit walk and the eigenstructure.
+form, the Fraction forms of the orbit walk and the eigenstructure, and
+replaced, a copy of an object with some attributes changed.
 
 The Fraction oracles are the exact algorithms as first written, on rational
 arithmetic throughout: an incremental reduced row echelon form
@@ -21,6 +22,7 @@ The Schur and characteristic-polynomial oracles that the acceptance criteria
 share with the tests live in qhandle._oracles.
 """
 
+import copy
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -30,6 +32,14 @@ from qhandle._oracles import det_int
 from qhandle.linalg import rational_roots
 from qhandle.partitions import lr_expand, partitions_in_box
 from qhandle.rings import reduce_sigma_hat
+
+
+def replaced(obj, **changes):
+    """A shallow copy of obj with the given attributes set."""
+    out = copy.copy(obj)
+    for name, value in changes.items():
+        setattr(out, name, value)
+    return out
 
 
 def partitions_up_to(w, max_len=None):

@@ -6,11 +6,13 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from qhandle import cli, rings
+from qhandle import cli, complexity, rings
 
 
 def run_cli(capsys, *argv):
@@ -108,6 +110,32 @@ def test_orbit(capsys):
     assert rep["closed"] is True and rep["count"] == 3
     assert rep["cycle_start"] == 0 and rep["cycle_length"] == 3
     assert rep["states"][0] == {"1": "1"}
+
+
+def _fraction_state_json(ring, state):
+    pivot = next(x for x in state.ints if x)
+    return {ring.labels[i]: str(Fraction(x, pivot)) for i, x in enumerate(state.ints) if x}
+
+
+@pytest.mark.parametrize("source", ["unit", "point", "s[1,1,1]", "s[3,1]", "s[5]", "s[4,2]"])
+def test_state_json_matches_the_fraction_form_on_gr_3_8(source):
+    ring = rings.grassmannian(3, 8)
+    traj = complexity.trajectory(ring, cli.parse_state(ring, source))
+    for state in traj.states:
+        assert cli.state_json(ring, state) == _fraction_state_json(ring, state)
+
+
+@pytest.mark.parametrize("ints", [
+    (-3, 6, 0, 9),  # a negative pivot
+    (0, 0, 4, -6, 4),  # the pivot is not the first coordinate; entries equal to it
+    (0, -5, -5, 10),
+    (2 ** 70, -(3 ** 45), 2 ** 71 + 1, 0),
+    (7,),
+])
+def test_state_json_matches_the_fraction_form_by_hand(ints):
+    ring = SimpleNamespace(labels=[f"e{i}" for i in range(len(ints))])
+    state = complexity.ProjState._of_primitive(ints)
+    assert cli.state_json(ring, state) == _fraction_state_json(ring, state)
 
 
 def test_dimf(capsys):
@@ -308,6 +336,9 @@ GOLDEN = [
     (["sinfty", "fci:4;r=3", "--from", "Hhat"], 0,
      "21d56bde4f01be0b828fc4dfc48eb4d9c944c4ee38af3d737e6bc3de2ce16d6d"),
     (["sinfty", "fci:2,3;r=3"], 0, "492e62ea4d08d1f6d499b2c6894a96a5db4dd8e9362ca14530dbd253aa3cb25b"),
+    # recorded while state_json still wrote each coordinate through a Fraction;
+    # negative and large fractions
+    (["orbit", "fci:2,3;r=3"], 0, "856c1338d6edae17a9fd1a305d63aa5796c0060e61cb56b13242554e094e38fd"),
 ]
 
 
@@ -342,6 +373,15 @@ def test_builds_and_runs_without_numpy():
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # inspect alone is about 10 ms of every qh process's cold start
+    script = ("import sys, qhandle.cli\n"
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=_src_env())
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 @pytest.mark.skipif(shutil.which("qh") is None,

@@ -1,18 +1,18 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (FractionProjState, faddeev_leverrier, fraction_limit_points,
-                     fraction_orbit)
+                     fraction_orbit, replaced)
 
 from qhandle import cli, complexity
 from qhandle.complexity import (NOT_FOUND, LimitReport, ProjState, Trajectory,
                                 approx_complexity, chordal, exact_complexity,
                                 limit_points_real, s_infinity, trajectory)
 from qhandle.frobenius import FrobeniusRing
-from qhandle.linalg import char_poly, frmat, frvec, mat_inverse, mat_mul
+from qhandle.linalg import (_non_split_prime, char_poly, frmat, frvec, int_scale,
+                            mat_inverse, mat_mul, rational_roots)
 from qhandle.rings import fano_ci, fci_report, grassmannian, projective_space, quadric
 
 
@@ -336,8 +336,8 @@ def test_s_infinity_power_iteration_fallback():
     # no point class and the handle 1 + H, whose q = 1 spectrum 2, 1 + w, 1 + w^2
     # (w a primitive cube root of 1) does not split over the rationals
     base = projective_space(2)
-    ring = dataclasses.replace(base, point_index=None, _cache={},
-                               delta_override=base.unit() + base.basis_element(1))
+    ring = replaced(base, point_index=None, _cache={},
+                    delta_override=base.unit() + base.basis_element(1))
     rep = s_infinity(ring, ring.unit(), kmax=10)
     assert rep.method == "float" and rep.exact is False
     assert len(rep.points) == 1
@@ -347,7 +347,74 @@ def test_s_infinity_power_iteration_fallback():
 def test_s_infinity_rejects_a_negative_tol():
     # the ring of the power-iteration fallback, where tol ** 0.5 was reached
     base = projective_space(2)
-    ring = dataclasses.replace(base, point_index=None, _cache={},
-                               delta_override=base.unit() + base.basis_element(1))
+    ring = replaced(base, point_index=None, _cache={},
+                    delta_override=base.unit() + base.basis_element(1))
     with pytest.raises(ValueError, match="tol must be nonnegative"):
         s_infinity(ring, ring.unit(), kmax=10, tol=-1)
+
+
+@st.composite
+def split_integer_matrices(draw):
+    """U T U^-1: T upper triangular over Z, its diagonal drawn from a few
+    values so that eigenvalues repeat, and U = L R unimodular, L and R
+    unitriangular over Z."""
+    n = draw(st.integers(1, 8))
+    values = draw(st.lists(st.sampled_from([-3, -1, 0, 1, 2, 104, -202]),
+                           min_size=1, max_size=3))
+    small = st.integers(-2, 2)
+
+    def square(entry):
+        return [[entry(i, j) for j in range(n)] for i in range(n)]
+
+    tri = square(lambda i, j: draw(st.sampled_from(values)) if i == j
+                 else draw(small) if j > i else 0)
+    lower = square(lambda i, j: 1 if i == j else draw(small) if j < i else 0)
+    upper = square(lambda i, j: 1 if i == j else draw(small) if j > i else 0)
+    u = mat_mul(lower, upper)
+    u_inv = [[int(x) for x in row] for row in mat_inverse(u)]
+    return mat_mul(mat_mul(u, tri), u_inv)
+
+
+# a Jordan block: (x - 3)^2 has one root in F_p, of multiplicity 2
+@example([[3, 1], [0, 3]])
+@example([[-1, 1, 0], [0, -1, 1], [0, 0, -1]])
+@settings(max_examples=200, deadline=None)
+@given(split_integer_matrices())
+def test_no_prime_certifies_a_split_matrix(mat):
+    assert _non_split_prime(mat) is None
+
+
+BUILT_IN_RINGS = ([f"pn:{n}" for n in range(1, 7)]
+                  + [f"quadric:{r}" for r in range(2, 7)]
+                  + [f"gr:{k},{n}" for n in range(4, 9) for k in range(2, n - 1)]
+                  + ["fci:3;r=3", "fci:2,2;r=3", "fci:4;r=3", "fci:2,3;r=3", "fci:5;r=4",
+                     "fci:3;r=7", "fci:4;r=4", "fci:2,2;r=4", "fci:3;r=5"])
+
+
+@pytest.mark.parametrize("spec", BUILT_IN_RINGS)
+def test_the_non_split_certificate_agrees_with_the_rational_roots(spec):
+    # certified implies not split; on these rings the converse holds too
+    mat = cli.build_ring(spec).handle_matrix()
+    split = sum(m for _, m in rational_roots(char_poly(mat))) == len(mat)
+    assert (_non_split_prime(int_scale(mat)[0]) is None) == split
+
+
+CERTIFYING_PRIMES = {(2, 5): 103, (2, 6): 101, (2, 7): 101, (2, 8): 101, (3, 7): 101,
+                     (3, 8): 101, (4, 8): 101, (3, 9): 101, (4, 9): 101, (3, 10): 103}
+
+
+@pytest.mark.parametrize("k, n", CERTIFYING_PRIMES)
+def test_theta_rings_are_certified_not_split(k, n):
+    ring = grassmannian(k, n)
+    assert _non_split_prime(int_scale(ring.handle_matrix())[0]) == CERTIFYING_PRIMES[k, n]
+
+
+def test_s_infinity_skips_the_characteristic_polynomial_when_certified(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Berkowitz ran on a certified matrix")
+
+    monkeypatch.setattr(complexity, "_char_roots", refuse)
+    for k, n in CERTIFYING_PRIMES:
+        if n <= 8:
+            ring = grassmannian(k, n)
+            assert s_infinity(ring, ring.unit()).method == "theta-float"

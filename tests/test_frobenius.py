@@ -1,10 +1,9 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from oracles import (associativity_failure, element_span_dim, fraction_generators,
-                     pairing_double_sum)
+                     pairing_double_sum, replaced)
 from qhandle.acceptance import EST_TABLE, FCI_INSTANCES
 from qhandle.frobenius import _GENERATOR_PRIME, Element, FrobeniusRing, qp_add, qp_eval
 from qhandle.rings import fano_ci, grassmannian, projective_space, quadric
@@ -139,7 +138,7 @@ def test_span_matches_the_element_product_loop(make):
 def test_span_rejects_a_power_outside_the_allowed_degrees():
     # Q^4 has tau = 4 = top degree, so D_X = 4 and only degrees 0 and 4 are
     # allowed; a handle override H leaves them at the first power
-    ring = dataclasses.replace(quadric(4), _cache={})
+    ring = replaced(quadric(4), _cache={})
     ring.delta_override = ring.element({"H": 1})
     assert ring.d_x() == 4
     message = r"handle power 1 leaves the V_j \(j = 0 mod D_X\) sum"
@@ -152,7 +151,7 @@ def test_span_rejects_a_power_outside_the_allowed_degrees():
 def test_handle_of_fci_without_override_raises_q_dependent():
     # the constant pairing of P^2, stored as its nonzero rows
     assert projective_space(2).pairing == [{2: {0: 1}}, {1: {0: 1}}, {0: {0: 1}}]
-    ring = dataclasses.replace(fano_ci((4,), 3), delta_override=None, _cache={})
+    ring = replaced(fano_ci((4,), 3), delta_override=None, _cache={})
     with pytest.raises(ValueError, match="pairing has q-dependent entries"):
         ring.handle_element()
 
@@ -256,7 +255,7 @@ def test_validate_rejects_frobenius_failure():
 def test_generator_check_agrees_with_the_all_pairs_oracle(make):
     # a private copy: grassmannian rings are shared through functools.cache
     shared = make()
-    ring = dataclasses.replace(shared, structure=dict(shared.structure), _cache={})
+    ring = replaced(shared, structure=dict(shared.structure), _cache={})
     assert associativity_failure(ring.structure, ring.dim) is None
     ring._validate_associativity()
     off_generators = 0
@@ -372,7 +371,7 @@ def _scaled_pairing(ring, c):
     # c <., .> is again a Frobenius pairing of the ring, with handle Delta / c
     pairing = [{j: {e: c * v for e, v in entry.items()} for j, entry in row.items()}
                for row in ring.pairing]
-    return dataclasses.replace(ring, pairing=pairing, _cache={})
+    return replaced(ring, pairing=pairing, _cache={})
 
 
 HANDLE_RINGS = ([(f"pn:{n}", projective_space, (n,)) for n in range(1, 7)]

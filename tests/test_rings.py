@@ -1,11 +1,10 @@
-import dataclasses
 from fractions import Fraction
 from math import comb, gcd
 
 import pytest
 
 from oracles import (fraction_mat_mul, handle_value_failure, lr_structure,
-                     schur_value_failure)
+                     replaced, schur_value_failure)
 
 from qhandle import rings
 from qhandle._oracles import poly_from_roots
@@ -224,7 +223,7 @@ def test_schur_values_catch_a_changed_constant():
     ring = grassmannian(3, 7)
     row = ring.structure[(1, 1)]  # s[1] s[1] = s[2] + s[1,1]
     w = min(row)
-    mutant = dataclasses.replace(ring, structure={**ring.structure, (1, 1): {**row, w: row[w] + 1}})
+    mutant = replaced(ring, structure={**ring.structure, (1, 1): {**row, w: row[w] + 1}})
     assert schur_value_failure(mutant, 3, 7) == (1, 1)
 
 
@@ -232,7 +231,7 @@ def test_schur_values_catch_a_changed_handle():
     ring = grassmannian(3, 7)
     handle = ring.handle_element()
     w, e = min(handle.coeffs)
-    mutant = dataclasses.replace(
+    mutant = replaced(
         ring, delta_override=handle + ring.element({(w, e): 1}), _cache={})
     assert handle_value_failure(mutant, 3, 7) is not None
 
