@@ -45,6 +45,17 @@ def _primitive(ints):
     return tuple(x // g for x in ints) if g != 1 else tuple(ints)
 
 
+def _step(cols, vec):
+    """The integer vector sum over j in supp(vec) of vec_j col_j, for a
+    square matrix given as sparse columns, cols[j] = [(i, entry), ...]."""
+    out = [0] * len(vec)
+    for j, x in enumerate(vec):
+        if x:
+            for i, c in cols[j]:
+                out[i] += c * x
+    return out
+
+
 def primitive_powers(mat, vec):
     """Yield the primitive integer vectors of vec, mat vec, mat^2 vec, ... for
     a rational matrix and a nonzero rational vector, ending before the first
@@ -52,14 +63,17 @@ def primitive_powers(mat, vec):
 
     Each step multiplies the last vector by mat scaled to integers
     (int_scale), so each vector spans the line of the power it stands for.
+    The scaled matrix is kept as its sparse columns, so a step costs one
+    multiply-add per nonzero of the columns in the vector's support (_step).
     A step is made only when the next vector is asked for.
     """
     mat, _ = int_scale(mat)
+    cols = [[(i, c) for i, c in enumerate(col) if c] for col in zip(*mat)]
     (vec,), _ = int_scale([vec])
     vec = _primitive(vec)
     while vec is not None:
         yield vec
-        vec = _primitive(mat_vec(mat, vec))
+        vec = _primitive(_step(cols, vec))
 
 
 class ProjState:
@@ -180,11 +194,11 @@ def _orbit(mat, vec, kmax, traj):
     seen = {}
     for k, ints in enumerate(powers):
         state = ProjState._of_primitive(ints)
-        if state in seen:
-            traj.cycle_start = seen[state]
-            traj.cycle_length = k - traj.cycle_start
+        first = seen.setdefault(state, k)
+        if first != k:
+            traj.cycle_start = first
+            traj.cycle_length = k - first
             return
-        seen[state] = k
         traj.states.append(state)
         yield state
         if k == kmax:

@@ -456,43 +456,63 @@ class FrobeniusRing:
         return gens
 
     def _validate_associativity(self):
-        """L_g L_b = sum_w c^w_gb L_w at q = 1 for every generator g (see
-        _generators) and every basis element b.
+        """e_g (e_b e_j) = (e_g e_j) e_b at q = 1 for every generator g (see
+        _generators) and every pair of basis elements b, j.
 
-        L_a is the matrix of multiplication by e_a; its column j is the row
-        e_a * e_j.  This proves the ring associative: let S = {a : L_a L_x =
+        Swapping b and j, and using commutativity, these are the identities
+        L_g L_b = L_gb for every b, where L_a is the matrix of multiplication
+        by e_a.  This proves the ring associative: let S = {a : L_a L_x =
         L_ax for all x}. S is a subspace and contains 1 (the unit law is
         checked first), and the check puts every generator in S. If g, a are
         in S then L_ga = L_g L_a, so L_ga L_x = L_g L_ax = L_g(ax) = L_(ga)x.
         So S contains every word, and the words span the ring. Equality at
         q = 1 is enough, because the grading fixes the q-power of every term.
 
-        The check runs one column j at a time, on the sparse rows in Python
-        ints: column j of L_g L_b is sum_v c^v_bj row(g, v), and column j of
-        the right side is sum_w c^w_gb row(w, j); their difference must be
-        0.  The left side depends on b and j only through e_b * e_j, so it
-        is summed once per pair b <= j and checked against the right sides
-        of (b, j) and (j, b).  The error names the least failing b.
+        One Python int stands for the identities of all b at once.  Let
+        pos(b) be the rank of b among the basis elements whose degree is
+        congruent to deg e_b mod tau, and X[v][j] = sum_b c^v_bj 2^(s pos(b)).
+        For each (w, j) the check compares sum_v c^w_gv X[v][j] with
+        sum_u c^u_gj X[w][u]: their base-2^s digits at pos(b) are the e_w
+        coefficients of e_g (e_b e_j) and of (e_g e_j) e_b.  The digits stay
+        apart because validate checks the grading first: every structure
+        constant keeps the degree mod tau, so for fixed g, j and w only the b
+        with deg e_b = deg e_w - deg e_g - deg e_j mod tau contribute, and
+        they have distinct ranks.  With T the largest |c| and L the largest
+        sum of |c| over a structure row, every digit on either side is at
+        most T L in absolute value, so each digit of the difference is at
+        most 2 T L < 2^(s-1).  A base-2^s expansion with digits below 2^s
+        in absolute value is 0 only when every digit is, so the two ints are
+        equal exactly when every identity holds.  The error names the least
+        failing j of the first failing generator.
         """
-        n = self.dim
-        rows = [[self._row(i, j) for j in range(n)] for i in range(n)]
+        n, tau = self.dim, self.tau
+        rows = self.structure.values()
+        top = max((abs(c) for row in rows for c in row.values()), default=0)
+        mass = max((sum(map(abs, row.values())) for row in rows), default=0)
+        s = (2 * top * mass).bit_length() + 1
+        ranks, shift = {}, []
+        for d in self.degrees:
+            r = ranks.get(d % tau, 0)
+            shift.append(s * r)
+            ranks[d % tau] = r + 1
+        packed = [[0] * n for _ in range(n)]  # packed[j][v] = X[v][j]
+        for (i, j), row in self.structure.items():
+            for v, c in row.items():
+                packed[j][v] += c << shift[i]
+                if i != j:
+                    packed[i][v] += c << shift[j]
         for g in self._generators():
-            bad = []
-            for b in range(n):
-                for j in range(b, n):
-                    left = {}
-                    for v, c in rows[b][j].items():
-                        for w, d in rows[g][v].items():
-                            left[w] = left.get(w, 0) + c * d
-                    for x, y in ((b, j), (j, b)) if b < j else ((b, j),):
-                        diff = dict(left)
-                        for w, c in rows[g][x].items():
-                            for u, d in rows[w][y].items():
-                                diff[u] = diff.get(u, 0) - c * d
-                        if any(diff.values()):
-                            bad.append(x)
-            if bad:
-                raise ValueError(f"associativity fails at pair ({g}, {min(bad)})")
+            cols = [list(self._row(g, j).items()) for j in range(n)]
+            for j in range(n):
+                diff = [0] * n
+                for v, x in enumerate(packed[j]):
+                    for w, c in cols[v]:
+                        diff[w] += c * x
+                for u, c in cols[j]:
+                    for w, x in enumerate(packed[u]):
+                        diff[w] -= c * x
+                if any(diff):
+                    raise ValueError(f"associativity fails at pair ({g}, {j})")
 
     def _validate_frobenius(self):
         """<e_i, e_j> = <e_i * e_j, 1> for every pair i <= j, as Laurent

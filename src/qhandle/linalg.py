@@ -419,12 +419,58 @@ def _divisors(n):
     return sorted(set(divs))
 
 
+def _primitive_part(f):
+    """An integer polynomial divided by its content, leading coefficient
+    positive."""
+    g = math.gcd(*f)
+    return [c // g for c in f] if f[0] > 0 else [-c // g for c in f]
+
+
+def _pseudo_rem(a, b):
+    """lc(b)^k a mod b over Z for some k >= 0, without leading zeros ([] for
+    zero): each step replaces a by lc(b) a - lc(a) x^i b."""
+    a = list(a)
+    while len(a) >= len(b):
+        c = a[0]
+        a = [b[0] * x - c * y for x, y in zip(a[1:], b[1:])] + [b[0] * x for x in a[len(b):]]
+        while a and not a[0]:
+            del a[0]
+    return a
+
+
+def _exact_quotient(num, den):
+    """num / den for integer polynomials where den divides num over Z."""
+    num, quo = list(num), []
+    for i in range(len(num) - len(den) + 1):
+        c = num[i] // den[0]
+        quo.append(c)
+        for k in range(1, len(den)):
+            num[i + k] -= c * den[k]
+    return quo
+
+
+def _deflate(f, p, q):
+    """f / (q x - p) over Z, or None when q x - p does not divide f."""
+    out, carry = [], 0
+    for c in f[:-1]:
+        c, rem = divmod(c + carry, q)
+        if rem:
+            return None
+        out.append(c)
+        carry = p * c
+    return out if f[-1] + carry == 0 else None
+
+
 def rational_roots(coeffs):
     """All rational roots of the polynomial, as (root, multiplicity) pairs.
 
-    Clears denominators, strips zero roots, takes the square-free part, then
-    tries p/q with p dividing the constant and q the leading coefficient.
-    Multiplicities are read back off the original polynomial.
+    Clears denominators, strips zero roots, takes the square-free part f / g,
+    then tries p/q with p dividing its constant and q its leading
+    coefficient.  Everything runs over Z: g = gcd(f, f') is the last nonzero
+    term of the primitive pseudo-remainder sequence, a primitive polynomial
+    that divides f over Q and so, by Gauss's lemma, over Z.  A root p/q in
+    lowest terms has multiplicity the number of times the primitive q x - p
+    divides f over Z.
     """
     coeffs = [Fraction(c) for c in coeffs]
     while coeffs and not coeffs[0]:
@@ -441,11 +487,12 @@ def rational_roots(coeffs):
     if zero_mult:
         roots.append((Fraction(0), zero_mult))
     if len(ints) > 1:
-        sf, _ = poly_divmod(ints, poly_gcd(ints, poly_deriv(ints)))
-        sden = math.lcm(*(Fraction(c).denominator for c in sf))
-        sints = [int(Fraction(c) * sden) for c in sf]
-        shrink = math.gcd(*(abs(c) for c in sints))
-        sints = [c // shrink for c in sints]
+        a, b = _primitive_part(ints), _primitive_part(poly_deriv(ints))
+        while b:
+            a, b = b, _pseudo_rem(a, b)
+            if b:
+                b = _primitive_part(b)
+        sints = _primitive_part(_exact_quotient(ints, a))
         deg = len(sints) - 1
         at_one = sum(sints)
         at_minus_one = sum(c if (deg - i) % 2 == 0 else -c
@@ -474,16 +521,10 @@ def rational_roots(coeffs):
                     if val == 0:
                         found.append(Fraction(ps, q))
         for cand in sorted(set(found)):
-            mult = 0
-            cur = [Fraction(c) for c in ints]
-            while True:
-                quo, rem = _synth_div(cur, cand)
-                if rem:
-                    break
+            mult, cur = 0, ints
+            while (cur := _deflate(cur, cand.numerator, cand.denominator)) is not None:
                 mult += 1
-                cur = quo
-            if mult:
-                roots.append((cand, mult))
+            roots.append((cand, mult))
     roots.sort(key=lambda t: t[0])
     return roots
 

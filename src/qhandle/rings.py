@@ -223,18 +223,23 @@ def _schubert_matrices(k, n):
     Column j of L_(lam_1) L_lam' is the sum of c * (column v of L_(lam_1))
     over the terms c e_v of column j of L_lam'.  Column j of L_i is column i
     of L_j, since the ring is commutative, so a column whose matrix L_j is
-    already built is shared from it rather than summed.
+    already built is shared from it rather than summed.  Each partition
+    outside the box is reduced (reduce_sigma_hat) once per build.
     """
     basis, index = _gr_basis(k, n)
     dim = len(basis)
     mats = [None] * dim
     mats[0] = [{j: 1} for j in range(dim)]
 
+    memo = {}
+
     def reduced(nu):
         if nu in index:
             return 1, index[nu]
-        sign, _, mu = reduce_sigma_hat(k, n, nu)
-        return (sign, index[mu]) if mu is not None else None
+        if nu not in memo:
+            sign, _, mu = reduce_sigma_hat(k, n, nu)
+            memo[nu] = (sign, index[mu]) if mu is not None else None
+        return memo[nu]
 
     for p in range(1, n - k + 1):
         cols = []

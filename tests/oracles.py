@@ -1,22 +1,24 @@
 """Test-only helpers: partition enumeration, semistandard tableaux filled in
-one at a time, an all-pairs associativity check, the Littlewood-Richardson
-build of the Grassmannian structure constants, modular checks of them and of
-the handle against Schur values at the points of the ring, the span of
-handle powers stepped as Fraction ring elements, the generator search over
-Q, the handle as the pairing double sum, the Fraction reduced row echelon
-form, the Fraction forms of the orbit walk and the eigenstructure, and
+one at a time, an all-pairs associativity check and the pair the generator
+check must report, the Littlewood-Richardson build of the Grassmannian
+structure constants, modular checks of them and of the handle against Schur
+values at the points of the ring, the span of handle powers stepped as
+Fraction ring elements, the generator search over Q, the handle as the
+pairing double sum, the Fraction reduced row echelon form, the Fraction
+forms of the orbit walk, the rational roots and the eigenstructure, and
 replaced, a copy of an object with some attributes changed.
 
 The Fraction oracles are the exact algorithms as first written, on rational
 arithmetic throughout: an incremental reduced row echelon form
 (FractionEchelon) with its rank, determinant, nullspace, solve and inverse; a
 first-entry-1 projective state, a Fraction matrix-vector orbit walk, the
-Faddeev-LeVerrier characteristic polynomial, Jordan ranks and eigenbases
-from FractionEchelon on Fraction powers, and limit points from Fraction
-Jordan chains on the components of a generalized eigenbasis.  They import no
-elimination from qhandle.linalg; the library runs the same mathematics on
-integers, except that it isolates a component with a cofactor of the
-characteristic polynomial instead of an eigenbasis.
+Faddeev-LeVerrier characteristic polynomial, rational roots whose
+square-free part and multiplicities come from Fraction polynomial division,
+Jordan ranks and eigenbases from FractionEchelon on Fraction powers, and
+limit points from Fraction Jordan chains on the components of a generalized
+eigenbasis.  They import no elimination from qhandle.linalg; the library
+runs the same mathematics on integers, except that it isolates a component
+with a cofactor of the characteristic polynomial instead of an eigenbasis.
 
 The Schur and characteristic-polynomial oracles that the acceptance criteria
 share with the tests live in qhandle._oracles.
@@ -26,10 +28,10 @@ import copy
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from qhandle._oracles import det_int
-from qhandle.linalg import rational_roots
+from qhandle.linalg import _divisors, _synth_div, poly_deriv, poly_divmod, poly_gcd
 from qhandle.partitions import lr_expand, partitions_in_box
 from qhandle.rings import reduce_sigma_hat
 
@@ -92,22 +94,27 @@ def tableau_weights(shape, nvars):
     return out
 
 
+def _mul(structure, x, y):
+    """x y at q = 1 for sparse int vectors {index: coefficient}; structure
+    maps (i, j), i <= j, to the row {w: int} of e_i e_j at q = 1."""
+    out = {}
+    for a, ca in x.items():
+        for b, cb in y.items():
+            for w, c in structure[(a, b) if a <= b else (b, a)].items():
+                out[w] = out.get(w, 0) + ca * cb * c
+    return {w: c for w, c in out.items() if c}
+
+
 def associativity_failure(structure, n):
     """First ordered pair (i, j) with (e_i e_j) e_k != e_i (e_j e_k) at q = 1
     for some k, or None.
 
-    structure maps (i, j), i <= j, to the row {w: int} of e_i e_j at q = 1.
-    Every triple is multiplied out in Python ints, with no matrices and no
-    choice of generators.
+    Every triple is multiplied out in Python ints (_mul), with no matrices
+    and no choice of generators.
     """
 
     def mul(x, y):
-        out = {}
-        for a, ca in x.items():
-            for b, cb in y.items():
-                for w, c in structure[(a, b) if a <= b else (b, a)].items():
-                    out[w] = out.get(w, 0) + ca * cb * c
-        return {w: c for w, c in out.items() if c}
+        return _mul(structure, x, y)
 
     for i in range(n):
         for j in range(n):
@@ -115,6 +122,26 @@ def associativity_failure(structure, n):
             for k in range(n):
                 if mul(ij, {k: 1}) != mul({i: 1}, mul({j: 1}, {k: 1})):
                     return i, j
+    return None
+
+
+def generator_failure(structure, n, gens):
+    """The pair (g, j) that FrobeniusRing._validate_associativity reports, or
+    None: the first g in gens, then the least j, with e_g (e_b e_j) !=
+    (e_g e_j) e_b at q = 1 for some b.
+
+    Each side is multiplied out in Python ints (_mul), one b at a time.
+    """
+
+    def mul(x, y):
+        return _mul(structure, x, y)
+
+    for g in gens:
+        for j in range(n):
+            gj = mul({g: 1}, {j: 1})
+            for b in range(n):
+                if mul({g: 1}, mul({b: 1}, {j: 1})) != mul(gj, {b: 1}):
+                    return g, j
     return None
 
 
@@ -457,11 +484,80 @@ def faddeev_leverrier(m):
     return coeffs
 
 
+def fraction_rational_roots(coeffs):
+    """linalg.rational_roots on Fractions: (root, multiplicity) pairs.
+
+    Clears denominators, strips zero roots, takes the square-free part, then
+    tries p/q with p dividing the constant and q the leading coefficient.
+    Multiplicities are read back off the original polynomial.
+    """
+    coeffs = [Fraction(c) for c in coeffs]
+    while coeffs and not coeffs[0]:
+        coeffs = coeffs[1:]
+    if not coeffs:
+        raise ValueError("zero polynomial")
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    zero_mult = 0
+    while ints and ints[-1] == 0:
+        ints.pop()
+        zero_mult += 1
+    roots = []
+    if zero_mult:
+        roots.append((Fraction(0), zero_mult))
+    if len(ints) > 1:
+        sf, _ = poly_divmod(ints, poly_gcd(ints, poly_deriv(ints)))
+        sden = lcm(*(Fraction(c).denominator for c in sf))
+        sints = [int(Fraction(c) * sden) for c in sf]
+        shrink = gcd(*(abs(c) for c in sints))
+        sints = [c // shrink for c in sints]
+        deg = len(sints) - 1
+        at_one = sum(sints)
+        at_minus_one = sum(c if (deg - i) % 2 == 0 else -c
+                           for i, c in enumerate(sints))
+        found = []
+        for q in _divisors(sints[0]):
+            qpow = [q ** i for i in range(deg + 1)]
+            for p in _divisors(sints[-1]):
+                if gcd(p, q) != 1:
+                    continue
+                for ps in (p, -p):
+                    # a root p/q forces (p - q) | f(1) and (p + q) | f(-1)
+                    if ps == q:
+                        if at_one != 0:
+                            continue
+                    elif at_one != 0 and at_one % (ps - q) != 0:
+                        continue
+                    if ps == -q:
+                        if at_minus_one != 0:
+                            continue
+                    elif at_minus_one != 0 and at_minus_one % (ps + q) != 0:
+                        continue
+                    val = sints[0]
+                    for i in range(1, deg + 1):
+                        val = val * ps + sints[i] * qpow[i]
+                    if val == 0:
+                        found.append(Fraction(ps, q))
+        for cand in sorted(set(found)):
+            mult = 0
+            cur = [Fraction(c) for c in ints]
+            while True:
+                quo, rem = _synth_div(cur, cand)
+                if rem:
+                    break
+                mult += 1
+                cur = quo
+            if mult:
+                roots.append((cand, mult))
+    roots.sort(key=lambda t: t[0])
+    return roots
+
+
 def fraction_eigenstructure(m):
     """([(value, multiplicity, blocks, basis)], split) from Fraction powers."""
     n = len(m)
     m = [[Fraction(x) for x in row] for row in m]
-    roots = rational_roots(faddeev_leverrier(m))
+    roots = fraction_rational_roots(faddeev_leverrier(m))
     entries = []
     for lam, mult in roots:
         shifted = [[x - lam if i == j else x for j, x in enumerate(row)]

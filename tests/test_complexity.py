@@ -113,13 +113,13 @@ def test_approx_complexity_rejects_negative_eps():
 
 def test_searches_stop_at_the_first_hit_or_revisit(monkeypatch):
     calls = []
-    step = complexity.mat_vec
+    step = complexity._step
 
-    def counted(mat, vec):
+    def counted(cols, vec):
         calls.append(vec)
-        return step(mat, vec)
+        return step(cols, vec)
 
-    monkeypatch.setattr(complexity, "mat_vec", counted)
+    monkeypatch.setattr(complexity, "_step", counted)
     ring = projective_space(3)
     assert exact_complexity(ring, ring.unit(), ring.unit()) == 0
     assert calls == []

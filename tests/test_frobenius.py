@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (associativity_failure, element_span_dim, fraction_generators,
-                     pairing_double_sum, replaced)
+                     generator_failure, pairing_double_sum, replaced)
 from qhandle.acceptance import EST_TABLE, FCI_INSTANCES
 from qhandle.frobenius import _GENERATOR_PRIME, Element, FrobeniusRing, qp_add, qp_eval
 from qhandle.rings import fano_ci, grassmannian, projective_space, quadric
@@ -308,6 +310,90 @@ def test_associativity_is_checked_in_both_orders_of_a_pair():
     assert associativity_failure(ring.structure, ring.dim) is not None
     with pytest.raises(ValueError, match=r"associativity fails at pair \(2, 4\)"):
         ring._validate_associativity()
+
+
+def _algebra(degrees, tau, partner, products):
+    # basis e_0 = 1, ..., e_(n-1); pairing <e_i, e_partner[i]> = 1, and every
+    # product of non-unit classes not in products is 0
+    n = len(degrees)
+    structure = {(i, j): {} for i in range(1, n) for j in range(i, n)}
+    structure.update({(0, j): {j: 1} for j in range(n)})
+    structure.update(products)
+    return FrobeniusRing(
+        name="hand-built", labels=[f"e{i}" for i in range(n)], degrees=degrees, tau=tau,
+        pairing=[{j: {0: Fraction(1)}} for j in partner], structure=structure, unit_index=0,
+    )
+
+
+T = 2 ** 40
+
+# Rings whose associativity check must fail at pair (1, 1): e_1 (e_b e_1) !=
+# (e_1 e_1) e_b for some b, with every other identity of the generator e_1
+# holding.  Each is a (degrees, tau, pairing partners, products) tuple.
+PACKING_CASES = {
+    # x (a x) = -T^2 w but (x x) a = 0: one discrepancy, of size T L
+    # (T = 2^40 the largest constant and L = 2^40 the largest row sum)
+    "digit bound": ([0] * 5, 1, range(5), {(1, 2): {3: -T}, (1, 3): {4: T}}),
+    # x (b x) - (x x) b is 2 T^2 w at b = a and -w at the next b: with
+    # T = L = 2^40 the digits need 83 bits, and at 81 the two would cancel
+    "carry": ([0] * 8, 1, range(8), {(1, 1): {4: T}, (2, 4): {7: -T}, (1, 2): {5: T},
+                                     (1, 5): {7: T}, (1, 3): {6: -1}, (1, 6): {7: 1}}),
+    # tau = 2: x (a x) = w but x (b x) = -w, with deg a = 1 and deg b = 3 in
+    # the same class mod 2 and each the second basis element of its degree;
+    # (x x) a = (x x) b = 0
+    "degree class": ([0, 1, 1, 2, 3, 3, 4], 2, [6, 4, 5, 3, 1, 2, 0],
+                     {(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 5): {6: -1}, (1, 6): {4: 1}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PACKING_CASES))
+def test_packed_associativity_check_keeps_every_digit(case):
+    ring = _algebra(*PACKING_CASES[case])
+    gens = ring._generators()
+    assert gens[0] == 1 and generator_failure(ring.structure, ring.dim, gens) == (1, 1)
+    with pytest.raises(ValueError, match=r"associativity fails at pair \(1, 1\)$"):
+        ring.validate()
+
+
+MUTATION_RINGS = {
+    "pn:3": lambda: projective_space(3),
+    "quadric:4": lambda: quadric(4),
+    "gr:2,5": lambda: grassmannian(2, 5),
+    "gr:3,6": lambda: grassmannian(3, 6),
+    "fci:5;r=4": lambda: fano_ci((5,), 4),  # constants up to 5^20
+}
+
+
+@st.composite
+def graded_mutations(draw):
+    name = draw(st.sampled_from(sorted(MUTATION_RINGS)))
+    ring = MUTATION_RINGS[name]()
+    ring = replaced(ring, structure=dict(ring.structure), _cache={})
+    n, deg = ring.dim, ring.degrees
+    keys = sorted(key for key in ring.structure if ring.unit_index not in key)
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.sampled_from(keys))
+        w = draw(st.sampled_from([w for w in range(n) if deg[i] + deg[j] >= deg[w]
+                                  and (deg[i] + deg[j] - deg[w]) % ring.tau == 0]))
+        delta = draw(st.integers(-3, 3) | st.sampled_from([-T, T, 1 - T]))
+        row = dict(ring.structure[(i, j)])
+        row[w] = row.get(w, 0) + delta
+        ring.structure[(i, j)] = {v: c for v, c in row.items() if c}
+    return ring
+
+
+@settings(max_examples=150, deadline=None)
+@given(graded_mutations())
+def test_associativity_agrees_with_the_oracles_on_graded_mutations(ring):
+    gens = fraction_generators(ring)
+    assert ring._generators() == gens
+    want = generator_failure(ring.structure, ring.dim, gens)
+    assert (want is None) == (associativity_failure(ring.structure, ring.dim) is None)
+    if want is None:
+        ring._validate_associativity()
+    else:
+        with pytest.raises(ValueError, match=r"associativity fails at pair \({}, {}\)$".format(*want)):
+            ring._validate_associativity()
 
 
 @pytest.mark.parametrize("k, n, gens", [

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (FractionEchelon, faddeev_leverrier, fraction_eigenstructure,
-                     fraction_inverse, fraction_limit_points, fraction_solve,
-                     identity, zeros)
+                     fraction_inverse, fraction_limit_points, fraction_rational_roots,
+                     fraction_solve, identity, zeros)
 
 from qhandle._oracles import det_int
 from qhandle.complexity import limit_points_real
@@ -107,6 +107,50 @@ def test_rational_roots_past_trial_division():
     # after trial division up to 10^6
     ints, _ = int_scale([[2, Fraction(1, 1000003)], [0, 3]])
     assert rational_roots(char_poly(ints)) == [(2000006, 1), (3000009, 1)]
+
+
+def _times(poly, factor):
+    out = [Fraction(0)] * (len(poly) + len(factor) - 1)
+    for i, a in enumerate(poly):
+        for j, b in enumerate(factor):
+            out[i + j] += a * b
+    return out
+
+
+@st.composite
+def factored_polynomials(draw):
+    """(polynomial, {rational root: multiplicity}): a rational scalar times
+    powers of x, of linear factors q x - p (some repeated) and of quadratics
+    with no rational root, multiplied out."""
+    poly = [Fraction(draw(st.integers(1, 30)) * draw(st.sampled_from([1, -1])),
+                     draw(st.integers(1, 12)))]
+    roots = {}
+    zeros = draw(st.integers(0, 3))
+    if zeros:
+        roots[Fraction(0)] = zeros
+        poly += [Fraction(0)] * zeros
+    for _ in range(draw(st.integers(0, 4))):
+        p, q = draw(st.integers(-40, 40).filter(bool)), draw(st.integers(1, 9))
+        mult = draw(st.integers(1, 3))
+        roots[Fraction(p, q)] = roots.get(Fraction(p, q), 0) + mult
+        for _ in range(mult):
+            poly = _times(poly, [q, -p])
+    for _ in range(draw(st.integers(0, 2))):
+        # x^2 + b x + c with b^2 - 4c < 0, or x^2 - c with c not a square
+        b, c = draw(st.sampled_from([(1, 1), (0, 1), (-3, 5), (2, 7), (0, -2), (0, -3),
+                                     (4, 1), (1, -1)]))
+        for _ in range(draw(st.integers(1, 2))):
+            poly = _times(poly, [1, b, c])
+    return poly, roots
+
+
+@settings(max_examples=300, deadline=None)
+@given(factored_polynomials())
+def test_rational_roots_match_the_fraction_form(case):
+    poly, roots = case
+    got = rational_roots(poly)
+    assert got == fraction_rational_roots(poly)
+    assert got == sorted(roots.items())
 
 
 def test_factorize_splits_large_cofactors():
