@@ -86,12 +86,13 @@ def criterion_2():
         d = ring.meta["delta"]
         c.check(ring.handle_element() == rings.handle_closed_forms(ring)["closed_form"],
                 f"quadric:{r}: handle equals {r + d} s{r} + {r - d} q 1")
-        mat = ring.handle_matrix()
+        # the handle matrix is D / den, so D has the spectrum times den
+        mat, den = ring.handle_matrix()
         got = char_poly(mat)
-        c.check(got == poly_from_roots([(2 * r, r), (-2 * d, d)]),
+        c.check(got == poly_from_roots([(2 * r * den, r), (-2 * d * den, d)]),
                 f"quadric:{r}: handle spectrum is 2r with multiplicity {r} "
                 f"and -2({d}) with multiplicity {d}")
-        floats = sym_float_eigs([[float(x) for x in row] for row in mat])
+        floats = sym_float_eigs([[x / den for x in row] for row in mat])
         want = sorted([2.0 * r] * r + [-2.0 * d] * d)
         c.check(all(abs(a - b) < 1e-6 for a, b in zip(sorted(floats), want)),
                 f"quadric:{r}: float eigenvalues cluster at the exact spectrum")
@@ -260,7 +261,7 @@ def criterion_7():
     bad_counts = bad_witness = 0
     for _ in range(trials):
         _, _, m, z, far = _limit_trial(rng, dim)
-        rep = limit_points_real(m, z)
+        rep = limit_points_real(int_scale(m), z)
         if rep.finite_orbit or not 1 <= len(rep.points) <= 2:
             bad_counts += 1
             continue

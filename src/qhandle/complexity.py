@@ -57,18 +57,17 @@ def _step(cols, vec):
 
 
 def primitive_powers(mat, vec):
-    """Yield the primitive integer vectors of vec, mat vec, mat^2 vec, ... for
-    a rational matrix and a nonzero rational vector, ending before the first
-    zero power.
+    """Yield the primitive integer vectors of vec, M vec, M^2 vec, ... for a
+    matrix M given as the pair mat = (D, d) of integer rows and a positive
+    denominator, M = D / d, and a nonzero rational vector, ending before the
+    first zero power.
 
-    Each step multiplies the last vector by mat scaled to integers
-    (int_scale), so each vector spans the line of the power it stands for.
-    The scaled matrix is kept as its sparse columns, so a step costs one
-    multiply-add per nonzero of the columns in the vector's support (_step).
-    A step is made only when the next vector is asked for.
+    Each step multiplies the last vector by D = d M, so each vector spans the
+    line of the power it stands for.  D is kept as its sparse columns, so a
+    step costs one multiply-add per nonzero of the columns in the vector's
+    support (_step).  A step is made only when the next vector is asked for.
     """
-    mat, _ = int_scale(mat)
-    cols = [[(i, c) for i, c in enumerate(col) if c] for col in zip(*mat)]
+    cols = [[(i, c) for i, c in enumerate(col) if c] for col in zip(*mat[0])]
     (vec,), _ = int_scale([vec])
     vec = _primitive(vec)
     while vec is not None:
@@ -264,20 +263,23 @@ class LimitReport:
 
 def _char_roots(ints, den):
     """(f, roots) for M = ints / den: f = det(x I - ints) as integers, and
-    the rational roots of det(x I - M), whose x^(n-k) coefficient is f's
-    over den^k, as (root, multiplicity) pairs."""
+    the rational roots of det(x I - M) as (root, multiplicity) pairs.  f is
+    monic over Z, so its rational roots are integers r, and r / den are
+    those of M."""
     f = _berkowitz(ints)
-    return f, rational_roots([Fraction(c, den ** k) for k, c in enumerate(f)])
+    return f, [(r / den, m) for r, m in rational_roots(f)]
 
 
 def limit_points_real(mat, z, _char=None):
-    """Limit classes of M^k z for a matrix M split over the rationals.
+    """Limit classes of M^k z for a matrix M split over the rationals, given
+    as the pair mat = (D, d) of integer rows and a positive denominator,
+    M = D / d (linalg.int_scale gives it for a rational matrix).
 
-    Let D = d M be M scaled to integers (int_scale) and f the characteristic
-    polynomial of D, whose x^(n-k) coefficient is d^k times that of M.  For a
-    rational eigenvalue v of multiplicity m, g_v = f / (x - d v)^m is an
-    integer polynomial.  g_v(D) is zero on every other generalized eigenspace,
-    as each of its factors (x - d w)^(m_w) kills its own.  On the v-space,
+    Let f be the characteristic polynomial of D, monic over Z, so that each
+    rational eigenvalue v of M makes d v an integer root of f.  For such a v
+    of multiplicity m, g_v = f / (x - d v)^m is an integer polynomial.
+    g_v(D) is zero on every other generalized eigenspace, as each of its
+    factors (x - d w)^(m_w) kills its own.  On the v-space,
     where d v is the only eigenvalue of D, it commutes with N = D - d v I and
     is invertible, since g_v(d v) != 0.  So y = g_v(D) z equals g_v(D) z_v,
     z_v the v-component of z: y is nonzero exactly when z_v is, its N-chain
@@ -286,14 +288,10 @@ def limit_points_real(mat, z, _char=None):
 
     M^k z_v grows like binomial(k, r-1) v^(k-r+1) (M - v I)^(r-1) z_v, so the
     largest |v| with a nonzero y wins, and at it the top term of each sign
-    whose chain is longest survives.  The roots are those of the
-    characteristic polynomial of M itself, whose candidates p/q are small;
-    those of D are d times larger and may carry a prime factor of d too large
-    to split off.  One Berkowitz run gives f and, scaled, that polynomial;
-    _char passes in a _char_roots result already computed.  Raises
-    ValueError for a zero z or a non-split matrix.
+    whose chain is longest survives.  _char passes in a _char_roots result
+    already computed.  Raises ValueError for a zero z or a non-split matrix.
     """
-    ints, den = int_scale(mat)
+    ints, den = mat
     (z,), _ = int_scale([z])
     n = len(z)
     if len(ints) != n or any(len(row) != n for row in ints):
@@ -396,14 +394,14 @@ def s_infinity(ring, s0, kmax=None, tol=1e-9):
 
     The split test first asks for a certificate that M is not split, which
     is cheap beside the characteristic polynomial and its rational roots.
-    Let D = d M be M scaled to integers and f = det(x I - D), monic over Z,
-    so each rational root of f is an integer.  If M splits over Q, so does
-    f, into factors x - r with r in Z; then f mod p splits over F_p for any
-    prime p, and so does each divisor of f mod p.  For a few small primes p
-    the minimal polynomial m of the sequence w D^k v mod p (k < 2n, w and v
-    fixed vectors; Berlekamp-Massey) is such a divisor.  If m has fewer
-    roots in F_p, counted with multiplicity, than its degree, M is not
-    split, and Berkowitz and the rational root search are skipped
+    With the handle matrix M = D / d as its pair (D, d), f = det(x I - D)
+    is monic over Z, so each rational root of f is an integer.  If M splits
+    over Q, so does f, into factors x - r with r in Z; then f mod p splits
+    over F_p for any prime p, and so does each divisor of f mod p.  For a
+    few small primes p the minimal polynomial m of the sequence w D^k v mod
+    p (k < 2n, w and v fixed vectors; Berlekamp-Massey) is such a divisor.
+    If m has fewer roots in F_p, counted with multiplicity, than its degree,
+    M is not split, and Berkowitz and the rational root search are skipped
     (linalg._non_split_prime).  Without a certificate they decide.
     """
     if tol < 0:
@@ -412,9 +410,9 @@ def s_infinity(ring, s0, kmax=None, tol=1e-9):
     traj = _walk(mat, z, kmax)
     if traj.closed:
         return SInfinityReport(points=[], exact=True, method="finite-orbit")
-    ints, den = int_scale(mat)
+    ints, den = mat
     char = None if _non_split_prime(ints) else _char_roots(ints, den)
-    if char and sum(m for _, m in char[1]) == len(mat):
+    if char and sum(m for _, m in char[1]) == len(ints):
         report = limit_points_real(mat, z, _char=char)
         if report.finite_orbit:
             return SInfinityReport(points=[], exact=True, method="finite-orbit")
@@ -422,6 +420,7 @@ def s_infinity(ring, s0, kmax=None, tol=1e-9):
         points = [p for p in report.points if p not in visited]
         return SInfinityReport(points=points, exact=True, method="rational-split")
 
+    fmat = [[x / den for x in row] for row in ints]
     theta = None
     if ring.point_index is not None:
         try:
@@ -429,9 +428,9 @@ def s_infinity(ring, s0, kmax=None, tol=1e-9):
         except ValueError:
             theta = None
     if theta is not None:
-        power = ring.mult_matrix(ring.power(ring.handle_element(), theta))
+        power, pden = ring.mult_matrix(ring.power(ring.handle_element(), theta))
         if power == [list(row) for row in zip(*power)]:
-            values, vectors = _jacobi([[float(x) for x in row] for row in power], 1e-12)
+            values, vectors = _jacobi([[x / pden for x in row] for row in power], 1e-12)
             top = max(abs(v) for v in values)
             dominant = [vec for val, vec in zip(values, vectors)
                         if abs(abs(val) - top) <= 1e-9 * max(1.0, top)]
@@ -441,7 +440,6 @@ def s_infinity(ring, s0, kmax=None, tol=1e-9):
                 weight = sum(a * b for a, b in zip(vec, fz))
                 for i, a in enumerate(vec):
                     proj[i] += weight * a
-            fmat = [[float(x) for x in row] for row in mat]
             states = []
             cur = proj
             for _ in range(theta):
@@ -457,7 +455,6 @@ def s_infinity(ring, s0, kmax=None, tol=1e-9):
             return SInfinityReport(points=points, exact=False, method="theta-float",
                                    notes="float eigenprojection; approximate")
 
-    fmat = [[float(x) for x in row] for row in mat]
     cur = [float(x) for x in z]
     tail = []
     steps = max(200, 20 * ring.dim)

@@ -235,17 +235,22 @@ class FrobeniusRing:
     def handle_matrix(self):
         """mult_matrix of the handle element, built once and kept in _cache.
 
-        Every caller shares the one matrix, so none may mutate it: the orbit
-        walk and mat_vec only read it, and frmat copies it.
+        Every caller shares the one pair (D, d), so none may mutate D: the
+        orbit walk, Berkowitz and the limit points only read it, and
+        a_matrix builds its own Fractions.
         """
         if "handle_matrix" not in self._cache:
             self._cache["handle_matrix"] = self.mult_matrix(self.handle_element())
         return self._cache["handle_matrix"]
 
     def mult_matrix(self, x: Element):
-        """Matrix of quantum multiplication by x at q = 1; column j is x * e_j.
+        """Matrix of quantum multiplication by x at q = 1, column j x * e_j,
+        as the pair (D, d): integer rows D and a positive int d with the
+        matrix D / d.
 
-        Summed in ints over the common denominator of x's coefficients.
+        Summed in ints over the common denominator of x's coefficients, then
+        divided by the gcd of that denominator and every entry, so (D, d) is
+        what linalg.int_scale gives for the matrix of Fractions.
         """
         n = self.dim
         den = lcm(*(c.denominator for c in x.coeffs.values()))
@@ -255,8 +260,8 @@ class FrobeniusRing:
             for j in range(n):
                 for w, cs in self._row(i, j).items():
                     mat[w][j] += c * cs
-        zero = Fraction(0)
-        return [[Fraction(v, den) if v else zero for v in row] for row in mat]
+        g = gcd(den, *(v for row in mat for v in row))
+        return [[v // g for v in row] for row in mat], den // g
 
     def element_vector(self, x: Element):
         """Coordinates of x at q = 1."""
@@ -296,8 +301,9 @@ class FrobeniusRing:
         return inv
 
     def a_matrix(self):
-        """Matrix of multiplication by Delta/[pt] at q = 1."""
-        return self.mult_matrix(self.product(self.handle_element(), self.pt_inverse()))
+        """Matrix of multiplication by Delta/[pt] at q = 1, as Fractions."""
+        mat, den = self.mult_matrix(self.product(self.handle_element(), self.pt_inverse()))
+        return [[Fraction(v, den) for v in row] for row in mat]
 
     def vj_split(self, j):
         """Basis indices with degree congruent to j mod tau."""
@@ -318,7 +324,7 @@ class FrobeniusRing:
 
         Also checks that every handle power stays inside the direct sum of
         V_j over j divisible by D_X.  The powers are stepped as primitive
-        integer vectors by the handle matrix scaled to integers
+        integer vectors by the integer rows D of the handle matrix (D, d)
         (complexity.primitive_powers), which changes no span.  The check reads
         the support off those q = 1 vectors: Delta is homogeneous, so each
         basis element occurs in a power with a single q exponent, and the

@@ -13,6 +13,18 @@ the characteristic polynomial does not split over Q reads the minimal
 polynomial of a Krylov sequence modulo a few small primes (Berlekamp-Massey).
 Also a deterministic floating-point Jacobi eigensolver for symmetric
 matrices.
+
+Rational roots are found by p-adic lifting, with no factoring (Loos,
+"Computing rational zeros of integral polynomials by p-adic expansion",
+1983).  The square-free part, made monic over Z, is a polynomial g whose
+rational roots are integers y with |y| <= B = 1 + max |g_i| (Cauchy).  Take
+the least odd prime p with gcd(g, g') = 1 mod p; there is one, as only the
+finitely many primes that divide the discriminant fail.  Then each root of
+g mod p is simple, g'(y) is a unit mod p, and Newton's step y - g(y) / g'(y)
+lifts it from mod m to mod m^2 uniquely (Hensel).  An integer root y is
+congruent to one of these roots mod p, so it equals the symmetric residue of
+that root's lift mod m once m > 2 B; the residues where g vanishes exactly
+are all the roots.
 """
 
 import math
@@ -324,101 +336,6 @@ def _synth_div(coeffs, root):
     return out[:-1], out[-1]
 
 
-#: Miller-Rabin with these bases decides primality exactly below
-#: 3.3 * 10^24 (Sorenson and Webster 2016); above that a composite passes
-#: with probability below 4^-13 and is then kept whole.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-#: Pollard-Brent steps per cofactor: enough for factors up to about 10^11.
-_RHO_STEPS = 1 << 20
-
-
-def _is_prime(n):
-    """Miller-Rabin primality test of n > 10^6 on the bases _MR_BASES."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_brent(n):
-    """A proper factor of the odd composite n by Pollard's rho with Brent's
-    cycle search (Brent 1980), or None after _RHO_STEPS steps.
-
-    The walk x -> x^2 + c mod n tries c = 1, 2, ... in turn, so the result is
-    deterministic.  Differences are multiplied in batches of 128 before each
-    gcd; a batch whose gcd is n is replayed one step at a time.
-    """
-    steps = 0
-    c = 0
-    while steps < _RHO_STEPS:
-        c += 1
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1 and steps < _RHO_STEPS:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            done = 0
-            while done < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - done)):
-                    y = (y * y + c) % n
-                    q = q * (x - y) % n
-                g = math.gcd(q, n)
-                done += 128
-            steps += 2 * r
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(x - ys, n)
-        if 1 < g < n:
-            return g
-    return None
-
-
-def _factorize(n):
-    """Prime-power factorization: trial division up to 10^6, then each
-    cofactor split by Pollard-Brent until Miller-Rabin calls every part
-    prime.  A part that Pollard-Brent cannot split within its step budget is
-    kept whole."""
-    n = abs(n)
-    fac = {}
-    d = 2
-    while d * d <= n and d <= 10 ** 6:
-        while n % d == 0:
-            fac[d] = fac.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    todo = [n] if n > 1 else []
-    while todo:
-        m = todo.pop()
-        split = None if m < 10 ** 12 or _is_prime(m) else _pollard_brent(m)
-        if split is None:
-            fac[m] = fac.get(m, 0) + 1
-        else:
-            todo += [split, m // split]
-    return fac
-
-
-def _divisors(n):
-    divs = [1]
-    for p, e in _factorize(n).items():
-        divs = [d * p ** i for d in divs for i in range(e + 1)]
-    return sorted(set(divs))
-
-
 def _primitive_part(f):
     """An integer polynomial divided by its content, leading coefficient
     positive."""
@@ -461,16 +378,37 @@ def _deflate(f, p, q):
     return out if f[-1] + carry == 0 else None
 
 
+def _coprime_mod(a, b, p):
+    """Whether the integer polynomials a and b are coprime over F_p: their
+    Euclidean remainder sequence mod p ends in a nonzero constant."""
+    def trim(f):
+        f = [x % p for x in f]
+        while f and not f[0]:
+            del f[0]
+        return f
+
+    a, b = trim(a), trim(b)
+    while b:
+        inv = pow(b[0], -1, p)
+        while len(a) >= len(b):
+            c = a[0] * inv
+            a = trim([x - c * y for x, y in zip(a[1:], b[1:])] + a[len(b):])
+        a, b = b, a
+    return len(a) == 1
+
+
 def rational_roots(coeffs):
     """All rational roots of the polynomial, as (root, multiplicity) pairs.
 
-    Clears denominators, strips zero roots, takes the square-free part f / g,
-    then tries p/q with p dividing its constant and q its leading
-    coefficient.  Everything runs over Z: g = gcd(f, f') is the last nonzero
-    term of the primitive pseudo-remainder sequence, a primitive polynomial
-    that divides f over Q and so, by Gauss's lemma, over Z.  A root p/q in
-    lowest terms has multiplicity the number of times the primitive q x - p
-    divides f over Z.
+    Clears denominators, strips zero roots and takes the square-free part
+    s = f / h over Z: h = gcd(f, f') is the last nonzero term of the
+    primitive pseudo-remainder sequence, a primitive polynomial that divides
+    f over Q and so, by Gauss's lemma, over Z.  With l the leading
+    coefficient of s, the monic g(y) = l^(deg - 1) s(y / l) has integer
+    coefficients and the roots y = l x, each an integer.  They are found by
+    p-adic lifting (Loos 1983), with no factoring; see the module docstring.
+    A root p/q in lowest terms has multiplicity the number of times the
+    primitive q x - p divides f over Z.
     """
     coeffs = [Fraction(c) for c in coeffs]
     while coeffs and not coeffs[0]:
@@ -493,34 +431,28 @@ def rational_roots(coeffs):
             if b:
                 b = _primitive_part(b)
         sints = _primitive_part(_exact_quotient(ints, a))
-        deg = len(sints) - 1
-        at_one = sum(sints)
-        at_minus_one = sum(c if (deg - i) % 2 == 0 else -c
-                           for i, c in enumerate(sints))
+        lead = sints[0]
+        g = [1] + [c * lead ** (i - 1) for i, c in enumerate(sints) if i]
+        dg = poly_deriv(g)
+        p = 3
+        while not _coprime_mod(g, dg, p):
+            p += 2
+            while any(p % k == 0 for k in range(3, math.isqrt(p) + 1, 2)):
+                p += 2
+        bound = 2 * (1 + max(map(abs, g[1:])))
         found = []
-        for q in _divisors(sints[0]):
-            qpow = [q ** i for i in range(deg + 1)]
-            for p in _divisors(sints[-1]):
-                if math.gcd(p, q) != 1:
-                    continue
-                for ps in (p, -p):
-                    # a root p/q forces (p - q) | f(1) and (p + q) | f(-1)
-                    if ps == q:
-                        if at_one != 0:
-                            continue
-                    elif at_one != 0 and at_one % (ps - q) != 0:
-                        continue
-                    if ps == -q:
-                        if at_minus_one != 0:
-                            continue
-                    elif at_minus_one != 0 and at_minus_one % (ps + q) != 0:
-                        continue
-                    val = sints[0]
-                    for i in range(1, deg + 1):
-                        val = val * ps + sints[i] * qpow[i]
-                    if val == 0:
-                        found.append(Fraction(ps, q))
-        for cand in sorted(set(found)):
+        for y in range(p):
+            if _synth_div(g, y)[1] % p:
+                continue
+            mod = p
+            while mod <= bound:
+                mod *= mod
+                y = (y - _synth_div(g, y)[1] * pow(_synth_div(dg, y)[1], -1, mod)) % mod
+            if y > mod // 2:
+                y -= mod
+            if not _synth_div(g, y)[1]:
+                found.append(Fraction(y, lead))
+        for cand in sorted(found):
             mult, cur = 0, ints
             while (cur := _deflate(cur, cand.numerator, cand.denominator)) is not None:
                 mult += 1

@@ -574,7 +574,7 @@ def fci_report(ring):
     together with its structural checks.
     """
     from . import complexity
-    from .linalg import int_scale, mat_mul
+    from .linalg import mat_mul
 
     meta = ring.meta
     r, tau, chi, kappa = meta["r"], meta["tau"], meta["chi"], meta["kappa"]
@@ -607,8 +607,8 @@ def fci_report(ring):
             report["predicted_state_count"] = len(set(report["predicted_states"]))
     else:
         alpha, beta, xi, omega = (meta[key] for key in ("alpha", "beta", "xi", "omega"))
-        mm = ring.handle_matrix()
-        a = [[mm[r - i][r - j] for j in range(r + 1)] for i in range(r + 1)]
+        ints, den = ring.handle_matrix()
+        a = [[Fraction(ints[r - i][r - j], den) for j in range(r + 1)] for i in range(r + 1)]
         report.update({"a_matrix": a, "alpha": alpha, "beta": beta, "xi": xi,
                        "omega": omega, "omega_nonzero": omega != 0})
         report["a_upper_triangular"] = all(
@@ -617,14 +617,14 @@ def fci_report(ring):
             a[j][j] == beta for j in range(1, r + 1))
         report["a_superdiag_ok"] = a[0][1] == omega and all(
             a[j][j + 1] == xi for j in range(1, r))
-        shifted = [[x - beta * (i == j) for j, x in enumerate(row)]
-                   for i, row in enumerate(a)]
         # the beta-block B (rows and columns 1..r) is one Jordan block:
-        # (B - beta I)^(r-1) != 0 = (B - beta I)^r, on B scaled to integers
-        ints, _ = int_scale([row[1:] for row in shifted[1:]])
-        power = ints
+        # (B - beta I)^(r-1) != 0 = (B - beta I)^r, on d (B - beta I)
+        shifted = [[ints[r - i][r - j] - (beta * den if i == j else 0) for j in range(1, r + 1)]
+                   for i in range(1, r + 1)]
+        power = shifted
         for _ in range(r - 2):
-            power = mat_mul(power, ints)
+            power = mat_mul(power, shifted)
+        last = mat_mul(power, shifted)
         report["jordan_depth_ok"] = (any(x for row in power for x in row)
-                                     and not any(x for row in mat_mul(power, ints) for x in row))
+                                     and not any(x for row in last for x in row))
     return report

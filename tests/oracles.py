@@ -31,7 +31,7 @@ from itertools import combinations
 from math import gcd, isqrt, lcm
 
 from qhandle._oracles import det_int
-from qhandle.linalg import _divisors, _synth_div, poly_deriv, poly_divmod, poly_gcd
+from qhandle.linalg import _synth_div, poly_deriv, poly_divmod, poly_gcd
 from qhandle.partitions import lr_expand, partitions_in_box
 from qhandle.rings import reduce_sigma_hat
 
@@ -482,6 +482,23 @@ def faddeev_leverrier(m):
                 mk[i][i] += ck
             mk = fraction_mat_mul(m, mk)
     return coeffs
+
+
+def _divisors(n):
+    """The positive divisors of n != 0 in increasing order: the prime powers
+    of |n| found by trial division, multiplied out."""
+    n, divs, d = abs(n), [1], 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            divs = [x * d ** i for x in divs for i in range(e + 1)]
+        d += 1 if d == 2 else 2
+    if n > 1:
+        divs += [x * n for x in divs]
+    return sorted(divs)
 
 
 def fraction_rational_roots(coeffs):

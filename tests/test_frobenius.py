@@ -8,6 +8,7 @@ from oracles import (associativity_failure, element_span_dim, fraction_generator
                      generator_failure, pairing_double_sum, replaced)
 from qhandle.acceptance import EST_TABLE, FCI_INSTANCES
 from qhandle.frobenius import _GENERATOR_PRIME, Element, FrobeniusRing, qp_add, qp_eval
+from qhandle.linalg import int_scale
 from qhandle.rings import fano_ci, grassmannian, projective_space, quadric
 
 
@@ -75,10 +76,10 @@ def test_handle_element_projective():
 def test_mult_matrix_columns():
     ring = projective_space(2)
     delta = ring.handle_element()
-    mat = ring.mult_matrix(delta)
+    mat, den = ring.mult_matrix(delta)
     for j in range(ring.dim):
         col = ring.element_vector(ring.product(delta, ring.basis_element(j)))
-        assert [mat[i][j] for i in range(ring.dim)] == col
+        assert [Fraction(mat[i][j], den) for i in range(ring.dim)] == col
 
 
 def test_theta_order_and_pt_inverse():
@@ -474,3 +475,22 @@ def test_handle_matches_the_pairing_double_sum(build, args):
     ring = build(*args)
     ring.validate()
     assert ring.handle_element() == pairing_double_sum(ring)
+
+
+MULT_RINGS = (HANDLE_RINGS
+              + [(f"fci:{','.join(map(str, m))};r={r}", fano_ci, (m, r))
+                 for m, r in FCI_INSTANCES]
+              + [("quadric:4 pairing * 4", lambda: _scaled_pairing(quadric(4), 4), ())])
+
+
+@pytest.mark.parametrize("build, args", [spec[1:] for spec in MULT_RINGS],
+                         ids=[spec[0] for spec in MULT_RINGS])
+def test_mult_matrix_is_the_int_scale_of_the_product_columns(build, args):
+    ring = build(*args)
+    delta, unit = ring.handle_element(), ring.unit()
+    # halves whose q = 1 sum is the unit: the pair must come out as (I, 1)
+    halves = unit.scale(Fraction(1, 2)) + unit.shift_q(1).scale(Fraction(1, 2))
+    for x in (delta, delta.scale(Fraction(2, 3)), halves):
+        cols = [ring.element_vector(ring.product(x, ring.basis_element(j)))
+                for j in range(ring.dim)]
+        assert ring.mult_matrix(x) == int_scale([list(row) for row in zip(*cols)])

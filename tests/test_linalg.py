@@ -10,12 +10,11 @@ from oracles import (FractionEchelon, faddeev_leverrier, fraction_eigenstructure
                      fraction_solve, identity, zeros)
 
 from qhandle._oracles import det_int
-from qhandle.complexity import limit_points_real
-from qhandle.linalg import (Echelon, _divisors, _factorize, char_poly, frmat,
-                            frvec, int_scale, is_positive_definite, krylov_rank,
-                            mat_inverse, mat_mul, mat_vec, poly_deriv,
-                            poly_divmod, poly_gcd, rational_roots,
-                            sym_float_eigs)
+from qhandle.complexity import ProjState, limit_points_real
+from qhandle.linalg import (Echelon, char_poly, frmat, frvec, int_scale,
+                            is_positive_definite, krylov_rank, mat_inverse,
+                            mat_mul, mat_vec, poly_deriv, poly_divmod, poly_gcd,
+                            rational_roots, sym_float_eigs)
 
 
 def test_char_poly_known():
@@ -45,14 +44,14 @@ def test_char_poly_and_eigenstructure_match_the_fraction_oracle(m):
     units = [[int(i == j) for j in range(n)] for i in range(n)]
     if fraction_eigenstructure(m)[1]:
         for z in units:
-            rep = limit_points_real(m, z)
+            rep = limit_points_real(int_scale(m), z)
             points, finite, dominant, depth = fraction_limit_points(m, z)
             assert [p.vec for p in rep.points] == [p.vec for p in points]
             assert (rep.finite_orbit, rep.dominant, rep.depth) == (finite, dominant, depth)
     else:
         for z in units:
             with pytest.raises(ValueError):
-                limit_points_real(m, z)
+                limit_points_real(int_scale(m), z)
 
 
 def test_cayley_hamilton_random():
@@ -96,6 +95,9 @@ def test_rational_roots_frozen():
         ([1, -6, 12, -8], [(Fraction(2), 3)]),
         ([4, 0, -1], [(Fraction(-1, 2), 1), (Fraction(1, 2), 1)]),
         ([1, 0, 1], []),
+        # |-5| is within 1 of the Cauchy bound 6, so it needs the lift past
+        # twice the bound to come back as a symmetric residue
+        ([1, 5], [(Fraction(-5), 1)]),
     ]
     for coeffs, expected in cases:
         got = rational_roots([Fraction(c) for c in coeffs])
@@ -103,8 +105,8 @@ def test_rational_roots_frozen():
 
 
 def test_rational_roots_past_trial_division():
-    # the constant term 6 * 1000003^2 leaves the composite cofactor 1000003^2
-    # after trial division up to 10^6
+    # the constant term 6 * 1000003^2 has the repeated prime factor 1000003,
+    # past any small trial division
     ints, _ = int_scale([[2, Fraction(1, 1000003)], [0, 3]])
     assert rational_roots(char_poly(ints)) == [(2000006, 1), (3000009, 1)]
 
@@ -153,15 +155,20 @@ def test_rational_roots_match_the_fraction_form(case):
     assert got == sorted(roots.items())
 
 
-def test_factorize_splits_large_cofactors():
-    p61, p31 = 2 ** 61 - 1, 2 ** 31 - 1
-    assert _factorize(-6 * 1000003 ** 2) == {2: 1, 3: 1, 1000003: 2}
-    assert _factorize(p61 * p31 * 1000033) == {p31: 1, p61: 1, 1000033: 1}
-    assert _factorize(7 * 1000003 ** 3) == {7: 1, 1000003: 3}
-    # a prime cofactor stays whole and gives the same divisors as before
-    assert _factorize(2 * p61) == {2: 1, p61: 1}
-    assert _divisors(3 * 1000003) == [1, 3, 1000003, 3000009]
-    assert _factorize(1) == {} and _factorize(0) == {}
+#: Two primes near 10^15 whose product a 2^20-step Pollard rho cannot split
+P1, P2 = 10 ** 15 + 37, 1000001000000017
+
+
+def test_rational_roots_of_a_product_of_two_large_primes():
+    assert rational_roots([1, -(P1 + P2), P1 * P2]) == [(P1, 1), (P2, 1)]
+    assert rational_roots([P1 * P2, -(P1 + P2), 1]) == [
+        (Fraction(1, P2), 1), (Fraction(1, P1), 1)]
+
+
+def test_limit_points_real_with_two_large_prime_eigenvalues():
+    rep = limit_points_real(([[P1, 1], [0, P2]], 1), [1, 1])
+    assert (rep.finite_orbit, rep.dominant, rep.depth) == (False, P2, 1)
+    assert rep.points == [ProjState([1, P2 - P1])]
 
 
 def test_rational_roots_random_products():
