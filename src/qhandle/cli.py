@@ -193,7 +193,7 @@ def cmd_orbit(args):
 def cmd_sinfty(args):
     ring = build_ring(args.ring)
     source = parse_state(ring, args.source)
-    rep = complexity.s_infinity(ring, source, kmax=args.kmax, tol=args.tol)
+    rep = complexity.s_infinity(ring, source, kmax=args.kmax)
     return {"ring": ring.name, "from": args.source,
             "count": len(rep.points), "exact": rep.exact,
             "method": rep.method, "notes": rep.notes,
@@ -359,7 +359,6 @@ def build_parser():
     common(p)
     p.add_argument("--from", dest="source", default="unit")
     p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--tol", type=_finite_float, default=1e-9)
 
     common(sub.add_parser("dimf",
                           help="dimension of the span of handle powers"))

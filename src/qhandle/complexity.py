@@ -9,10 +9,10 @@ real matrix iterations, and the set of non-orbit accumulation points.
 import math
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from .linalg import (
     _berkowitz,
-    _jacobi,
     _non_split_prime,
     _synth_div,
     int_scale,
@@ -383,29 +383,37 @@ def _float_cluster(states, tol):
     return out
 
 
-def s_infinity(ring, s0, kmax=None, tol=1e-9):
+def _theta_block(mat, z, theta, steps):
+    """The float states of the first theta-block of the walk of z, blocks
+    starting at step 0, equal bit for bit to the block before it; a state is
+    its primitive vector over its largest |entry|, correctly rounded."""
+    powers = primitive_powers(mat, z)
+    last = None
+    for _ in range(steps // theta):
+        block = [tuple(x / top for x in ints)
+                 for ints in islice(powers, theta) for top in [max(map(abs, ints))]]
+        if block == last:
+            return block
+        last = block
+    raise ValueError(f"no theta-block of the walk is stable within {steps} steps")
+
+
+def s_infinity(ring, s0, kmax=None):
     """Non-orbit accumulation points of the orbit of [s0].
 
-    A closed orbit gives the empty set exactly.  If the handle matrix at
-    q = 1 splits over the rationals the limits are computed exactly and the
-    visited orbit states are removed.  Otherwise a float eigenvector path is
-    used (symmetric power of the handle when available, power iteration as a
-    last resort) and the result is approximate.
+    A closed orbit gives the empty set exactly.  If the handle matrix M at
+    q = 1 splits over the rationals (linalg._non_split_prime may certify
+    that it does not) the limits are exact, less the visited states.
 
-    The split test first asks for a certificate that M is not split, which
-    is cheap beside the characteristic polynomial and its rational roots.
-    With the handle matrix M = D / d as its pair (D, d), f = det(x I - D)
-    is monic over Z, so each rational root of f is an integer.  If M splits
-    over Q, so does f, into factors x - r with r in Z; then f mod p splits
-    over F_p for any prime p, and so does each divisor of f mod p.  For a
-    few small primes p the minimal polynomial m of the sequence w D^k v mod
-    p (k < 2n, w and v fixed vectors; Berlekamp-Massey) is such a divisor.
-    If m has fewer roots in F_p, counted with multiplicity, than its degree,
-    M is not split, and Berkowitz and the rational root search are skipped
-    (linalg._non_split_prime).  Without a certificate they decide.
+    Otherwise the theta path needs a point class with T^theta = c scalar,
+    T = L_pt, and a symmetric M^theta.  M = A T, and A = Delta / [pt] has
+    positive eigenvalues and commutes with T, so M^(theta K) z =
+    c^K A^(theta K) z and [M^(theta K + j) z] tends to [T^j w], w the
+    projection of z onto A's top eigenspace: the limit points are far states
+    of the exact walk (_theta_block, within 10 dim steps), clustered at
+    chordal distance 1e-7, less those within 1e-7 of a visited state.
+    Raises ValueError when no path applies.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
     mat, z, kmax = _orbit_setup(ring, s0, kmax)
     traj = _walk(mat, z, kmax)
     if traj.closed:
@@ -420,56 +428,17 @@ def s_infinity(ring, s0, kmax=None, tol=1e-9):
         points = [p for p in report.points if p not in visited]
         return SInfinityReport(points=points, exact=True, method="rational-split")
 
-    fmat = [[x / den for x in row] for row in ints]
-    theta = None
-    if ring.point_index is not None:
-        try:
-            theta, _ = ring.theta_order()
-        except ValueError:
-            theta = None
-    if theta is not None:
-        power, pden = ring.mult_matrix(ring.power(ring.handle_element(), theta))
-        if power == [list(row) for row in zip(*power)]:
-            values, vectors = _jacobi([[x / pden for x in row] for row in power], 1e-12)
-            top = max(abs(v) for v in values)
-            dominant = [vec for val, vec in zip(values, vectors)
-                        if abs(abs(val) - top) <= 1e-9 * max(1.0, top)]
-            fz = [float(x) for x in z]
-            proj = [0.0] * len(fz)
-            for vec in dominant:
-                weight = sum(a * b for a, b in zip(vec, fz))
-                for i, a in enumerate(vec):
-                    proj[i] += weight * a
-            states = []
-            cur = proj
-            for _ in range(theta):
-                norm = max(abs(x) for x in cur)
-                if norm <= 1e-300:
-                    break
-                states.append(tuple(x / norm for x in cur))
-                cur = [sum(r * v for r, v in zip(row, cur)) for row in fmat]
-            points = _float_cluster(states, 1e-7)
-            visited = [st.floats() for st in traj.states]
-            points = [p for p in points
-                      if all(chordal(p, w) > 1e-7 for w in visited)]
-            return SInfinityReport(points=points, exact=False, method="theta-float",
-                                   notes="float eigenprojection; approximate")
-
-    cur = [float(x) for x in z]
-    tail = []
-    steps = max(200, 20 * ring.dim)
-    window = 4 * ring.dim
-    for k in range(steps):
-        norm = max(abs(x) for x in cur)
-        if norm <= 1e-300:
-            return SInfinityReport(points=[], exact=False, method="float",
-                                   notes="iterates vanished numerically")
-        cur = [x / norm for x in cur]
-        if k >= steps - window:
-            tail.append(tuple(cur))
-        cur = [sum(r * v for r, v in zip(row, cur)) for row in fmat]
-    points = _float_cluster(tail, tol ** 0.5)
+    try:  # no point class, or no scalar power of it
+        theta, _ = ring.theta_order()
+        power, _ = ring.mult_matrix(ring.power(ring.handle_element(), theta))
+    except ValueError:
+        power = None
+    if power is None or power != [list(row) for row in zip(*power)]:
+        raise ValueError(f"no S_infinity path: the orbit does not close within "
+                         f"kmax = {kmax}, the handle matrix is not split and "
+                         f"{ring.name} has no theta path")
+    points = _float_cluster(_theta_block(mat, z, theta, 10 * ring.dim), 1e-7)
     visited = [st.floats() for st in traj.states]
     points = [p for p in points if all(chordal(p, w) > 1e-7 for w in visited)]
-    return SInfinityReport(points=points, exact=False, method="float",
-                           notes="power iteration tail; approximate")
+    return SInfinityReport(points=points, exact=False, method="theta-float",
+                           notes="float eigenprojection; approximate")

@@ -17,7 +17,8 @@ matrices.
 Rational roots are found by p-adic lifting, with no factoring (Loos,
 "Computing rational zeros of integral polynomials by p-adic expansion",
 1983).  The square-free part, made monic over Z, is a polynomial g whose
-rational roots are integers y with |y| <= B = 1 + max |g_i| (Cauchy).  Take
+rational roots are integers y with |y| <= B = 2 max_i 2^ceil(bitlen(g_i) / i),
+over the nonzero g_i, i >= 1: Fujiwara's 2 max |g_i|^(1/i), rounded up.  Take
 the least odd prime p with gcd(g, g') = 1 mod p; there is one, as only the
 finitely many primes that divide the discriminant fail.  Then each root of
 g mod p is simple, g'(y) is a unit mod p, and Newton's step y - g(y) / g'(y)
@@ -439,7 +440,8 @@ def rational_roots(coeffs):
             p += 2
             while any(p % k == 0 for k in range(3, math.isqrt(p) + 1, 2)):
                 p += 2
-        bound = 2 * (1 + max(map(abs, g[1:])))
+        # 2 B, with B the rounded Fujiwara bound of the module docstring
+        bound = 4 * max(1 << -(-c.bit_length() // i) for i, c in enumerate(g) if i and c)
         found = []
         for y in range(p):
             if _synth_div(g, y)[1] % p:

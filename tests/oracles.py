@@ -31,7 +31,8 @@ from itertools import combinations
 from math import gcd, isqrt, lcm
 
 from qhandle._oracles import det_int
-from qhandle.linalg import _synth_div, poly_deriv, poly_divmod, poly_gcd
+from qhandle.complexity import _float_cluster
+from qhandle.linalg import _jacobi, _synth_div, poly_deriv, poly_divmod, poly_gcd
 from qhandle.partitions import lr_expand, partitions_in_box
 from qhandle.rings import reduce_sigma_hat
 
@@ -631,3 +632,32 @@ def fraction_limit_points(mat, z):
         if any(cand) and FractionProjState(cand) not in points:
             points.append(FractionProjState(cand))
     return points, False, lam, r
+
+
+def jacobi_theta_points(ring, z):
+    """The theta path's limit points of the orbit of the vector z, before the
+    visited filter, as first written: z projected onto the eigenvectors of
+    the float M^theta (Jacobi) whose |eigenvalue| is the largest within 1e-9,
+    theta float steps of M from that projection, each state over its largest
+    |entry|, clustered at chordal distance 1e-7."""
+    ints, den = ring.handle_matrix()
+    theta, _ = ring.theta_order()
+    power, pden = ring.mult_matrix(ring.power(ring.handle_element(), theta))
+    values, vectors = _jacobi([[x / pden for x in row] for row in power], 1e-12)
+    top = max(abs(v) for v in values)
+    dominant = [vec for val, vec in zip(values, vectors)
+                if abs(abs(val) - top) <= 1e-9 * max(1.0, top)]
+    fz = [float(x) for x in z]
+    proj = [0.0] * len(fz)
+    for vec in dominant:
+        weight = sum(a * b for a, b in zip(vec, fz))
+        for i, a in enumerate(vec):
+            proj[i] += weight * a
+    fmat = [[x / den for x in row] for row in ints]
+    states = []
+    cur = proj
+    for _ in range(theta):
+        norm = max(abs(x) for x in cur)
+        states.append(tuple(x / norm for x in cur))
+        cur = [sum(r * v for r, v in zip(row, cur)) for row in fmat]
+    return _float_cluster(states, 1e-7)

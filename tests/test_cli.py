@@ -189,8 +189,7 @@ def test_usage_errors_exit_2(capsys):
 
 def test_non_finite_floats_are_usage_errors(capsys):
     approx = ["complexity", "quadric:3", "--from", "unit", "--to", "H"]
-    for argv in [approx + ["--eps", "nan"], approx + ["--eps", "inf"],
-                 ["sinfty", "pn:2", "--tol", "nan"]]:
+    for argv in [approx + ["--eps", "nan"], approx + ["--eps", "inf"]]:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == "" and "finite" in err
@@ -198,16 +197,27 @@ def test_non_finite_floats_are_usage_errors(capsys):
         cli.render({"eps": float("nan")}, "json")
 
 
-def test_negative_tol_is_a_domain_error_like_negative_eps(capsys):
-    code, out, err = run_cli(capsys, "sinfty", "pn:2", "--tol", "-1")
+def test_negative_eps_is_a_domain_error(capsys):
+    code, out, err = run_cli(capsys, "complexity", "pn:2", "--from", "unit",
+                             "--to", "H", "--eps", "-1")
     assert code == 1 and err == ""
     assert json.loads(out) == {"error": {"type": "ValueError",
-                                         "message": "tol must be nonnegative"}}
-    code, out, _ = run_cli(capsys, "complexity", "pn:2", "--from", "unit",
-                           "--to", "H", "--eps", "-1")
-    assert code == 1
-    assert json.loads(out) == {"error": {"type": "ValueError",
                                          "message": "eps must be nonnegative"}}
+
+
+def test_sinfty_without_a_path_exits_1(capsys):
+    # the orbit closes only past kmax 5, and fci:3;r=7 is neither split nor
+    # a theta ring
+    code, out, err = run_cli(capsys, "sinfty", "fci:3;r=7", "--kmax", "5")
+    assert code == 1 and err == ""
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith("no S_infinity path")
+
+
+def test_sinfty_has_no_tol_option(capsys):
+    code, out, err = run_cli(capsys, "sinfty", "pn:2", "--tol", "1e-9")
+    assert code == 2 and out == "" and "--tol" in err
 
 
 def test_domain_errors_exit_1_with_error_object(capsys):

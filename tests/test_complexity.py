@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (FractionProjState, faddeev_leverrier, fraction_limit_points,
-                     fraction_orbit, replaced)
+                     fraction_orbit, jacobi_theta_points, replaced)
 
 from qhandle import cli, complexity
 from qhandle.complexity import (NOT_FOUND, LimitReport, ProjState, Trajectory,
@@ -337,25 +337,34 @@ def test_s_infinity_theta_float_path():
     assert rep.method == "theta-float" and rep.exact is False
 
 
-def test_s_infinity_power_iteration_fallback():
+def test_s_infinity_without_a_path_is_an_error():
     # no point class and the handle 1 + H, whose q = 1 spectrum 2, 1 + w, 1 + w^2
     # (w a primitive cube root of 1) does not split over the rationals
     base = projective_space(2)
     ring = replaced(base, point_index=None, _cache={},
                     delta_override=base.unit() + base.basis_element(1))
-    rep = s_infinity(ring, ring.unit(), kmax=10)
-    assert rep.method == "float" and rep.exact is False
-    assert len(rep.points) == 1
-    assert chordal(rep.points[0], (1.0, 1.0, 1.0)) < 1e-6
+    with pytest.raises(ValueError, match="no S_infinity path: the orbit does not "
+                                         "close within kmax = 10"):
+        s_infinity(ring, ring.unit(), kmax=10)
 
 
-def test_s_infinity_rejects_a_negative_tol():
-    # the ring of the power-iteration fallback, where tol ** 0.5 was reached
-    base = projective_space(2)
-    ring = replaced(base, point_index=None, _cache={},
-                    delta_override=base.unit() + base.basis_element(1))
-    with pytest.raises(ValueError, match="tol must be nonnegative"):
-        s_infinity(ring, ring.unit(), kmax=10, tol=-1)
+@pytest.mark.parametrize("k, n", [(2, 5), (2, 6), (2, 7), (3, 7), (3, 8), (4, 8)])
+def test_theta_points_match_the_jacobi_oracle(k, n):
+    # the points before the visited filter, whose 1e-7 threshold the two
+    # paths may straddle; a point is a class, so its sign is free
+    ring = grassmannian(k, n)
+    theta, _ = ring.theta_order()
+    for source in ("unit", "point", "s[1]"):
+        z = ring.element_vector(cli.parse_state(ring, source))
+        block = complexity._theta_block(ring.handle_matrix(), z, theta, 10 * ring.dim)
+        got = complexity._float_cluster(block, 1e-7)
+        want = jacobi_theta_points(ring, z)
+        assert len(got) == len(want), source
+        for p, w in zip(got, want):
+            assert min(max(abs(a - b) for a, b in zip(p, w)),
+                       max(abs(a + b) for a, b in zip(p, w))) <= 1e-12, source
+    with pytest.raises(ValueError, match="no theta-block of the walk is stable"):
+        complexity._theta_block(ring.handle_matrix(), z, theta, theta)
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -95,13 +96,24 @@ def test_rational_roots_frozen():
         ([1, -6, 12, -8], [(Fraction(2), 3)]),
         ([4, 0, -1], [(Fraction(-1, 2), 1), (Fraction(1, 2), 1)]),
         ([1, 0, 1], []),
-        # |-5| is within 1 of the Cauchy bound 6, so it needs the lift past
-        # twice the bound to come back as a symmetric residue
+        # -5 comes back as a symmetric residue only of a lift past 10
         ([1, 5], [(Fraction(-5), 1)]),
+        # the root bound of y^2 - 2 y - 15 is B = 2 * 4; a lift past B, not
+        # 2 B, stops at mod 9, where the root 5 reads as -4
+        ([1, -2, -15], [(Fraction(-3), 1), (Fraction(5), 1)]),
     ]
     for coeffs, expected in cases:
         got = rational_roots([Fraction(c) for c in coeffs])
         assert sorted(got) == sorted(expected), coeffs
+
+
+def test_rational_roots_near_the_root_bound():
+    for m in (1, 31, 64, 200):
+        values = [-2 ** m, 1 - 2 ** m, 2 ** m - 1, 2 ** m]
+        for r in values:
+            assert rational_roots([1, -r]) == [(r, 1)], r
+        for r, s in combinations(values, 2):
+            assert rational_roots([1, -(r + s), r * s]) == [(r, 1), (s, 1)], (r, s)
 
 
 def test_rational_roots_past_trial_division():
