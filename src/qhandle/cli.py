@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import sys
+from contextlib import nullcontext
 from math import comb, gcd, isfinite, nan
 
 from . import acceptance, complexity, partitions, rings
@@ -396,7 +397,7 @@ def run(argv):
         return exc.code if exc.code is not None else 2
     try:
         report = COMMANDS[args.command](args)
-        text = render(report, args.format)
+        text = None if args.format == "json" else render(report, args.format)
     except UsageError as exc:
         sys.stderr.write(f"qh: {exc}\n")
         return 2
@@ -404,15 +405,15 @@ def run(argv):
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stdout.write(json.dumps(error, sort_keys=True, allow_nan=False) + "\n")
         return 1
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            sys.stderr.write(f"qh: cannot write the report: {exc}\n")
-            return 2
-    else:
-        sys.stdout.write(text)
+    try:
+        with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+            if text is None:  # streamed: render's encoder and bytes, never held whole
+                json.dump(report, fh, sort_keys=True, indent=2, allow_nan=False)
+                text = "\n"
+            fh.write(text)
+    except OSError as exc:
+        sys.stderr.write(f"qh: cannot write the report: {exc}\n")
+        return 2
     if args.command == "verify" and not report["ok"]:
         return 1
     return 0

@@ -7,7 +7,6 @@ real matrix iterations, and the set of non-orbit accumulation points.
 """
 
 import math
-import sys
 from fractions import Fraction
 from itertools import islice
 
@@ -119,13 +118,7 @@ class ProjState:
         return isinstance(other, ProjState) and self.ints == other.ints
 
     def __hash__(self):
-        # hash(self.vec) without its Fractions: Python hashes the rational
-        # x / p as the integer x * p^-1 modulo sys.hash_info.modulus
-        try:
-            inv = pow(self._pivot(), -1, sys.hash_info.modulus)
-        except ValueError:  # the pivot is a multiple of the modulus
-            return hash(self.vec)
-        return hash(tuple(x * inv for x in self.ints))
+        return hash(self.ints)
 
     def __repr__(self):
         return "[" + ", ".join(str(x) for x in self.vec) + "]"
@@ -430,7 +423,11 @@ def s_infinity(ring, s0, kmax=None):
 
     try:  # no point class, or no scalar power of it
         theta, _ = ring.theta_order()
-        power, _ = ring.mult_matrix(ring.power(ring.handle_element(), theta))
+        # the walk's theta-th vector from the unit is a multiple of Delta^theta
+        # at q = 1, so of M^theta's matrix; a zero power ends it and gives 0
+        unit = ring.element_vector(ring.unit())
+        power = ring.int_mult_matrix(
+            next(islice(primitive_powers(mat, unit), theta, None), [0] * ring.dim))
     except ValueError:
         power = None
     if power is None or power != [list(row) for row in zip(*power)]:

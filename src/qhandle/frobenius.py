@@ -243,23 +243,28 @@ class FrobeniusRing:
             self._cache["handle_matrix"] = self.mult_matrix(self.handle_element())
         return self._cache["handle_matrix"]
 
+    def int_mult_matrix(self, coords):
+        """Integer rows of multiplication by sum_i coords[i] e_i at q = 1."""
+        n = self.dim
+        mat = [[0] * n for _ in range(n)]
+        for i, c in enumerate(coords):
+            if c:
+                for j in range(n):
+                    for w, cs in self._row(i, j).items():
+                        mat[w][j] += c * cs
+        return mat
+
     def mult_matrix(self, x: Element):
         """Matrix of quantum multiplication by x at q = 1, column j x * e_j,
         as the pair (D, d): integer rows D and a positive int d with the
         matrix D / d.
 
-        Summed in ints over the common denominator of x's coefficients, then
+        int_mult_matrix of x's coordinates over their common denominator,
         divided by the gcd of that denominator and every entry, so (D, d) is
         what linalg.int_scale gives for the matrix of Fractions.
         """
-        n = self.dim
         den = lcm(*(c.denominator for c in x.coeffs.values()))
-        mat = [[0] * n for _ in range(n)]
-        for (i, _), c in x.coeffs.items():
-            c = c.numerator * (den // c.denominator)
-            for j in range(n):
-                for w, cs in self._row(i, j).items():
-                    mat[w][j] += c * cs
+        mat = self.int_mult_matrix([int(v * den) for v in self.element_vector(x)])
         g = gcd(den, *(v for row in mat for v in row))
         return [[v // g for v in row] for row in mat], den // g
 

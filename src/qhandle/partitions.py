@@ -1,7 +1,7 @@
 """Partition and Young-diagram combinatorics.
 
-Box membership, complements, Littlewood-Richardson coefficients, restricted
-partition counts, and the dimension-bound estimate used for Grassmannians.
+Box membership, complements, Littlewood-Richardson products by one rule
+(lr_expand), restricted partition counts, and the Grassmannian bound estimate.
 Partitions are plain tuples of weakly decreasing positive integers; the empty
 partition is ().
 """
@@ -49,18 +49,7 @@ def complement(lam, k: int, n: int) -> tuple:
 
 def partitions_in_box(k: int, m: int) -> list:
     """All partitions inside a k x m box, sorted by (weight, parts)."""
-    acc = [()]
-
-    def grow(prefix, cap):
-        for a in range(cap, 0, -1):
-            lam = prefix + (a,)
-            acc.append(lam)
-            if len(lam) < k:
-                grow(lam, a)
-
-    if k > 0 and m > 0:
-        grow((), m)
-    return sorted(acc, key=lambda lam: (sum(lam), lam))
+    return [lam for w in range(k * m + 1) for lam in sorted(partitions_of(w, m, k))]
 
 
 def partitions_of(w: int, max_part: int, max_len: int) -> list:
@@ -131,50 +120,11 @@ def est_bound(k: int, n: int) -> int:
 
 
 def lr_coefficient(lam, mu, nu) -> int:
-    """Littlewood-Richardson coefficient C^nu_{lam,mu}.
-
-    Counts fillings of the skew shape nu/lam with content mu: rows weakly
-    increasing, columns strictly increasing, and the reading word (right to
-    left within each row, rows top to bottom) a lattice word.
-    """
-    lam, mu, nu = normalize(lam), normalize(mu), normalize(nu)
-    if sum(nu) != sum(lam) + sum(mu):
-        return 0
-    rows = len(nu)
-    lamp = list(lam) + [0] * (rows - len(lam))
-    if len(lam) > rows or any(lamp[i] > nu[i] for i in range(rows)):
-        return 0
-    if not mu:
-        return 1
-    boxes = [(i, j) for i in range(rows) for j in range(nu[i] - 1, lamp[i] - 1, -1)]
-    nletters = len(mu)
-    counts = [0] * (nletters + 1)
-    fill = {}
-    total = 0
-
-    def place(b):
-        nonlocal total
-        if b == len(boxes):
-            total += 1
-            return
-        i, j = boxes[b]
-        above = fill.get((i - 1, j))
-        right = fill.get((i, j + 1))
-        lo = 1 if above is None else above + 1
-        hi = nletters if right is None else right
-        for x in range(lo, hi + 1):
-            if counts[x] >= mu[x - 1]:
-                continue
-            if x > 1 and counts[x - 1] <= counts[x]:
-                continue
-            counts[x] += 1
-            fill[(i, j)] = x
-            place(b + 1)
-            del fill[(i, j)]
-            counts[x] -= 1
-
-    place(0)
-    return total
+    """Littlewood-Richardson coefficient C^nu_{lam,mu}, read off lr_expand at a
+    cap of len(nu) rows: the cap drops only longer shapes, and lr_expand gives
+    {} when lam has more rows than nu, where C^nu_{lam,mu} = 0."""
+    nu = normalize(nu)
+    return lr_expand(lam, mu, len(nu)).get(nu, 0)
 
 
 def lr_coefficient_len2(lam, nu, mu) -> int:

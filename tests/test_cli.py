@@ -284,6 +284,15 @@ def test_out_writes_file(tmp_path, capsys):
     assert json.loads(dest.read_text())["Est"] == 35
 
 
+def test_out_writes_the_bytes_of_stdout(tmp_path, capsys):
+    for argv in (["orbit", "gr:3,8"], ["sinfty", "gr:3,6", "--format", "text"],
+                 ["estimate", "--table", "--format", "csv"]):
+        code, out, _ = run_cli(capsys, *argv)
+        dest = tmp_path / "report"
+        assert run_cli(capsys, *argv, "--out", str(dest)) == (code, "", "")
+        assert dest.read_bytes() == out.encode(), argv
+
+
 def test_out_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys):
     dest = tmp_path / "missing" / "report.json"
     code, out, err = run_cli(capsys, "ring", "pn:1", "--out", str(dest))
@@ -349,6 +358,8 @@ GOLDEN = [
     # recorded while state_json still wrote each coordinate through a Fraction;
     # negative and large fractions
     (["orbit", "fci:2,3;r=3"], 0, "856c1338d6edae17a9fd1a305d63aa5796c0060e61cb56b13242554e094e38fd"),
+    # 2.39 MB, recorded while JSON reports were still built as one string
+    (["orbit", "gr:3,8"], 0, "b0b2bee9d58876854eb3f9e99145dd798593aeaf2e42a83cee44185f092a509d"),
 ]
 
 

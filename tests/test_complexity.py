@@ -39,7 +39,8 @@ def test_proj_state_matches_the_fraction_form():
         new, old = ProjState(coords), FractionProjState(coords)
         assert new.vec == old.vec and all(type(x) is Fraction for x in new.vec)
         assert new.floats() == old.floats()
-        assert hash(new) == hash(old)
+        scaled = ProjState([Fraction(-7, 3) * x for x in coords])
+        assert scaled == new and hash(scaled) == hash(new)
 
 
 def test_proj_state_from_element():
@@ -345,6 +346,16 @@ def test_s_infinity_without_a_path_is_an_error():
                     delta_override=base.unit() + base.basis_element(1))
     with pytest.raises(ValueError, match="no S_infinity path: the orbit does not "
                                          "close within kmax = 10"):
+        s_infinity(ring, ring.unit(), kmax=10)
+
+
+def test_s_infinity_with_a_non_symmetric_theta_power_is_an_error():
+    # P^2 keeps its point class (theta 3), but the handle 1 + 2H has the cube
+    # 9 + 6H + 12H^2 at q = 1, and L_H is a 3-cycle, so M^3 is not symmetric
+    base = projective_space(2)
+    ring = replaced(base, _cache={},
+                    delta_override=base.unit() + base.basis_element(1).scale(2))
+    with pytest.raises(ValueError, match="no S_infinity path"):
         s_infinity(ring, ring.unit(), kmax=10)
 
 

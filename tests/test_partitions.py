@@ -92,6 +92,22 @@ def test_lr_coefficient_known_values():
     assert lr_coefficient((), (3, 1), (3, 1)) == 1
 
 
+def test_lr_coefficient_matches_the_monomial_oracle():
+    # every nu of weight |lam| + |mu| <= 6, those shorter than lam included,
+    # also with a trailing zero row
+    shapes = [()] + partitions_up_to(6)
+    for lam in shapes:
+        for mu in shapes:
+            w = sum(lam) + sum(mu)
+            if w > 6:
+                continue
+            want = schur_product_expansion(lam, mu, len(lam) + len(mu))
+            for nu in partitions_of(w, w, w):
+                c = want.get(nu, 0)
+                assert lr_coefficient(lam, mu, nu) == c, (lam, mu, nu)
+                assert lr_coefficient(lam, mu, nu + (0,)) == c, (lam, mu, nu)
+
+
 def test_lr_expand_unit_and_weight():
     for lam in [(2,), (2, 1), (3, 3, 1)]:
         assert lr_expand(lam, (), 99) == {lam: 1}
