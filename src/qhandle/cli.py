@@ -284,8 +284,6 @@ def _text_lines(obj, indent=""):
 
 
 def render(report, fmt):
-    if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if fmt == "text" and isinstance(report, dict) and "summary" in report \
             and "criteria" in report:
         lines = list(report["summary"])
@@ -407,7 +405,7 @@ def run(argv):
         return 1
     try:
         with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
-            if text is None:  # streamed: render's encoder and bytes, never held whole
+            if text is None:  # JSON is streamed, never held whole
                 json.dump(report, fh, sort_keys=True, indent=2, allow_nan=False)
                 text = "\n"
             fh.write(text)

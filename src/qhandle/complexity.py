@@ -11,9 +11,9 @@ from fractions import Fraction
 from itertools import islice
 
 from .linalg import (
-    _berkowitz,
     _non_split_prime,
     _synth_div,
+    char_poly,
     int_scale,
     mat_vec,
     rational_roots,
@@ -259,7 +259,7 @@ def _char_roots(ints, den):
     the rational roots of det(x I - M) as (root, multiplicity) pairs.  f is
     monic over Z, so its rational roots are integers r, and r / den are
     those of M."""
-    f = _berkowitz(ints)
+    f = char_poly(ints)
     return f, [(r / den, m) for r, m in rational_roots(f)]
 
 

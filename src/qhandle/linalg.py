@@ -1,14 +1,19 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact dense linear algebra over the integers and the rationals.
 
-Matrices are lists of rows of rationals: Fraction or int entries. One exact
-elimination kernel, Echelon: incremental fraction-free (Bareiss) elimination
-over the integers. Ranks, kernel vectors, inverses, determinants, Krylov
-ranks and leading principal minors all scale their rows to integers
-(int_scale) and call it; an inverse is the kernel vectors of [a | -I]. The
-characteristic polynomial is that of Berkowitz, division-free, on the matrix
-scaled by the positive lcm of its denominators, which moves every rational
-eigenvalue onto an integer; with it come rational root extraction and
-Sylvester positive-definiteness certificates.  A cheaper certificate that
+Matrices are lists of rows of ints or Fractions. One exact elimination
+kernel, Echelon: incremental fraction-free (Bareiss) elimination over the
+integers. Ranks, kernel vectors, inverses, determinants, Krylov ranks and
+leading principal minors all scale their rows to integers (int_scale) and
+call it; an inverse is the kernel vectors of [a | -I].  Sylvester
+positive-definiteness certificates read the leading minors off its pivots.
+
+Polynomials are coefficient lists in descending degree, worked over Z.
+char_poly is Berkowitz's division-free characteristic polynomial, run on
+integer matrices: a rational matrix scaled by d to integers has the
+eigenvalues d times its own, so its rational eigenvalues become integers
+and multiplicities are kept.  squarefree_part(f) is f / gcd(f, f') over Z,
+the gcd taken by the primitive pseudo-remainder sequence, and
+rational_roots reads the roots of f off it.  A cheaper certificate that
 the characteristic polynomial does not split over Q reads the minimal
 polynomial of a Krylov sequence modulo a few small primes (Berlekamp-Massey).
 Also a deterministic floating-point Jacobi eigensolver for symmetric
@@ -30,15 +35,6 @@ are all the roots.
 
 import math
 from fractions import Fraction
-
-
-def frmat(rows):
-    """Coerce a nested sequence into a Fraction matrix."""
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def frvec(entries):
-    return [Fraction(x) for x in entries]
 
 
 def mat_mul(a, b):
@@ -180,14 +176,17 @@ def int_scale(m):
     return [[x.numerator * (den // x.denominator) for x in row] for row in m], den
 
 
-def _berkowitz(a):
-    """Coefficients of det(x I - a) in descending degree, for an integer matrix.
+def char_poly(a):
+    """Coefficients of det(x I - a) in descending degree, e.g. [[2,1],[1,2]]
+    -> [1, -4, 3] meaning x^2 - 4x + 3; integer for an integer matrix.
 
     Berkowitz's division-free algorithm: the polynomial of the leading
     (k+1) x (k+1) block is a lower-triangular Toeplitz matrix, with first column
     1, -a_kk, -R S, -R A S, ..., -R A^(k-1) S, times that of the leading k x k
     block A, where R and S are the row and column that border A.
     """
+    if any(len(row) != len(a) for row in a):
+        raise ValueError("matrix must be square")
     sparse = [[(j, x) for j, x in enumerate(row) if x] for row in a]
     poly = [1]
     for k in range(len(a)):
@@ -240,16 +239,15 @@ def _berlekamp_massey(seq, p):
 
 def _roots_mod_p(m, p):
     """Number of roots in F_p of the polynomial m, counted with multiplicity:
-    each residue divides m out by synthetic division while the remainder is 0."""
+    each residue divides m out by synthetic division while the remainder is
+    0 mod p."""
     count = 0
     for r in range(p):
         while len(m) > 1:
-            q = [m[0]]
-            for c in m[1:-1]:
-                q.append((c + r * q[-1]) % p)
-            if (m[-1] + r * q[-1]) % p:
+            q, rem = _synth_div(m, r)
+            if rem % p:
                 break
-            m = q
+            m = [c % p for c in q]
             count += 1
     return count
 
@@ -281,52 +279,9 @@ def _non_split_prime(a):
     return None
 
 
-def char_poly(m):
-    """Monic characteristic polynomial of a square matrix.
-
-    Coefficients in descending degree, e.g. [[2,1],[1,2]] -> [1, -4, 3]
-    meaning x^2 - 4x + 3.  The Berkowitz polynomial of the matrix scaled by d
-    to integers has x^(n-k) coefficient d^k times the one sought.
-    """
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix must be square")
-    ints, den = int_scale(m)
-    return [Fraction(c, den ** k) for k, c in enumerate(_berkowitz(ints))]
-
-
 def poly_deriv(coeffs):
     n = len(coeffs) - 1
-    return [c * (n - i) for i, c in enumerate(coeffs[:-1])] or [Fraction(0)]
-
-
-def poly_divmod(num, den):
-    num = [Fraction(c) for c in num]
-    den = [Fraction(c) for c in den]
-    while den and not den[0]:
-        den = den[1:]
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = []
-    while len(num) >= len(den) and any(num):
-        f = num[0] / den[0]
-        q.append(f)
-        num = [a - f * b for a, b in zip(num, den)] + num[len(den):]
-        num = num[1:]
-    while num and not num[0]:
-        num = num[1:]
-    return q or [Fraction(0)], num or [Fraction(0)]
-
-
-def poly_gcd(a, b):
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    while any(b):
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if not any(a):
-        return [Fraction(1)]
-    return [c / a[0] for c in a]
+    return [c * (n - i) for i, c in enumerate(coeffs[:-1])] or [0]
 
 
 def _synth_div(coeffs, root):
@@ -367,6 +322,18 @@ def _exact_quotient(num, den):
     return quo
 
 
+def squarefree_part(f):
+    """f / gcd(f, f') for an integer polynomial f with f[0] != 0, primitive
+    with positive leading coefficient.  The gcd is the last nonzero term of the
+    primitive pseudo-remainder sequence of f and f', a primitive polynomial
+    that divides f over Q and so, by Gauss's lemma, over Z."""
+    g, r = _primitive_part(f), poly_deriv(f)
+    while any(r):
+        r = _primitive_part(r)
+        g, r = r, _pseudo_rem(g, r)
+    return _primitive_part(_exact_quotient(f, g))
+
+
 def _deflate(f, p, q):
     """f / (q x - p) over Z, or None when q x - p does not divide f."""
     out, carry = [], 0
@@ -402,14 +369,12 @@ def rational_roots(coeffs):
     """All rational roots of the polynomial, as (root, multiplicity) pairs.
 
     Clears denominators, strips zero roots and takes the square-free part
-    s = f / h over Z: h = gcd(f, f') is the last nonzero term of the
-    primitive pseudo-remainder sequence, a primitive polynomial that divides
-    f over Q and so, by Gauss's lemma, over Z.  With l the leading
-    coefficient of s, the monic g(y) = l^(deg - 1) s(y / l) has integer
-    coefficients and the roots y = l x, each an integer.  They are found by
-    p-adic lifting (Loos 1983), with no factoring; see the module docstring.
-    A root p/q in lowest terms has multiplicity the number of times the
-    primitive q x - p divides f over Z.
+    s = squarefree_part(f).  With l the leading coefficient of s, the monic
+    g(y) = l^(deg - 1) s(y / l) has integer coefficients and the roots
+    y = l x, each an integer.  They are found by p-adic lifting (Loos 1983),
+    with no factoring; see the module docstring.  A root p/q in lowest terms
+    has multiplicity the number of times the primitive q x - p divides f
+    over Z.
     """
     coeffs = [Fraction(c) for c in coeffs]
     while coeffs and not coeffs[0]:
@@ -426,12 +391,7 @@ def rational_roots(coeffs):
     if zero_mult:
         roots.append((Fraction(0), zero_mult))
     if len(ints) > 1:
-        a, b = _primitive_part(ints), _primitive_part(poly_deriv(ints))
-        while b:
-            a, b = b, _pseudo_rem(a, b)
-            if b:
-                b = _primitive_part(b)
-        sints = _primitive_part(_exact_quotient(ints, a))
+        sints = squarefree_part(ints)
         lead = sints[0]
         g = [1] + [c * lead ** (i - 1) for i, c in enumerate(sints) if i]
         dg = poly_deriv(g)
@@ -474,7 +434,6 @@ def is_positive_definite(m):
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
-    m = frmat(m)
     for i in range(n):
         for j in range(i):
             if m[i][j] != m[j][i]:
@@ -552,5 +511,5 @@ def _jacobi(m, tol):
 
 def sym_float_eigs(m, tol=1e-12):
     """Eigenvalues of a symmetric matrix by cyclic Jacobi, sorted descending."""
-    values, _ = _jacobi(frmat(m), tol)
+    values, _ = _jacobi(m, tol)
     return values

@@ -13,12 +13,14 @@ arithmetic throughout: an incremental reduced row echelon form
 (FractionEchelon) with its rank, determinant, nullspace, solve and inverse; a
 first-entry-1 projective state, a Fraction matrix-vector orbit walk, the
 Faddeev-LeVerrier characteristic polynomial, rational roots whose
-square-free part and multiplicities come from Fraction polynomial division,
-Jordan ranks and eigenbases from FractionEchelon on Fraction powers, and
-limit points from Fraction Jordan chains on the components of a generalized
-eigenbasis.  They import no elimination from qhandle.linalg; the library
-runs the same mathematics on integers, except that it isolates a component
-with a cofactor of the characteristic polynomial instead of an eigenbasis.
+square-free part and multiplicities come from Fraction polynomial division
+(poly_divmod, poly_gcd, _synth_div), Jordan ranks and eigenbases from
+FractionEchelon on Fraction powers, and limit points from Fraction Jordan
+chains on the components of a generalized eigenbasis.  They take nothing
+from qhandle.linalg but the float Jacobi sweep of the theta-path oracle; the
+library runs the same mathematics on integers, except that it isolates a
+component with a cofactor of the characteristic polynomial instead of an
+eigenbasis.
 
 The Schur and characteristic-polynomial oracles that the acceptance criteria
 share with the tests live in qhandle._oracles.
@@ -32,7 +34,7 @@ from math import gcd, isqrt, lcm
 
 from qhandle._oracles import det_int
 from qhandle.complexity import _float_cluster
-from qhandle.linalg import _jacobi, _synth_div, poly_deriv, poly_divmod, poly_gcd
+from qhandle.linalg import _jacobi
 from qhandle.partitions import lr_expand, partitions_in_box
 from qhandle.rings import reduce_sigma_hat
 
@@ -483,6 +485,52 @@ def faddeev_leverrier(m):
                 mk[i][i] += ck
             mk = fraction_mat_mul(m, mk)
     return coeffs
+
+
+def poly_deriv(coeffs):
+    n = len(coeffs) - 1
+    return [c * (n - i) for i, c in enumerate(coeffs[:-1])] or [Fraction(0)]
+
+
+def poly_divmod(num, den):
+    """(quotient, remainder) of Fraction polynomials, descending, by long
+    division; a zero quotient or remainder is [0]."""
+    num = [Fraction(c) for c in num]
+    den = [Fraction(c) for c in den]
+    while den and not den[0]:
+        den = den[1:]
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = []
+    while len(num) >= len(den):
+        f = num[0] / den[0]
+        q.append(f)
+        num = [a - f * b for a, b in zip(num, den)] + num[len(den):]
+        num = num[1:]
+    while num and not num[0]:
+        num = num[1:]
+    return q or [Fraction(0)], num or [Fraction(0)]
+
+
+def poly_gcd(a, b):
+    """Monic gcd of Fraction polynomials by the Euclidean algorithm; [1]
+    when both are zero."""
+    a = [Fraction(c) for c in a]
+    b = [Fraction(c) for c in b]
+    while any(b):
+        _, r = poly_divmod(a, b)
+        a, b = b, r
+    if not any(a):
+        return [Fraction(1)]
+    return [c / a[0] for c in a]
+
+
+def _synth_div(coeffs, root):
+    """Divide by (x - root); returns (quotient, remainder)."""
+    out = [coeffs[0]]
+    for c in coeffs[1:]:
+        out.append(c + root * out[-1])
+    return out[:-1], out[-1]
 
 
 def _divisors(n):

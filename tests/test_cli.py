@@ -187,14 +187,16 @@ def test_usage_errors_exit_2(capsys):
         assert out == "" and err.startswith("qh: ")
 
 
-def test_non_finite_floats_are_usage_errors(capsys):
+def test_non_finite_floats_are_usage_errors(capsys, monkeypatch):
     approx = ["complexity", "quadric:3", "--from", "unit", "--to", "H"]
     for argv in [approx + ["--eps", "nan"], approx + ["--eps", "inf"]]:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == "" and "finite" in err
+    # the JSON writer itself refuses a NaN that a command might return
+    monkeypatch.setitem(cli.COMMANDS, "estimate", lambda args: {"eps": float("nan")})
     with pytest.raises(ValueError):
-        cli.render({"eps": float("nan")}, "json")
+        cli.run(["estimate", "3", "7"])
 
 
 def test_negative_eps_is_a_domain_error(capsys):

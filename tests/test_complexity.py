@@ -11,8 +11,8 @@ from qhandle.complexity import (NOT_FOUND, LimitReport, ProjState, Trajectory,
                                 approx_complexity, chordal, exact_complexity,
                                 limit_points_real, s_infinity, trajectory)
 from qhandle.frobenius import FrobeniusRing
-from qhandle.linalg import (_non_split_prime, char_poly, frvec, int_scale,
-                            mat_inverse, mat_mul, rational_roots)
+from qhandle.linalg import (_non_split_prime, char_poly, int_scale, mat_inverse,
+                            mat_mul, rational_roots)
 from qhandle.rings import fano_ci, fci_report, grassmannian, projective_space, quadric
 
 
@@ -156,7 +156,7 @@ def test_orbit_matches_the_fraction_walk(spec, source):
     ([[Fraction(1, 2), 1], [0, Fraction(-1, 3)]], [Fraction(1, 3), 1]),  # open
 ])
 def test_walk_on_rational_matrices_matches_the_fraction_walk(mat, vec):
-    traj = complexity._walk(int_scale(mat), frvec(vec), 12)
+    traj = complexity._walk(int_scale(mat), vec, 12)
     states, hit_zero, start, length = fraction_orbit(mat, vec, 12)
     assert [s.vec for s in traj.states] == [s.vec for s in states]
     assert (traj.hit_zero, traj.cycle_start, traj.cycle_length) == (hit_zero, start, length)
@@ -166,7 +166,7 @@ def test_walk_on_rational_matrices_matches_the_fraction_walk(mat, vec):
 def test_walk_budget_sees_a_zero_step_like_the_fraction_walk(kmax):
     # e3 -> e2 -> e1 -> 0: with kmax = 2 the zero is the step after the last state
     mat, vec = [[0, 1, 0], [0, 0, 1], [0, 0, 0]], [0, 0, 1]
-    traj = complexity._walk(int_scale(mat), frvec(vec), kmax)
+    traj = complexity._walk(int_scale(mat), vec, kmax)
     states, hit_zero, start, length = fraction_orbit(mat, vec, kmax)
     assert [s.vec for s in traj.states] == [s.vec for s in states]
     assert (traj.hit_zero, traj.cycle_start, traj.cycle_length) == (hit_zero, start, length)
@@ -204,8 +204,12 @@ def split_iterations(draw):
 @given(split_iterations())
 def test_eigenstructure_and_limits_match_the_fraction_oracle(case):
     m, z = case
-    assert char_poly(m) == faddeev_leverrier(m)
-    rep = limit_points_real(int_scale(m), z)
+    # the integer matrix d m, the one limit_points_real reads, has x^(n-k)
+    # coefficient d^k times that of m
+    ints, den = int_scale(m)
+    assert [Fraction(c, den ** k) for k, c in enumerate(char_poly(ints))] == \
+        faddeev_leverrier(m)
+    rep = limit_points_real((ints, den), z)
     points, finite, dominant, depth = fraction_limit_points(m, z)
     assert [p.vec for p in rep.points] == [p.vec for p in points]
     assert (rep.finite_orbit, rep.dominant, rep.depth) == (finite, dominant, depth)
@@ -263,30 +267,30 @@ def test_zero_reference_state_rejected():
 
 
 def test_limit_points_real_frozen():
-    rep = limit_points_real(([[2, 0], [0, 1]], 1), frvec([1, 1]))
+    rep = limit_points_real(([[2, 0], [0, 1]], 1), [1, 1])
     assert not rep.finite_orbit and rep.dominant == 2 and rep.depth == 1
     assert rep.points == [ProjState([1, 0])]
 
-    rep = limit_points_real(([[2, 0], [0, -2]], 1), frvec([1, 1]))
+    rep = limit_points_real(([[2, 0], [0, -2]], 1), [1, 1])
     assert rep.points == [ProjState([1, 1]), ProjState([1, -1])]
 
-    rep = limit_points_real(([[3, 1], [0, 3]], 1), frvec([0, 1]))
+    rep = limit_points_real(([[3, 1], [0, 3]], 1), [0, 1])
     assert rep.points == [ProjState([1, 0])] and rep.depth == 2
 
-    rep = limit_points_real(([[0, 1], [0, 0]], 1), frvec([0, 1]))
+    rep = limit_points_real(([[0, 1], [0, 0]], 1), [0, 1])
     assert rep.finite_orbit and rep.points == []
 
     # M = [[3, 1], [0, -1]] / 2: the eigenvalue 3/2 wins
-    rep = limit_points_real(([[3, 1], [0, -1]], 2), frvec([0, 1]))
+    rep = limit_points_real(([[3, 1], [0, -1]], 2), [0, 1])
     assert rep.dominant == Fraction(3, 2) and rep.points == [ProjState([1, 0])]
 
 
 def test_limit_points_real_errors():
     with pytest.raises(ValueError):
-        limit_points_real(([[1, 0], [0, 1]], 1), frvec([0, 0]))
+        limit_points_real(([[1, 0], [0, 1]], 1), [0, 0])
     with pytest.raises(ValueError):
         # rotation matrix has no rational eigenvalues
-        limit_points_real(([[0, -1], [1, 0]], 1), frvec([1, 0]))
+        limit_points_real(([[0, -1], [1, 0]], 1), [1, 0])
 
 
 def test_s_infinity_projective_empty():
@@ -419,9 +423,9 @@ BUILT_IN_RINGS = ([f"pn:{n}" for n in range(1, 7)]
 @pytest.mark.parametrize("spec", BUILT_IN_RINGS)
 def test_the_non_split_certificate_agrees_with_the_rational_roots(spec):
     # certified implies not split; on these rings the converse holds too
-    ints, den = cli.build_ring(spec).handle_matrix()
-    mat = [[Fraction(x, den) for x in row] for row in ints]
-    split = sum(m for _, m in rational_roots(char_poly(mat))) == len(mat)
+    # the handle matrix is ints / den, which splits over Q exactly when ints does
+    ints, _ = cli.build_ring(spec).handle_matrix()
+    split = sum(m for _, m in rational_roots(char_poly(ints))) == len(ints)
     assert (_non_split_prime(ints) is None) == split
 
 

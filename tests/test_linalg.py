@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -8,14 +9,14 @@ from hypothesis import strategies as st
 
 from oracles import (FractionEchelon, faddeev_leverrier, fraction_eigenstructure,
                      fraction_inverse, fraction_limit_points, fraction_rational_roots,
-                     fraction_solve, identity, zeros)
+                     fraction_solve, identity, poly_deriv, poly_divmod, poly_gcd,
+                     zeros)
 
 from qhandle._oracles import det_int
 from qhandle.complexity import ProjState, limit_points_real
-from qhandle.linalg import (Echelon, char_poly, frmat, frvec, int_scale,
-                            is_positive_definite, krylov_rank, mat_inverse,
-                            mat_mul, mat_vec, poly_deriv, poly_divmod, poly_gcd,
-                            rational_roots, sym_float_eigs)
+from qhandle.linalg import (Echelon, char_poly, int_scale, is_positive_definite,
+                            krylov_rank, mat_inverse, mat_mul, mat_vec,
+                            rational_roots, squarefree_part, sym_float_eigs)
 
 
 def test_char_poly_known():
@@ -68,24 +69,13 @@ def test_cayley_hamilton_random():
         assert all(not x for row in acc for x in row)
 
 
-def test_poly_eval_and_divmod():
-    # descending coefficients: x^2 - 4x + 3
-    p = [Fraction(1), Fraction(-4), Fraction(3)]
-    # the remainder of p by x - a is p(a): p(0) = 3 here, p(1) = 0 below
-    assert poly_divmod(p, [Fraction(1), Fraction(0)])[1] == [3]
-    q, r = poly_divmod(p, [Fraction(1), Fraction(-1)])
-    assert q == [Fraction(1), Fraction(-3)] and r == [Fraction(0)]
-
-
-def test_poly_gcd_detects_repeated_roots():
-    # (x - 1)^2 (x + 2)
-    p = [Fraction(1), Fraction(0), Fraction(-3), Fraction(2)]
-    g = poly_gcd(p, poly_deriv(p))
-    assert len(g) == 2
-    assert poly_divmod(g, [Fraction(1), Fraction(-1)])[1] == [0]
-    # squarefree polynomial gives a constant gcd
-    assert len(poly_gcd([Fraction(1), Fraction(0), Fraction(-2)],
-                        poly_deriv([Fraction(1), Fraction(0), Fraction(-2)]))) == 1
+def test_squarefree_part():
+    # (x - 1)^2 (x + 2) -> (x - 1)(x + 2)
+    assert squarefree_part([1, 0, -3, 2]) == [1, 1, -2]
+    # x^2 - 2 is square-free already
+    assert squarefree_part([1, 0, -2]) == [1, 0, -2]
+    # -2 (x - 1)^3: the content and the sign go too
+    assert squarefree_part([-2, 6, -6, 2]) == [1, -1]
 
 
 def test_rational_roots_frozen():
@@ -167,6 +157,16 @@ def test_rational_roots_match_the_fraction_form(case):
     assert got == sorted(roots.items())
 
 
+@settings(max_examples=100, deadline=None)
+@given(factored_polynomials())
+def test_squarefree_part_matches_the_fraction_euclid(case):
+    (ints,), _ = int_scale([case[0]])
+    sf, _ = poly_divmod(ints, poly_gcd(ints, poly_deriv(ints)))
+    (want,), _ = int_scale([sf])
+    content = math.gcd(*want) * (1 if want[0] > 0 else -1)
+    assert squarefree_part(ints) == [c // content for c in want]
+
+
 #: Two primes near 10^15 whose product a 2^20-step Pollard rho cannot split
 P1, P2 = 10 ** 15 + 37, 1000001000000017
 
@@ -200,7 +200,7 @@ def test_rational_roots_random_products():
 
 
 def test_nullspace_and_rank():
-    a = frmat([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+    a = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
     ech = Echelon.of(int_scale(a)[0])
     assert ech.rank == 2
     assert [c for c, _ in ech.rows] == [0, 1]  # column 2 is the one free column
@@ -229,11 +229,11 @@ def test_is_positive_definite_zero_pivot_fallback():
 
 
 def test_krylov_rank():
-    m = frmat([[2, 0], [0, 3]])
-    assert krylov_rank(m, frvec([1, 1]), 3) == 2
-    assert krylov_rank(m, frvec([1, 0]), 3) == 1
+    m = [[2, 0], [0, 3]]
+    assert krylov_rank(m, [1, 1], 3) == 2
+    assert krylov_rank(m, [1, 0], 3) == 1
     with pytest.raises(ValueError):
-        krylov_rank(m, frvec([0, 0]), 3)
+        krylov_rank(m, [0, 0], 3)
 
 
 def test_echelon_rank():
@@ -281,7 +281,7 @@ def test_kernel_det_and_inverse(a):
     assert inv == fraction_inverse(a)
     assert (inv is None) == (det == 0)
     if inv is not None:
-        assert mat_mul(inv, frmat(a)) == identity(len(a))
+        assert mat_mul(inv, a) == identity(len(a))
 
 
 # the deferred rescale, on an inconsistent and on a reachable right-hand side
