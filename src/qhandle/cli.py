@@ -120,10 +120,6 @@ def state_json(ring, point):
     return out
 
 
-def laurent_json(laurent):
-    return {str(e): str(c) for e, c in sorted(laurent.items())}
-
-
 # -- subcommand bodies: each returns a JSON-ready report dict ---------------
 
 
@@ -134,8 +130,8 @@ def cmd_ring(args):
         "labels": list(ring.labels), "degrees": list(ring.degrees),
         "unit": ring.labels[ring.unit_index],
         "point": None if ring.point_index is None else ring.labels[ring.point_index],
-        "pairing": [[laurent_json(row.get(j, {})) for j in range(ring.dim)]
-                    for row in ring.pairing],
+        "pairing": [[{str(ring.pairing_q_power(i, j)): str(row[j])} if j in row else {}
+                     for j in range(ring.dim)] for i, row in enumerate(ring.pairing)],
     }
 
 
@@ -387,6 +383,15 @@ COMMANDS = {
 }
 
 
+def _check_finite(report):
+    """Raise ValueError on a float that strict JSON cannot hold."""
+    if isinstance(report, float) and not isfinite(report):
+        raise ValueError(f"report holds a non-finite float {report!r}")
+    if isinstance(report, (dict, list, tuple)):
+        for value in report.values() if isinstance(report, dict) else report:
+            _check_finite(value)
+
+
 def run(argv):
     parser = build_parser()
     try:
@@ -395,6 +400,7 @@ def run(argv):
         return exc.code if exc.code is not None else 2
     try:
         report = COMMANDS[args.command](args)
+        _check_finite(report)
         text = None if args.format == "json" else render(report, args.format)
     except UsageError as exc:
         sys.stderr.write(f"qh: {exc}\n")

@@ -26,7 +26,7 @@ def projective_space(n):
         raise ValueError("n must be at least 1")
     labels = ["1" if i == 0 else "H" if i == 1 else f"H^{i}" for i in range(n + 1)]
     degrees = list(range(n + 1))
-    pairing = [{n - i: {0: Fraction(1)}} for i in range(n + 1)]
+    pairing = [{n - i: 1} for i in range(n + 1)]
     structure = {(i, j): {(i + j) % (n + 1): 1}
                  for i in range(n + 1) for j in range(i, n + 1)}
     ring = FrobeniusRing(
@@ -143,11 +143,11 @@ def quadric(r):
     pairing = [{} for _ in range(dim)]
     for a in range(r + 1):
         if not (even and a == m):
-            pairing[h_index(a)][h_index(r - a)] = {0: Fraction(1)}
+            pairing[h_index(a)][h_index(r - a)] = 1
     if even:
         middle = ((plus, plus), (minus, minus)) if diagonal else ((plus, minus), (minus, plus))
         for a, b in middle:
-            pairing[a][b] = {0: Fraction(1)}
+            pairing[a][b] = 1
 
     ring = FrobeniusRing(
         name=f"Q^{r}", labels=labels, degrees=degrees, tau=r,
@@ -305,7 +305,7 @@ def grassmannian(k, n):
     dim = len(basis)
     labels = [_gr_label(lam) for lam in basis]
     degrees = [sum(lam) for lam in basis]
-    pairing = [{index[complement(lam, k, n)]: {0: Fraction(1)}} for lam in basis]
+    pairing = [{index[complement(lam, k, n)]: 1} for lam in basis]
     structure = {(i, j): dict(sorted(cols[j].items()))
                  for i, cols in enumerate(_schubert_matrices(k, n)) for j in range(i, dim)}
     ring = FrobeniusRing(
@@ -472,8 +472,8 @@ def fano_ci(m, r):
                 c *= mpow
             structure[(i, j)] = {e: c}
 
-    # <H^a, H^b> = mprod mpow^s q^s where a + b = r + s tau
-    pairing = [{r - a + s * tau: {s: Fraction(mprod * mpow ** s)} for s in range(a // tau + 1)}
+    # <H^a, H^b> = mprod mpow^s q^s where a + b = r + s tau; q^s is read off the grading
+    pairing = [{r - a + s * tau: mprod * mpow ** s for s in range(a // tau + 1)}
                for a in range(r + 1)]
 
     constants = {"mprod": mprod, "mfact": mfact, "mpow": mpow}

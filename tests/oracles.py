@@ -387,10 +387,11 @@ def pairing_double_sum(ring):
     g^{ij} is the fraction_inverse of the constant pairing and e_i * e_j a
     ring.product of Elements, so nothing is shared with the trace solve of
     FrobeniusRing.handle_element."""
-    n = ring.dim
-    entries = [[ring.pairing[i].get(j, {}) for j in range(n)] for i in range(n)]
-    assert all(set(e) <= {0} for row in entries for e in row), "q-dependent pairing"
-    ginv = fraction_inverse([[Fraction(e.get(0, 0)) for e in row] for row in entries])
+    n, top = ring.dim, max(ring.degrees)
+    assert all(ring.degrees[i] + ring.degrees[j] == top
+               for i, row in enumerate(ring.pairing) for j in row), "q-dependent pairing"
+    ginv = fraction_inverse([[Fraction(ring.pairing[i].get(j, 0)) for j in range(n)]
+                             for i in range(n)])
     assert ginv is not None, "singular pairing"
     out = ring.zero()
     for i, row in enumerate(ginv):

@@ -187,16 +187,22 @@ def test_usage_errors_exit_2(capsys):
         assert out == "" and err.startswith("qh: ")
 
 
-def test_non_finite_floats_are_usage_errors(capsys, monkeypatch):
+def test_non_finite_floats_are_usage_errors(capsys, monkeypatch, tmp_path):
     approx = ["complexity", "quadric:3", "--from", "unit", "--to", "H"]
     for argv in [approx + ["--eps", "nan"], approx + ["--eps", "inf"]]:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == "" and "finite" in err
-    # the JSON writer itself refuses a NaN that a command might return
-    monkeypatch.setitem(cli.COMMANDS, "estimate", lambda args: {"eps": float("nan")})
-    with pytest.raises(ValueError):
-        cli.run(["estimate", "3", "7"])
+    # a NaN that a command might return is an error object, and nothing is
+    # written before it
+    monkeypatch.setitem(cli.COMMANDS, "estimate", lambda args: {"rows": [{"eps": float("nan")}]})
+    dest = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "estimate", "3", "7", "--out", str(dest))
+    assert code == 1 and err == ""
+    assert out.count("\n") == 1
+    assert json.loads(out) == {"error": {"type": "ValueError",
+                                         "message": "report holds a non-finite float nan"}}
+    assert not dest.exists()
 
 
 def test_negative_eps_is_a_domain_error(capsys):

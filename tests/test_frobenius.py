@@ -4,26 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (associativity_failure, element_span_dim, fraction_generators,
-                     generator_failure, pairing_double_sum, replaced)
+from oracles import (FractionEchelon, associativity_failure, element_span_dim,
+                     fraction_generators, generator_failure, pairing_double_sum, replaced)
 from qhandle.acceptance import EST_TABLE, FCI_INSTANCES
-from qhandle.frobenius import _GENERATOR_PRIME, Element, FrobeniusRing, qp_add, qp_eval
+from qhandle.frobenius import _GENERATOR_PRIME, Element, FrobeniusRing
 from qhandle.linalg import int_scale
 from qhandle.rings import fano_ci, grassmannian, projective_space, quadric
-
-
-def test_qp_helpers():
-    a = {0: Fraction(1), 1: Fraction(2)}
-    b = {1: Fraction(3)}
-    assert qp_add(a, b) == {0: Fraction(1), 1: Fraction(5)}
-    assert qp_eval(a, Fraction(2)) == Fraction(5)
 
 
 def test_element_algebra():
     x = Element({(0, 0): Fraction(2), (1, 1): Fraction(-1)})
     y = Element({(0, 0): Fraction(1)})
     assert (x + y).coeffs[(0, 0)] == 3
-    assert (x - x) == Element({})
+    assert (x + x.scale(-1)) == Element({})
     assert x.scale(2).coeffs[(1, 1)] == -2
     assert x.shift_q(3).coeffs == {(0, 3): Fraction(2), (1, 4): Fraction(-1)}
     assert x.support() == {0, 1}
@@ -153,7 +146,7 @@ def test_span_rejects_a_power_outside_the_allowed_degrees():
 
 def test_handle_of_fci_without_override_raises_q_dependent():
     # the constant pairing of P^2, stored as its nonzero rows
-    assert projective_space(2).pairing == [{2: {0: 1}}, {1: {0: 1}}, {0: {0: 1}}]
+    assert projective_space(2).pairing == [{2: 1}, {1: 1}, {0: 1}]
     ring = replaced(fano_ci((4,), 3), delta_override=None, _cache={})
     with pytest.raises(ValueError, match="pairing has q-dependent entries"):
         ring.handle_element()
@@ -161,7 +154,7 @@ def test_handle_of_fci_without_override_raises_q_dependent():
 
 def test_validate_rejects_broken_pairing():
     bad = projective_space(2)
-    bad.pairing[0][2] = {0: Fraction(2)}  # breaks symmetry with pairing[2][0]
+    bad.pairing[0][2] = Fraction(2)  # breaks symmetry with pairing[2][0]
     with pytest.raises(ValueError, match="pairing not symmetric"):
         bad.validate()
 
@@ -170,8 +163,16 @@ def test_validate_rejects_an_ungraded_pairing_entry():
     # <1, H> = 1 is symmetric and keeps the pairing invertible, but
     # deg 1 + deg H = 1 is not top + s tau = 2 + 3 s
     bad = projective_space(2)
-    bad.pairing[0][1] = bad.pairing[1][0] = {0: Fraction(1)}
-    with pytest.raises(ValueError, match=r"pairing grading fails at \(0, 1\) term q\^0"):
+    bad.pairing[0][1] = bad.pairing[1][0] = Fraction(1)
+    with pytest.raises(ValueError, match=r"pairing grading fails at \(0, 1\)"):
+        bad.validate()
+
+
+@pytest.mark.parametrize("value", [0, 1.0])
+def test_validate_rejects_a_zero_or_float_pairing_entry(value):
+    bad = projective_space(2)
+    bad.pairing[1][1] = value  # on the diagonal, so still symmetric
+    with pytest.raises(ValueError, match=r"pairing grading fails at \(1, 1\)"):
         bad.validate()
 
 
@@ -187,7 +188,7 @@ def test_singular_pairing_is_rejected():
     del bad.pairing[1][1]  # zeroes the middle row of the anti-diagonal pairing
     with pytest.raises(ValueError, match="pairing matrix is singular"):
         bad.handle_element()
-    with pytest.raises(ValueError, match="not certified invertible"):
+    with pytest.raises(ValueError, match="pairing matrix is singular"):
         bad.validate()
 
 
@@ -242,7 +243,7 @@ def test_validate_catches_a_gap_that_int32_would_wrap():
 
 def test_validate_rejects_frobenius_failure():
     bad = projective_space(2)
-    bad.pairing[1][1] = {0: 2}  # still symmetric and invertible
+    bad.pairing[1][1] = 2  # still symmetric and invertible
     with pytest.raises(ValueError, match="Frobenius condition fails"):
         bad.validate()
 
@@ -322,7 +323,7 @@ def _algebra(degrees, tau, partner, products):
     structure.update(products)
     return FrobeniusRing(
         name="hand-built", labels=[f"e{i}" for i in range(n)], degrees=degrees, tau=tau,
-        pairing=[{j: {0: Fraction(1)}} for j in partner], structure=structure, unit_index=0,
+        pairing=[{j: 1} for j in partner], structure=structure, unit_index=0,
     )
 
 
@@ -422,9 +423,9 @@ def test_generators_match_the_greedy_search_over_q(build, args):
 
 def test_validate_rejects_frobenius_failure_in_a_q_dependent_entry():
     bad = fano_ci((3,), 4)  # tau = 3: <H^3, H^4> = 81 q
-    assert bad.meta["tau"] >= 2 and 0 not in bad.pairing[3][4]
+    assert bad.meta["tau"] >= 2 and bad.pairing_q_power(3, 4) == 1
     for a, b in ((3, 4), (4, 3)):
-        bad.pairing[a][b] = {e: 2 * v for e, v in bad.pairing[a][b].items()}
+        bad.pairing[a][b] = 2 * bad.pairing[a][b]
     with pytest.raises(ValueError, match=r"Frobenius condition fails at pair \(3, 4\)"):
         bad.validate()
 
@@ -435,7 +436,7 @@ def _unlucky_prime_ring():
     p = _GENERATOR_PRIME
     return FrobeniusRing(
         name="unlucky prime", labels=["1", "x", "y"], degrees=[0, 1, 2], tau=3,
-        pairing=[{2: {0: Fraction(1)}}, {1: {0: Fraction(p)}}, {0: {0: Fraction(1)}}],
+        pairing=[{2: 1}, {1: p}, {0: 1}],
         structure={(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1},
                    (1, 1): {2: p}, (1, 2): {0: p}, (2, 2): {1: 1}},
         unit_index=0,
@@ -456,8 +457,7 @@ def test_generator_search_survives_an_unlucky_prime():
 
 def _scaled_pairing(ring, c):
     # c <., .> is again a Frobenius pairing of the ring, with handle Delta / c
-    pairing = [{j: {e: c * v for e, v in entry.items()} for j, entry in row.items()}
-               for row in ring.pairing]
+    pairing = [{j: c * v for j, v in row.items()} for row in ring.pairing]
     return replaced(ring, pairing=pairing, _cache={})
 
 
@@ -494,3 +494,24 @@ def test_mult_matrix_is_the_int_scale_of_the_product_columns(build, args):
         cols = [ring.element_vector(ring.product(x, ring.basis_element(j)))
                 for j in range(ring.dim)]
         assert ring.mult_matrix(x) == int_scale([list(row) for row in zip(*cols)])
+
+
+@pytest.mark.parametrize("build, args", [spec[1:] for spec in MULT_RINGS],
+                         ids=[spec[0] for spec in MULT_RINGS])
+def test_pairing_determinant_is_q_to_the_e_times_its_value_at_q_1(build, args):
+    # validate tests invertibility at q = 1 only: every term of det G(q)
+    # carries the same q^E, E = (2 sum deg - n top) / tau
+    ring = build(*args)
+    n, top = ring.dim, ring.top_degree()
+    e, rem = divmod(2 * sum(ring.degrees) - n * top, ring.tau)
+    assert rem == 0
+
+    def det_at(q):
+        rows = [[Fraction(q) ** ring.pairing_q_power(i, j) * row[j] if j in row else 0
+                 for j in range(n)] for i, row in enumerate(ring.pairing)]
+        return FractionEchelon.of(rows).det
+
+    det1 = det_at(1)
+    assert det1
+    for q in (2, 3):
+        assert det_at(q) == Fraction(q) ** e * det1

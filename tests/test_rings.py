@@ -96,7 +96,7 @@ def test_quadric_pairing():
     ring = quadric(4)
     g = ring.pairing
     idx = ring.label_index
-    one = {0: 1}
+    one = 1
     assert g[idx("1")] == {idx("s4"): one}
     assert g[idx("H")] == {idx("s3"): one}
     assert g[idx("s2+")] == {idx("s2+"): one}  # and <s2+, s2-> = 0
