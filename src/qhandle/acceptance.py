@@ -232,8 +232,9 @@ def _limit_trial(rng, dim):
     M = P J P^-1 for J = diag(diag) and a random invertible integer P, z a
     nonzero integer vector, and far the class of M^_WITNESS_STEPS z.  All of
     it is built on integers: with (Q, d) = int_scale(P^-1), 2J is integral
-    and M = P (2J) Q / (2d), made Fractions once.  P (2J)^s Q z is
-    (2^s d) M^s z, a positive multiple, so it is the same projective class.
+    and M = P (2J) Q / (2d), given as the pair m = (P (2J) Q, 2d) that
+    limit_points_real takes.  P (2J)^s Q z is (2^s d) M^s z, a positive
+    multiple, so it is the same projective class.
     """
     diag = [rng.choice(_LIMIT_MENU) * rng.choice([1, -1]) for _ in range(dim)]
     while True:
@@ -244,7 +245,7 @@ def _limit_trial(rng, dim):
     q, d = int_scale(p_inv)
     two_j = [int(2 * x) for x in diag]
     pj = [[x * t for x, t in zip(row, two_j)] for row in p]
-    m = [[Fraction(x, 2 * d) for x in row] for row in mat_mul(pj, q)]
+    m = (mat_mul(pj, q), 2 * d)
     z = [rng.randint(-4, 4) for _ in range(dim)]
     if not any(z):
         z[0] = 1
@@ -260,7 +261,7 @@ def criterion_7():
     bad_counts = bad_witness = 0
     for _ in range(trials):
         _, _, m, z, far = _limit_trial(rng, dim)
-        rep = limit_points_real(int_scale(m), z)
+        rep = limit_points_real(m, z)
         if rep.finite_orbit or not 1 <= len(rep.points) <= 2:
             bad_counts += 1
             continue

@@ -190,7 +190,7 @@ def cmd_orbit(args):
 def cmd_sinfty(args):
     ring = build_ring(args.ring)
     source = parse_state(ring, args.source)
-    rep = complexity.s_infinity(ring, source, kmax=args.kmax)
+    rep = complexity.s_infinity(ring, source)
     return {"ring": ring.name, "from": args.source,
             "count": len(rep.points), "exact": rep.exact,
             "method": rep.method, "notes": rep.notes,
@@ -353,7 +353,6 @@ def build_parser():
     p = sub.add_parser("sinfty", help="accumulation points outside the orbit")
     common(p)
     p.add_argument("--from", dest="source", default="unit")
-    p.add_argument("--kmax", type=int, default=None)
 
     common(sub.add_parser("dimf",
                           help="dimension of the span of handle powers"))

@@ -376,49 +376,49 @@ def _float_cluster(states, tol):
     return out
 
 
-def _theta_block(mat, z, theta, steps):
-    """The float states of the first theta-block of the walk of z, blocks
+def _theta_block(states, theta):
+    """The float states of the first theta-block of the walk states, blocks
     starting at step 0, equal bit for bit to the block before it; a state is
     its primitive vector over its largest |entry|, correctly rounded."""
-    powers = primitive_powers(mat, z)
-    last = None
-    for _ in range(steps // theta):
-        block = [tuple(x / top for x in ints)
-                 for ints in islice(powers, theta) for top in [max(map(abs, ints))]]
+    steps, last = len(states) - 1, None
+    for k in range(0, steps - theta + 1, theta):
+        block = [tuple(x / top for x in st.ints)
+                 for st in states[k:k + theta] for top in [max(map(abs, st.ints))]]
         if block == last:
             return block
         last = block
     raise ValueError(f"no theta-block of the walk is stable within {steps} steps")
 
 
-def s_infinity(ring, s0, kmax=None):
-    """Non-orbit accumulation points of the orbit of [s0].
+def s_infinity(ring, s0):
+    """Non-orbit accumulation points of the orbit of [s0], from one walk of
+    10 dim steps; a closed orbit gives the empty set exactly.
 
-    A closed orbit gives the empty set exactly.  If the handle matrix M at
-    q = 1 splits over the rationals (linalg._non_split_prime may certify
-    that it does not) the limits are exact, less the visited states.
+    If the handle matrix M at q = 1 splits over the rationals
+    (linalg._non_split_prime may certify that it does not) the limits are
+    exact and budget-free.  [M^P y] = [y], y = M^j z, puts y in eigenspaces of
+    +-lambda, as (lambda + N)^P != lambda^P on a Jordan block of rational
+    lambda != 0 and depth > 1; the nilpotent parts of z die within n = dim
+    steps.  So the orbit closes within n + 2 steps or never, and a limit point
+    that is an orbit state forces closure.
 
     Otherwise the theta path needs a point class with T^theta = c scalar,
     T = L_pt, and a symmetric M^theta.  M = A T, and A = Delta / [pt] has
     positive eigenvalues and commutes with T, so M^(theta K) z =
     c^K A^(theta K) z and [M^(theta K + j) z] tends to [T^j w], w the
     projection of z onto A's top eigenspace: the limit points are far states
-    of the exact walk (_theta_block, within 10 dim steps), clustered at
-    chordal distance 1e-7, less those within 1e-7 of a visited state.
+    of the same walk (_theta_block), clustered at chordal distance 1e-7,
+    less those within 1e-7 of a visited state.
     Raises ValueError when no path applies.
     """
-    mat, z, kmax = _orbit_setup(ring, s0, kmax)
+    mat, z, kmax = _orbit_setup(ring, s0, None)
     traj = _walk(mat, z, kmax)
     if traj.closed:
         return SInfinityReport(points=[], exact=True, method="finite-orbit")
     ints, den = mat
     char = None if _non_split_prime(ints) else _char_roots(ints, den)
     if char and sum(m for _, m in char[1]) == len(ints):
-        report = limit_points_real(mat, z, _char=char)
-        if report.finite_orbit:
-            return SInfinityReport(points=[], exact=True, method="finite-orbit")
-        visited = set(traj.states)
-        points = [p for p in report.points if p not in visited]
+        points = limit_points_real(mat, z, _char=char).points
         return SInfinityReport(points=points, exact=True, method="rational-split")
 
     try:  # no point class, or no scalar power of it
@@ -432,9 +432,9 @@ def s_infinity(ring, s0, kmax=None):
         power = None
     if power is None or power != [list(row) for row in zip(*power)]:
         raise ValueError(f"no S_infinity path: the orbit does not close within "
-                         f"kmax = {kmax}, the handle matrix is not split and "
+                         f"{kmax} steps, the handle matrix is not split and "
                          f"{ring.name} has no theta path")
-    points = _float_cluster(_theta_block(mat, z, theta, 10 * ring.dim), 1e-7)
+    points = _float_cluster(_theta_block(traj.states, theta), 1e-7)
     visited = [st.floats() for st in traj.states]
     points = [p for p in points if all(chordal(p, w) > 1e-7 for w in visited)]
     return SInfinityReport(points=points, exact=False, method="theta-float",

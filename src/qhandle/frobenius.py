@@ -152,11 +152,16 @@ class FrobeniusRing:
         return Element(out)
 
     def power(self, x: Element, k: int) -> Element:
+        """x^k by repeated squaring: O(log k) products."""
         if k < 0:
             raise ValueError("negative quantum power")
         acc = self.unit()
-        for _ in range(k):
-            acc = self.product(acc, x)
+        while k:
+            if k & 1:
+                acc = self.product(acc, x)
+            k >>= 1
+            if k:
+                x = self.product(x, x)
         return acc
 
     def _pairing_rows(self, last=None):

@@ -7,7 +7,7 @@ partition is ().
 """
 
 from functools import cache
-from math import gcd
+from math import comb, gcd
 
 
 def is_partition(lam) -> bool:
@@ -107,16 +107,23 @@ def restricted_count(i: int, m: int, l: int) -> int:
 def est_bound(k: int, n: int) -> int:
     """Dimension-bound estimate (n/gcd(n,k^2)) * sum_i p(i*n | n-k, k) for Gr(k,n).
 
-    The sum runs over 0 <= i <= floor(k(n-k)/n).  Every term is a coefficient
-    of the one series [n choose k]_q, which is symmetric about k(n-k)/2 and so
-    is built only up to there.
+    The sum runs over 0 <= i <= floor(k(n-k)/n).  It is read in closed form:
+    [n choose k]_q = sum_S q^(sum S - k(k-1)/2) over the k-subsets S of
+    {0, ..., n-1}, so the sum counts the S with sum S = s = k(k-1)/2 mod n.
+    A roots-of-unity filter (the q = zeta evaluation behind cyclic sieving,
+    Reiner-Stanton-White 2004) gives that count as
+    (1/n) sum_{d | gcd(n,k)} (-1)^(k - k/d) C(n/d, k/d) c_d(s), where
+    Ramanujan's sum c_d(s) is fixed by sum_{e | d} c_e(s) = d if d | s, else 0.
     """
     if not 2 <= k <= n - 2:
         raise ValueError("need 2 <= k <= n - 2")
-    size = k * (n - k)
-    series = _gaussian_series(max(k, n - k), min(k, n - k), size // 2)
-    total = sum(series[min(i * n, size - i * n)] for i in range(size // n + 1))
-    return (n // gcd(n, k * k)) * total
+    s, g = k * (k - 1) // 2, gcd(n, k)
+    ramanujan, total = {}, 0
+    for d in (d for d in range(1, g + 1) if g % d == 0):
+        ramanujan[d] = (0 if s % d else d) - sum(c for e, c in ramanujan.items() if d % e == 0)
+        sign = -1 if (k - k // d) % 2 else 1
+        total += sign * comb(n // d, k // d) * ramanujan[d]
+    return (n // gcd(n, k * k)) * (total // n)
 
 
 def lr_coefficient(lam, mu, nu) -> int:

@@ -17,7 +17,7 @@ import pytest
 from oracles import fraction_inverse, fraction_mat_mul, partitions_up_to, tableau_weights
 from qhandle import _oracles, acceptance
 from qhandle.complexity import ProjState
-from qhandle.linalg import int_scale, mat_vec
+from qhandle.linalg import mat_vec
 from qhandle.partitions import est_bound
 
 
@@ -82,8 +82,9 @@ def test_criterion_7_trials_match_the_fraction_construction():
             z[0] = Fraction(1)
         got_diag, got_p, m, got_z, far = acceptance._limit_trial(rng, dim)
         assert (got_diag, got_p, got_z) == (diag, p, z)
-        assert m == fraction_mat_mul(fraction_mat_mul(p, jmat), p_inv)
-        m_int, _ = int_scale(m)
+        m_int, den = m
+        assert ([[Fraction(x, den) for x in row] for row in m_int]
+                == fraction_mat_mul(fraction_mat_mul(p, jmat), p_inv))
         walk = [x.numerator for x in z]
         for _ in range(200):
             walk = mat_vec(m_int, walk)

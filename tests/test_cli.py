@@ -213,14 +213,10 @@ def test_negative_eps_is_a_domain_error(capsys):
                                          "message": "eps must be nonnegative"}}
 
 
-def test_sinfty_without_a_path_exits_1(capsys):
-    # the orbit closes only past kmax 5, and fci:3;r=7 is neither split nor
-    # a theta ring
-    code, out, err = run_cli(capsys, "sinfty", "fci:3;r=7", "--kmax", "5")
-    assert code == 1 and err == ""
-    error = json.loads(out)["error"]
-    assert error["type"] == "ValueError"
-    assert error["message"].startswith("no S_infinity path")
+def test_sinfty_has_no_kmax_option(capsys):
+    # S_infinity does not depend on a step budget, so sinfty takes none
+    code, out, err = run_cli(capsys, "sinfty", "pn:2", "--kmax", "5")
+    assert code == 2 and out == "" and "--kmax" in err
 
 
 def test_sinfty_has_no_tol_option(capsys):

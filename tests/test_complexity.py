@@ -349,8 +349,8 @@ def test_s_infinity_without_a_path_is_an_error():
     ring = replaced(base, point_index=None, _cache={},
                     delta_override=base.unit() + base.basis_element(1))
     with pytest.raises(ValueError, match="no S_infinity path: the orbit does not "
-                                         "close within kmax = 10"):
-        s_infinity(ring, ring.unit(), kmax=10)
+                                         "close within 30 steps"):
+        s_infinity(ring, ring.unit())
 
 
 def test_s_infinity_with_a_non_symmetric_theta_power_is_an_error():
@@ -360,7 +360,7 @@ def test_s_infinity_with_a_non_symmetric_theta_power_is_an_error():
     ring = replaced(base, _cache={},
                     delta_override=base.unit() + base.basis_element(1).scale(2))
     with pytest.raises(ValueError, match="no S_infinity path"):
-        s_infinity(ring, ring.unit(), kmax=10)
+        s_infinity(ring, ring.unit())
 
 
 @pytest.mark.parametrize("k, n", [(2, 5), (2, 6), (2, 7), (3, 7), (3, 8), (4, 8)])
@@ -370,16 +370,16 @@ def test_theta_points_match_the_jacobi_oracle(k, n):
     ring = grassmannian(k, n)
     theta, _ = ring.theta_order()
     for source in ("unit", "point", "s[1]"):
-        z = ring.element_vector(cli.parse_state(ring, source))
-        block = complexity._theta_block(ring.handle_matrix(), z, theta, 10 * ring.dim)
-        got = complexity._float_cluster(block, 1e-7)
-        want = jacobi_theta_points(ring, z)
+        state = cli.parse_state(ring, source)
+        states = trajectory(ring, state).states
+        got = complexity._float_cluster(complexity._theta_block(states, theta), 1e-7)
+        want = jacobi_theta_points(ring, ring.element_vector(state))
         assert len(got) == len(want), source
         for p, w in zip(got, want):
             assert min(max(abs(a - b) for a, b in zip(p, w)),
                        max(abs(a + b) for a, b in zip(p, w))) <= 1e-12, source
     with pytest.raises(ValueError, match="no theta-block of the walk is stable"):
-        complexity._theta_block(ring.handle_matrix(), z, theta, theta)
+        complexity._theta_block(states[:theta + 1], theta)
 
 
 @st.composite
@@ -427,6 +427,40 @@ def test_the_non_split_certificate_agrees_with_the_rational_roots(spec):
     ints, _ = cli.build_ring(spec).handle_matrix()
     split = sum(m for _, m in rational_roots(char_poly(ints))) == len(ints)
     assert (_non_split_prime(ints) is None) == split
+
+
+def _split_horizon_holds(mat, z):
+    # the orbit closes within n + 2 steps or never, and an orbit that does not
+    # close visits none of its limit points
+    n = len(z)
+    long_walk = complexity._walk(mat, z, 10 * n)
+    assert complexity._walk(mat, z, n + 2).closed == long_walk.closed
+    if not long_walk.closed:
+        visited = set(long_walk.states)
+        assert not any(p in visited for p in limit_points_real(mat, z).points)
+
+
+@example(([[3, 1], [0, 3]], [0, 1]))
+@example(([[0, 1, 0], [0, 0, 1], [0, 0, 0]], [0, 0, 1]))
+@example(([[-1, 1], [0, 1]], [1, 1]))
+@settings(max_examples=200, deadline=None)
+@given(split_integer_matrices().flatmap(
+    lambda mat: st.tuples(st.just(mat), st.lists(st.integers(-3, 3), min_size=len(mat),
+                                                 max_size=len(mat)))))
+def test_split_orbits_close_within_n_plus_2_steps_or_never(case):
+    mat, z = case
+    assume(any(z))
+    _split_horizon_holds((mat, 1), z)
+
+
+@pytest.mark.parametrize("spec", BUILT_IN_RINGS)
+def test_split_ring_orbits_close_within_n_plus_2_steps_or_never(spec):
+    ring = cli.build_ring(spec)
+    mat = ring.handle_matrix()
+    if _non_split_prime(mat[0]):
+        return  # certified not split
+    for i in range(ring.dim):
+        _split_horizon_holds(mat, ring.element_vector(ring.basis_element(i)))
 
 
 CERTIFYING_PRIMES = {(2, 5): 103, (2, 6): 101, (2, 7): 101, (2, 8): 101, (3, 7): 101,

@@ -60,6 +60,18 @@ def test_power():
         ring.power(h, -1)
 
 
+@pytest.mark.parametrize("make", [lambda: projective_space(2), lambda: quadric(4),
+                                  lambda: grassmannian(2, 5), lambda: fano_ci([5], 4)])
+def test_power_is_the_k_fold_product(make):
+    # the coefficient keys (label, q exponent) must agree too, so compare the dicts
+    ring = make()
+    for x in (ring.handle_element(), ring.unit() + ring.basis_element(1).scale(2)):
+        acc = ring.unit()
+        for k in range(13):
+            assert ring.power(x, k).coeffs == acc.coeffs, k
+            acc = ring.product(acc, x)
+
+
 def test_handle_element_projective():
     for n in (1, 2, 3, 4):
         ring = projective_space(n)

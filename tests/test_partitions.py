@@ -1,10 +1,11 @@
+import random
 from itertools import product
 from math import comb, gcd
 
 from oracles import partitions_up_to
 from qhandle._oracles import schur_product_expansion, schur_value
-from qhandle.partitions import (_add_strips, complement, est_bound, in_box,
-                                is_partition, lr_coefficient, lr_coefficient_len2,
+from qhandle.partitions import (_add_strips, _gaussian_series, complement, est_bound,
+                                in_box, is_partition, lr_coefficient, lr_coefficient_len2,
                                 lr_expand, normalize, partitions_in_box,
                                 partitions_of, restricted_count)
 
@@ -212,3 +213,14 @@ def test_est_bound_reads_one_series():
             terms = sum(restricted_count(i * n, n - k, k)
                         for i in range(k * (n - k) // n + 1))
             assert est_bound(k, n) == (n // gcd(n, k * k)) * terms, (k, n)
+
+
+def test_est_bound_matches_the_gaussian_series_up_to_n_200():
+    # random rings, and some with a large gcd(n, k), against the whole series
+    rng = random.Random(2004)
+    cases = [(n := rng.randint(90, 200), rng.randint(2, n - 2)) for _ in range(4)]
+    for n, k in cases + [(144, 12), (150, 30), (200, 100), (200, 64)]:
+        size = k * (n - k)
+        series = _gaussian_series(max(k, n - k), min(k, n - k), size)
+        terms = sum(series[i * n] for i in range(size // n + 1))
+        assert est_bound(k, n) == (n // gcd(n, k * k)) * terms, (k, n)
