@@ -188,34 +188,51 @@ def criterion_6():
         c.check(rings.euler_characteristic(m, r) == FCI_EULER[(m, r)],
                 f"fci:{','.join(map(str, m))};r={r}: euler characteristic "
                 f"{FCI_EULER[(m, r)]}")
-        rep = rings.fci_report(rings.fano_ci(m, r))
-        name = rep["name"]
-        if rep["tau"] >= 2:
-            c.check(rep["orbit_closed"] and
-                    set(rep["orbit_states"]) == set(rep["predicted_states"]),
+        ring = rings.fano_ci(m, r)
+        meta, name = ring.meta, ring.name
+        dim_f, predicted = ring.f_span_dim()[0], rings.dim_f_closed_form(ring)
+        traj = trajectory(ring, ring.unit())
+        if meta["tau"] >= 2:
+            # the unit orbit is the classes of 1, Delta and H^(jd) for
+            # kappa/d < j <= r/d, d = gcd(r, tau); every such instance has kappa >= 1
+            d = gcd(r, meta["tau"])
+            h = ring.basis_element(1)
+            states = [ring.unit(), ring.handle_element()] + [
+                ring.power(h, j * d) for j in range(meta["kappa"] // d + 1, r // d + 1)]
+            c.check(traj.closed and set(traj.states)
+                    == {ProjState.from_element(ring, e) for e in states},
                     f"{name}: unit orbit closes onto exactly the predicted states")
-            c.check(rep["dim_f_computed"] == rep["dim_f_predicted"],
-                    f"{name}: span dimension matches the closed form "
-                    f"{rep['dim_f_predicted']}")
-        else:
-            c.check(not rep["orbit_closed"],
-                    f"{name}: unit orbit does not close")
-            c.check(rep["a_upper_triangular"] and rep["a_diag_ok"]
-                    and rep["a_superdiag_ok"],
-                    f"{name}: descending-basis handle matrix is upper triangular "
-                    "with the predicted diagonal and superdiagonal")
-            c.check(rep["jordan_depth_ok"],
-                    f"{name}: (A - beta I)^(r-1) is nonzero")
-            c.check(rep["omega_nonzero"]
-                    and rep["dim_f_computed"] == rep["dim_f_predicted"] == r + 1,
-                    f"{name}: omega is nonzero and the span has dimension r + 1")
-            a = [list(row) for row in rep["a_matrix"]]
-            dim = len(a)
-            a[0][1:] = [0] * (dim - 1)
-            e_unit = [0] * (dim - 1) + [1]
-            c.check(krylov_rank(a, e_unit, dim + 1) == r,
-                    f"{name}: synthetic variant with the top row decoupled "
-                    f"drops the span to r = {r}")
+            c.check(dim_f == predicted,
+                    f"{name}: span dimension matches the closed form {predicted}")
+            continue
+        c.check(not traj.closed, f"{name}: unit orbit does not close")
+        # a is the handle matrix in the descending basis Hhat^r, ..., 1
+        ints, den = ring.handle_matrix()
+        a = [[Fraction(ints[r - i][r - j], den) for j in range(r + 1)] for i in range(r + 1)]
+        alpha, beta, xi, omega = (meta[key] for key in ("alpha", "beta", "xi", "omega"))
+        triangular = all(a[i][j] == 0 for i in range(r + 1) for j in range(i))
+        diagonal = a[0][0] == alpha and all(a[j][j] == beta for j in range(1, r + 1))
+        superdiagonal = a[0][1] == omega and all(a[j][j + 1] == xi for j in range(1, r))
+        c.check(triangular and diagonal and superdiagonal,
+                f"{name}: descending-basis handle matrix is upper triangular "
+                "with the predicted diagonal and superdiagonal")
+        # the beta-block B (rows and columns 1..r) is one Jordan block:
+        # (B - beta I)^(r-1) != 0 = (B - beta I)^r
+        shifted = [[a[i][j] - (beta if i == j else 0) for j in range(1, r + 1)]
+                   for i in range(1, r + 1)]
+        power = shifted
+        for _ in range(r - 2):
+            power = mat_mul(power, shifted)
+        c.check(any(x for row in power for x in row)
+                and not any(x for row in mat_mul(power, shifted) for x in row),
+                f"{name}: (A - beta I)^(r-1) is nonzero")
+        c.check(omega != 0 and dim_f == predicted == r + 1,
+                f"{name}: omega is nonzero and the span has dimension r + 1")
+        a[0][1:] = [0] * r
+        e_unit = [0] * r + [1]
+        c.check(krylov_rank(a, e_unit, r + 2) == r,
+                f"{name}: synthetic variant with the top row decoupled "
+                f"drops the span to r = {r}")
     return c
 
 

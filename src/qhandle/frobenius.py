@@ -19,6 +19,8 @@ from .linalg import Echelon
 
 #: The prime of the generator search (_generators): 2^25 - 39.
 _GENERATOR_PRIME = 33554393
+#: theta_order looks for a scalar power of the point class up to this exponent.
+_THETA_CAP = 64
 
 
 class Element:
@@ -78,7 +80,7 @@ class FrobeniusRing:
     """
 
     def __init__(self, name, labels, degrees, tau, pairing, structure, unit_index,
-                 point_index=None, delta_override=None, meta=None, _cache=None):
+                 point_index=None, delta_override=None):
         self.name = name
         self.labels = labels
         self.degrees = degrees
@@ -88,8 +90,8 @@ class FrobeniusRing:
         self.unit_index = unit_index
         self.point_index = point_index
         self.delta_override = delta_override
-        self.meta = {} if meta is None else meta
-        self._cache = {} if _cache is None else _cache
+        self.meta = {}
+        self._cache = {}
 
     @property
     def dim(self):
@@ -250,11 +252,11 @@ class FrobeniusRing:
             vec[w] += c
         return vec
 
-    def theta_order(self, cap=64):
+    def theta_order(self):
         """Minimal t >= 1 with [pt]^{*t} = c q^m 1; returns (theta, m).
 
         The scalar c is cached for pt_inverse. Errors if the ring has no
-        designated point class or no such power exists within the cap.
+        designated point class or no such power exists within _THETA_CAP.
         """
         if "theta" in self._cache:
             return self._cache["theta"][:2]
@@ -262,14 +264,14 @@ class FrobeniusRing:
             raise ValueError(f"ring {self.name} has no designated point class")
         pt = self.basis_element(self.point_index)
         cur = pt
-        for t in range(1, cap + 1):
+        for t in range(1, _THETA_CAP + 1):
             keys = list(cur.coeffs)
             if len(keys) == 1 and keys[0][0] == self.unit_index:
                 theta, m, c = t, keys[0][1], cur.coeffs[keys[0]]
                 self._cache["theta"] = (theta, m, c)
                 return theta, m
             cur = self.product(cur, pt)
-        raise ValueError(f"point class of {self.name} has no scalar power within {cap}")
+        raise ValueError(f"point class of {self.name} has no scalar power within {_THETA_CAP}")
 
     def pt_inverse(self) -> Element:
         """Inverse of the point class: c^{-1} q^{-m} [pt]^{*(theta-1)}."""

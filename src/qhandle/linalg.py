@@ -509,7 +509,8 @@ def _jacobi(m, tol):
     return values, vectors
 
 
-def sym_float_eigs(m, tol=1e-12):
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi, sorted descending."""
-    values, _ = _jacobi(m, tol)
+def sym_float_eigs(m):
+    """Eigenvalues of a symmetric matrix by cyclic Jacobi, sorted descending;
+    the sweeps stop once the off-diagonal norm is below 1e-12 max(1, ||m||_F)."""
+    values, _ = _jacobi(m, 1e-12)
     return values

@@ -1,10 +1,13 @@
-"""Constructors for small quantum cohomology rings with exact coefficients.
+"""Constructors for small quantum cohomology rings with exact coefficients,
+and the closed forms stated for them.
 
 Covers projective spaces, smooth quadric hypersurfaces, Grassmannians, and
 Fano complete intersections in projective space.  Each constructor returns a
 validated FrobeniusRing whose ``meta["kind"]`` selects its closed forms in
 handle_closed_forms and dim_f_closed_form; the complete-intersection
-constructor also keeps its derived constants in ``meta``.
+constructor also keeps its derived constants in ``meta``.  The module only
+builds rings and states formulas: checking the one against the other is the
+work of qhandle.acceptance.
 """
 
 from fractions import Fraction
@@ -438,9 +441,10 @@ def fano_ci(m, r):
     Hhat = H + (prod m_i!) q is used instead, with
     Hhat^(r+i) = (prod m_i^m_i)^i q^i Hhat^r.  The handle element is
     installed from its closed form since the basis spans only the
-    ambient-induced part of the cohomology.  The derived constants (tau,
-    kappa, chi, the m-products and, for tau = 1, zeta, alpha, beta, xi and
-    omega) are kept in the ring's meta.
+    ambient-induced part of the cohomology.  The ring's meta keeps m, r and
+    the derived constants: tau, kappa, chi, the m-products mprod, mfact and
+    mpow and, for tau = 1, zeta and the handle matrix's diagonal (alpha, then
+    beta) and superdiagonal (omega, then xi) in the basis Hhat^r, ..., 1.
     """
     m = tuple(int(x) for x in m)
     if r < 3:
@@ -454,7 +458,6 @@ def fano_ci(m, r):
     tau = r + L + 1 - total
     kappa = r - tau
     chi = euler_characteristic(m, r)
-    prim = (-1) ** r * (chi - (r + 1))
     mprod = prod(m)
     mfact = prod(factorial(mi) for mi in m)
     mpow = prod(mi ** mi for mi in m)
@@ -504,8 +507,7 @@ def fano_ci(m, r):
         point_index=None, delta_override=delta,
     )
     ring.meta.update({"kind": "fano_ci", "m": m, "r": r, "tau": tau,
-                      "kappa": kappa, "chi": chi, "prim_dim": prim,
-                      "hat_basis": hat, **constants})
+                      "kappa": kappa, "chi": chi, **constants})
     ring.validate()
     return ring
 
@@ -563,68 +565,3 @@ def dim_f_closed_form(ring):
         return 3
     return r + 1 if meta["omega"] != 0 else r
 
-
-def fci_report(ring):
-    """Summarize the handle dynamics of a fano_ci ring from its meta constants.
-
-    Always reports the handle element, span data, and the computed orbit of
-    the unit state (its states under "orbit_states").  For tau >= 2 with
-    kappa >= 1 it includes the predicted finite state list; for tau = 1 it
-    includes the triangular matrix of the handle in the descending basis
-    together with its structural checks.
-    """
-    from . import complexity
-    from .linalg import mat_mul
-
-    meta = ring.meta
-    r, tau, chi, kappa = meta["r"], meta["tau"], meta["chi"], meta["kappa"]
-    report = {
-        "name": ring.name, "m": list(meta["m"]), "r": r, "tau": tau,
-        "kappa": kappa, "chi": chi, "prim_dim": meta["prim_dim"],
-        "hat_basis": meta["hat_basis"],
-        "delta": repr(ring.handle_element()),
-    }
-    rank, powers = ring.f_span_dim()
-    report["dim_f_computed"] = rank
-    report["power_count"] = len(powers)
-
-    traj = complexity.trajectory(ring, ring.unit())
-    report["orbit_closed"] = traj.closed
-    report["orbit_size"] = len(traj.states)
-    report["orbit_states"] = traj.states
-
-    predicted = dim_f_closed_form(ring)
-    if predicted is not None:
-        report["dim_f_predicted"] = predicted
-    if tau >= 2:
-        d = gcd(r, tau)
-        if kappa >= 1:
-            preds = [ring.unit(), ring.handle_element()]
-            for j in range(kappa // d + 1, r // d + 1):
-                preds.append(ring.power(ring.basis_element(1), j * d))
-            report["predicted_states"] = [complexity.ProjState.from_element(ring, e)
-                                          for e in preds]
-            report["predicted_state_count"] = len(set(report["predicted_states"]))
-    else:
-        alpha, beta, xi, omega = (meta[key] for key in ("alpha", "beta", "xi", "omega"))
-        ints, den = ring.handle_matrix()
-        a = [[Fraction(ints[r - i][r - j], den) for j in range(r + 1)] for i in range(r + 1)]
-        report.update({"a_matrix": a, "alpha": alpha, "beta": beta, "xi": xi,
-                       "omega": omega, "omega_nonzero": omega != 0})
-        report["a_upper_triangular"] = all(
-            a[i][j] == 0 for i in range(r + 1) for j in range(i))
-        report["a_diag_ok"] = a[0][0] == alpha and all(
-            a[j][j] == beta for j in range(1, r + 1))
-        report["a_superdiag_ok"] = a[0][1] == omega and all(
-            a[j][j + 1] == xi for j in range(1, r))
-        # the beta-block B (rows and columns 1..r) is one Jordan block:
-        # (B - beta I)^(r-1) != 0 = (B - beta I)^r, on d (B - beta I)
-        shifted = [[ints[r - i][r - j] - (beta * den if i == j else 0) for j in range(1, r + 1)]
-                   for i in range(1, r + 1)]
-        power = shifted
-        for _ in range(r - 2):
-            power = mat_mul(power, shifted)
-        last = mat_mul(power, shifted)
-        report["jordan_depth_ok"] = (any(x for row in power for x in row)
-                                     and not any(x for row in last for x in row))
-    return report

@@ -6,14 +6,14 @@ from hypothesis import strategies as st
 from oracles import (FractionProjState, faddeev_leverrier, fraction_limit_points,
                      fraction_orbit, jacobi_theta_points, replaced)
 
-from qhandle import cli, complexity
+from qhandle import acceptance, cli, complexity
 from qhandle.complexity import (NOT_FOUND, LimitReport, ProjState, Trajectory,
                                 approx_complexity, chordal, exact_complexity,
                                 limit_points_real, s_infinity, trajectory)
 from qhandle.frobenius import FrobeniusRing
 from qhandle.linalg import (_non_split_prime, char_poly, int_scale, mat_inverse,
                             mat_mul, rational_roots)
-from qhandle.rings import fano_ci, fci_report, grassmannian, projective_space, quadric
+from qhandle.rings import fano_ci, grassmannian, projective_space, quadric
 
 
 def test_not_found_sentinel():
@@ -69,6 +69,17 @@ def test_trajectory_projective_cycle():
         ProjState.from_element(ring, ring.basis_element(2)),
         ProjState.from_element(ring, ring.basis_element(1)),
     ]
+
+
+def test_trajectory_fixed_point_is_a_one_state_cycle():
+    # Delta = 4 s3 + 2q on Q^3, and Delta (1 - s3) = -2 (1 - s3) at q = 1:
+    # the first step revisits state 0, so the cycle has length 1
+    ring = quadric(3)
+    z = ring.element({"1": 1, "s3": -1})
+    traj = trajectory(ring, z)
+    assert traj.states == [ProjState.from_element(ring, z)]
+    assert traj.cycle_start == 0 and traj.cycle_length == 1
+    assert traj.closed and not traj.hit_zero
 
 
 def test_trajectory_shift_property():
@@ -255,9 +266,10 @@ def test_handle_matrix_is_built_once_per_ring(monkeypatch):
         s_infinity(ring, ring.basis_element(i))
     assert calls == [ring.handle_element()]
     calls.clear()
-    ring = fano_ci((4,), 3)  # tau = 1: the report also reads the A-matrix
-    fci_report(ring)
-    assert calls == [ring.handle_element()]
+    # criterion 6 builds each of its rings once (fano_ci is not cached); on
+    # tau = 1 it also reads the descending-basis handle matrix
+    acceptance.criterion_6()
+    assert calls == [fano_ci(m, r).handle_element() for m, r in acceptance.FCI_INSTANCES]
 
 
 def test_zero_reference_state_rejected():

@@ -103,6 +103,13 @@ def test_theta_order_requires_point_class():
         ring.theta_order()
 
 
+def test_theta_order_searches_powers_up_to_64():
+    # [pt]^(n+1) = q^n 1 on P^n, so theta = 64 is found and theta = 65 is not
+    assert projective_space(63).theta_order() == (64, 63)
+    with pytest.raises(ValueError, match=r"^point class of P\^64 has no scalar power within 64$"):
+        projective_space(64).theta_order()
+
+
 def test_a_matrix_projective_is_scalar():
     for n in (2, 4):
         ring = projective_space(n)

@@ -1,19 +1,23 @@
+import ast
 from fractions import Fraction
+from functools import cache
 from math import comb, gcd
+from pathlib import Path
 
 import pytest
 
 from oracles import (fraction_mat_mul, handle_value_failure, lr_structure,
                      replaced, schur_value_failure)
 
-from qhandle import rings
+from qhandle import acceptance, rings
 from qhandle._oracles import poly_from_roots
 from qhandle.acceptance import EST_TABLE
+from qhandle.complexity import ProjState, trajectory
 from qhandle.frobenius import Element
 from qhandle.linalg import char_poly, is_positive_definite
 from qhandle.rings import (ZERO, delta_closed_form, delta_gr2_form,
                            dim_f_closed_form, euler_characteristic, fano_ci,
-                           fci_report, grassmannian, gr2_a0_matrix,
+                           grassmannian, gr2_a0_matrix,
                            gr2_b_values, gr2_theta_indices,
                            handle_closed_forms, phi_map, projective_space,
                            quadric, reduce_sigma_hat)
@@ -358,47 +362,76 @@ def test_fano_ci_shift_identity():
             assert lhs == rhs
 
 
-def test_fci_report_closed_orbit():
-    rep = fci_report(fano_ci((3,), 3))
-    assert rep["orbit_closed"]
-    assert rep["dim_f_computed"] == rep["dim_f_predicted"] == 4
-    assert rep["orbit_size"] == rep["predicted_state_count"] == 4
-    assert set(rep["orbit_states"]) == set(rep["predicted_states"])
+def _descending_handle_matrix(ring):
+    """The handle matrix of a fano_ci ring in the basis H^r, ..., 1, as Fractions."""
+    ints, den = ring.handle_matrix()
+    r = ring.dim - 1
+    return [[Fraction(ints[r - i][r - j], den) for j in range(r + 1)] for i in range(r + 1)]
 
 
-def test_fci_report_triangular():
-    rep = fci_report(fano_ci((4,), 3))
-    assert not rep["orbit_closed"]
-    assert rep["a_upper_triangular"] and rep["a_diag_ok"] and rep["a_superdiag_ok"]
-    assert rep["jordan_depth_ok"] and rep["omega_nonzero"]
-    assert rep["dim_f_computed"] == rep["dim_f_predicted"] == 4
-    a = rep["a_matrix"]
+@cache
+def _criterion_6_details():
+    return tuple(acceptance.criterion_6().details)
+
+
+def _criterion_6_lines(name):
+    return [line for line in _criterion_6_details() if f" {name}: " in line]
+
+
+def test_fci_unit_orbit_closes_onto_the_predicted_states():
+    # tau = 2, kappa = 1, gcd(r, tau) = 1: the orbit is 1, Delta, H^2, H^3
+    ring = fano_ci((3,), 3)
+    traj = trajectory(ring, ring.unit())
+    predicted = [ring.unit(), ring.handle_element(),
+                 ring.basis_element(2), ring.basis_element(3)]
+    assert traj.closed and len(traj.states) == 4
+    assert set(traj.states) == {ProjState.from_element(ring, e) for e in predicted}
+    assert ring.f_span_dim()[0] == dim_f_closed_form(ring) == 4
+    assert _criterion_6_lines(ring.name) == [
+        f"ok: {ring.name}: unit orbit closes onto exactly the predicted states",
+        f"ok: {ring.name}: span dimension matches the closed form 4"]
+
+
+def test_fci_tau_one_handle_matrix_is_triangular():
+    ring = fano_ci((4,), 3)
+    meta, a = ring.meta, _descending_handle_matrix(ring)
+    assert not trajectory(ring, ring.unit()).closed
+    assert all(a[i][j] == 0 for i in range(4) for j in range(i))
+    assert a[0][0] == meta["alpha"] and all(a[j][j] == meta["beta"] for j in range(1, 4))
+    assert a[0][1] == meta["omega"] and all(a[j][j + 1] == meta["xi"] for j in range(1, 3))
+    assert meta["omega"] != 0
+    assert ring.f_span_dim()[0] == dim_f_closed_form(ring) == 4
     assert a[0][0] == 3986944 and a[0][1] == 7744 and a[1][1] == 2004480
+    lines = _criterion_6_lines(ring.name)
+    assert len(lines) == 5 and all(line.startswith("ok: ") for line in lines)
+    assert (f"ok: {ring.name}: descending-basis handle matrix is upper triangular "
+            "with the predicted diagonal and superdiagonal") in lines
 
 
 @pytest.mark.parametrize("m, r", [((4,), 3), ((2, 3), 3), ((5,), 4)])
-def test_fci_report_jordan_depth_is_r(m, r):
+def test_fci_jordan_depth_is_r(m, r):
     # the beta-block B (rows and columns 1..r of A) has (B - beta I)^(r-1)
     # != 0 = (B - beta I)^r, so a check at the power r in place of r - 1
-    # turns jordan_depth_ok False; on the whole of A - beta I every power is
-    # nonzero, since its (0, 0) entry is (alpha - beta)^k
-    rep = fci_report(fano_ci(m, r))
-    assert rep["jordan_depth_ok"] and rep["alpha"] != rep["beta"]
-    shifted = [[Fraction(x - rep["beta"] * (i == j)) for j, x in enumerate(row[1:])]
-               for i, row in enumerate(rep["a_matrix"][1:])]
+    # fails criterion 6; on the whole of A - beta I every power is nonzero,
+    # since its (0, 0) entry is (alpha - beta)^k
+    ring = fano_ci(m, r)
+    alpha, beta = ring.meta["alpha"], ring.meta["beta"]
+    assert alpha != beta
+    shifted = [[x - beta * (i == j) for j, x in enumerate(row[1:])]
+               for i, row in enumerate(_descending_handle_matrix(ring)[1:])]
     power = shifted
     for _ in range(r - 2):
         power = fraction_mat_mul(power, shifted)
     assert any(x for row in power for x in row)
     assert not any(x for row in fraction_mat_mul(power, shifted) for x in row)
+    assert f"ok: {ring.name}: (A - beta I)^(r-1) is nonzero" in _criterion_6_lines(ring.name)
 
 
-def test_fci_report_skips_prediction_without_kappa():
+def test_fci_without_kappa_has_no_span_prediction():
     ring = fano_ci((2,), 3)
-    rep = fci_report(ring)
-    assert "dim_f_predicted" not in rep
-    assert rep["dim_f_computed"] == 2
+    assert ring.meta["tau"] == 3 and ring.meta["kappa"] == 0
     assert dim_f_closed_form(ring) is None
+    assert ring.f_span_dim()[0] == 2
 
 
 @pytest.mark.parametrize("make, arg", [(projective_space, n) for n in range(1, 9)]
@@ -421,3 +454,21 @@ def test_all_rings_validate():
              fano_ci((5,), 4)]
     for ring in rings:
         ring.validate()
+
+
+def test_rings_imports_only_frobenius_and_partitions_at_module_level():
+    # rings builds rings and states closed forms; the checks that read them
+    # live in acceptance, so rings needs no other part of the package
+    tree = ast.parse(Path(rings.__file__).read_text())
+    top = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    nested = [node for node in ast.walk(tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in top]
+    assert nested == []
+    package = []
+    for node in top:
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "qhandle" for a in node.names)
+        elif node.level or (node.module or "").split(".")[0] == "qhandle":
+            assert node.level == 1, "absolute or parent-relative qhandle import"
+            package += [node.module] if node.module else [a.name for a in node.names]
+    assert sorted(package) == ["frobenius", "partitions"]
