@@ -12,6 +12,7 @@ import io
 import json
 import sys
 from contextlib import nullcontext
+from fractions import Fraction
 from math import comb, gcd, isfinite, nan
 
 from . import acceptance, complexity, partitions, rings
@@ -208,12 +209,12 @@ def cmd_dimf(args):
 
 def cmd_amatrix(args):
     ring = build_ring(args.ring)
-    mat = ring.a_matrix()
+    mat, den = ring.a_matrix()
     sym = all(mat[i][j] == mat[j][i]
               for i in range(ring.dim) for j in range(i))
-    pd, minors = is_positive_definite(mat) if sym else (False, [])
+    pd, minors = is_positive_definite((mat, den)) if sym else (False, [])
     return {"ring": ring.name, "labels": list(ring.labels),
-            "matrix": [[str(x) for x in row] for row in mat],
+            "matrix": [[str(Fraction(x, den)) for x in row] for row in mat],
             "symmetric": sym, "positive_definite": pd,
             "leading_minors": [str(v) for v in minors]}
 

@@ -422,7 +422,7 @@ def s_infinity(ring, s0):
         return SInfinityReport(points=points, exact=True, method="rational-split")
 
     try:  # no point class, or no scalar power of it
-        theta, _ = ring.theta_order()
+        theta, _, _ = ring.theta_order()
         # the walk's theta-th vector from the unit is a multiple of Delta^theta
         # at q = 1, so of M^theta's matrix; a zero power ends it and gives 0
         unit = ring.element_vector(ring.unit())

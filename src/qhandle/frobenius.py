@@ -44,16 +44,6 @@ class Element:
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for key, val in other.coeffs.items():
-            s = out.get(key, Fraction(0)) + val
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return Element(out)
-
     def scale(self, c):
         c = Fraction(c)
         return Element({k: c * v for k, v in self.coeffs.items()}) if c else Element()
@@ -108,9 +98,6 @@ class FrobeniusRing:
 
     def unit(self):
         return self.basis_element(self.unit_index)
-
-    def zero(self):
-        return Element()
 
     def element(self, mapping):
         """Build an element from {key: coefficient}.
@@ -213,8 +200,7 @@ class FrobeniusRing:
         """mult_matrix of the handle element, built once and kept in _cache.
 
         Every caller shares the one pair (D, d), so none may mutate D: the
-        orbit walk, Berkowitz and the limit points only read it, and
-        a_matrix builds its own Fractions.
+        orbit walk, Berkowitz and the limit points only read it.
         """
         if "handle_matrix" not in self._cache:
             self._cache["handle_matrix"] = self.mult_matrix(self.handle_element())
@@ -253,13 +239,13 @@ class FrobeniusRing:
         return vec
 
     def theta_order(self):
-        """Minimal t >= 1 with [pt]^{*t} = c q^m 1; returns (theta, m).
+        """Minimal t >= 1 with [pt]^{*t} = c q^m 1; returns (theta, m, c).
 
-        The scalar c is cached for pt_inverse. Errors if the ring has no
-        designated point class or no such power exists within _THETA_CAP.
+        Errors if the ring has no designated point class or no such power
+        exists within _THETA_CAP.
         """
         if "theta" in self._cache:
-            return self._cache["theta"][:2]
+            return self._cache["theta"]
         if self.point_index is None:
             raise ValueError(f"ring {self.name} has no designated point class")
         pt = self.basis_element(self.point_index)
@@ -267,25 +253,23 @@ class FrobeniusRing:
         for t in range(1, _THETA_CAP + 1):
             keys = list(cur.coeffs)
             if len(keys) == 1 and keys[0][0] == self.unit_index:
-                theta, m, c = t, keys[0][1], cur.coeffs[keys[0]]
-                self._cache["theta"] = (theta, m, c)
-                return theta, m
+                self._cache["theta"] = (t, keys[0][1], cur.coeffs[keys[0]])
+                return self._cache["theta"]
             cur = self.product(cur, pt)
         raise ValueError(f"point class of {self.name} has no scalar power within {_THETA_CAP}")
 
     def pt_inverse(self) -> Element:
         """Inverse of the point class: c^{-1} q^{-m} [pt]^{*(theta-1)}."""
-        theta, m = self.theta_order()
-        c = self._cache["theta"][2]
+        theta, m, c = self.theta_order()
         pt = self.basis_element(self.point_index)
         inv = self.power(pt, theta - 1).scale(1 / c).shift_q(-m)
         assert self.product(pt, inv) == self.unit()
         return inv
 
     def a_matrix(self):
-        """Matrix of multiplication by Delta/[pt] at q = 1, as Fractions."""
-        mat, den = self.mult_matrix(self.product(self.handle_element(), self.pt_inverse()))
-        return [[Fraction(v, den) for v in row] for row in mat]
+        """Matrix of multiplication by Delta/[pt] at q = 1, as mult_matrix's
+        pair (D, d)."""
+        return self.mult_matrix(self.product(self.handle_element(), self.pt_inverse()))
 
     def vj_split(self, j):
         """Basis indices with degree congruent to j mod tau."""

@@ -1,11 +1,12 @@
 """Exact dense linear algebra over the integers and the rationals.
 
-Matrices are lists of rows of ints or Fractions. One exact elimination
-kernel, Echelon: incremental fraction-free (Bareiss) elimination over the
-integers. Ranks, kernel vectors, inverses, determinants, Krylov ranks and
-leading principal minors all scale their rows to integers (int_scale) and
-call it; an inverse is the kernel vectors of [a | -I].  Sylvester
-positive-definiteness certificates read the leading minors off its pivots.
+A rational matrix is the pair (D, d): a list of integer rows D and an int
+d > 0 with gcd(d, D) = 1, standing for D / d.  One exact elimination kernel,
+Echelon: incremental fraction-free (Bareiss) elimination over the integers.
+Ranks, kernel vectors, inverses, determinants, Krylov ranks and leading
+principal minors all run it on integer rows; an inverse is the kernel
+vectors of [a | -I], returned as a pair.  Sylvester positive-definiteness
+certificates read the leading minors off its pivots.
 
 Polynomials are coefficient lists in descending degree, worked over Z.
 char_poly is Berkowitz's division-free characteristic polynomial, run on
@@ -155,24 +156,21 @@ class Echelon:
 
 
 def mat_inverse(a):
-    """Inverse of a square matrix, or None if it is singular: column j is the
-    kernel vector of [a | -I] that is 1 in column n + j.  With a scaled by d
-    to integers, each augmented row is scaled whole: [d a | -d I]."""
+    """Inverse of a square integer matrix as the pair (Q, d), a^-1 = Q / d,
+    or None if a is singular: column j is the kernel vector of [a | -I] that
+    is 1 in column n + j."""
     n = len(a)
-    ints, den = int_scale(a)
-    ech = Echelon.of([*row, *(-den if i == j else 0 for j in range(n))]
-                     for i, row in enumerate(ints))
+    ech = Echelon.of([*row, *(-1 if i == j else 0 for j in range(n))]
+                     for i, row in enumerate(a))
     if any(c >= n for c, _ in ech.rows):
         return None
-    return [list(row) for row in zip(*(ech.kernel_vector(n + j, n) for j in range(n)))]
+    return int_scale(list(zip(*(ech.kernel_vector(n + j, n) for j in range(n)))))
 
 
 def int_scale(m):
-    """Scale a rational matrix by the positive lcm of its denominators;
-    returns (integer matrix, multiplier).  Int and Fraction entries are read
-    as they are; any other entry is coerced to a Fraction first."""
-    m = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in m]
-    den = math.lcm(*(x.denominator for row in m for x in row)) if m else 1
+    """Scale a matrix of ints and Fractions by the positive lcm of its
+    denominators; returns the pair (integer matrix, multiplier)."""
+    den = math.lcm(*(x.denominator for row in m for x in row))
     return [[x.numerator * (den // x.denominator) for x in row] for row in m], den
 
 
@@ -366,25 +364,23 @@ def _coprime_mod(a, b, p):
 
 
 def rational_roots(coeffs):
-    """All rational roots of the polynomial, as (root, multiplicity) pairs.
+    """All rational roots of an integer polynomial, as (root, multiplicity)
+    pairs.
 
-    Clears denominators, strips zero roots and takes the square-free part
-    s = squarefree_part(f).  With l the leading coefficient of s, the monic
-    g(y) = l^(deg - 1) s(y / l) has integer coefficients and the roots
-    y = l x, each an integer.  They are found by p-adic lifting (Loos 1983),
-    with no factoring; see the module docstring.  A root p/q in lowest terms
-    has multiplicity the number of times the primitive q x - p divides f
-    over Z.
+    Strips zero roots and takes the square-free part s = squarefree_part(f).
+    With l the leading coefficient of s, the monic g(y) = l^(deg - 1) s(y / l)
+    has integer coefficients and the roots y = l x, each an integer.  They
+    are found by p-adic lifting (Loos 1983), with no factoring; see the
+    module docstring.  A root p/q in lowest terms has multiplicity the number
+    of times the primitive q x - p divides f over Z.
     """
-    coeffs = [Fraction(c) for c in coeffs]
-    while coeffs and not coeffs[0]:
-        coeffs = coeffs[1:]
-    if not coeffs:
+    ints = list(coeffs)
+    while ints and not ints[0]:
+        del ints[0]
+    if not ints:
         raise ValueError("zero polynomial")
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
     zero_mult = 0
-    while ints and ints[-1] == 0:
+    while ints[-1] == 0:
         ints.pop()
         zero_mult += 1
     roots = []
@@ -423,22 +419,23 @@ def rational_roots(coeffs):
     return roots
 
 
-def is_positive_definite(m):
-    """Sylvester test: (verdict, leading principal minors), exact.
+def is_positive_definite(mat):
+    """Sylvester test of the symmetric matrix D / d given as the pair
+    mat = (D, d): (verdict, leading principal minors), exact.
 
-    The Echelon pivots of the integer-scaled matrix are its leading principal
-    minors when row k pivots in column k for every k.  A zero leading minor
-    moves a pivot elsewhere; the minors then come from the determinants of
-    the leading blocks.
+    The Echelon pivots of D are its leading principal minors when row k
+    pivots in column k for every k.  A zero leading minor moves a pivot
+    elsewhere; the minors then come from the determinants of the leading
+    blocks.  The k x k minor of D / d is that of D over d^k.
     """
-    n = len(m)
-    if any(len(row) != n for row in m):
+    ints, den = mat
+    n = len(ints)
+    if any(len(row) != n for row in ints):
         raise ValueError("matrix must be square")
     for i in range(n):
         for j in range(i):
-            if m[i][j] != m[j][i]:
+            if ints[i][j] != ints[j][i]:
                 raise ValueError(f"matrix is not symmetric at ({i}, {j})")
-    ints, den = int_scale(m)
     ech = Echelon.of(ints)
     if [c for c, _ in ech.rows] == list(range(n)):
         minors = [Fraction(row[k], den ** (k + 1)) for k, (_, row) in enumerate(ech.rows)]
@@ -449,19 +446,15 @@ def is_positive_definite(m):
     return ok, minors
 
 
-def krylov_rank(m, v, cap):
-    """Rank of {v, M v, ..., M^(cap-1) v} by exact elimination."""
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    (cur,), _ = int_scale([v])
-    if all(not x for x in cur):
+def krylov_rank(m, v):
+    """Rank of the Krylov space {v, M v, M^2 v, ...} of an integer matrix
+    and a nonzero integer vector by exact elimination: once a power depends
+    on those before it, so do all later ones."""
+    if not any(v):
         raise ValueError("Krylov start vector must be nonzero")
-    m, _ = int_scale(m)
     ech = Echelon()
-    for _ in range(cap):
-        if not ech.add(cur):
-            break
-        cur = mat_vec(m, cur)
+    while ech.add(v):
+        v = mat_vec(m, v)
     return ech.rank
 
 

@@ -226,8 +226,9 @@ def _schubert_matrices(k, n):
     Column j of L_(lam_1) L_lam' is the sum of c * (column v of L_(lam_1))
     over the terms c e_v of column j of L_lam'.  Column j of L_i is column i
     of L_j, since the ring is commutative, so a column whose matrix L_j is
-    already built is shared from it rather than summed.  Each partition
-    outside the box is reduced (reduce_sigma_hat) once per build.
+    already built is the same dict as that column, not a sum.  A column
+    keeps its terms in the order the sum met them.  Each partition outside
+    the box is reduced (reduce_sigma_hat) once per build.
     """
     basis, index = _gr_basis(k, n)
     dim = len(basis)
@@ -297,10 +298,10 @@ def grassmannian(k, n):
     The recursion is well-founded.  A strip eta on lam' has eta_i <= lam'_(i-1)
     = lam_i for i >= 2, so |eta| = |lam| forces eta_1 > lam_1 unless eta =
     lam.  Such an eta inside the box comes earlier in the order; one outside
-    it reduces to a lower weight or vanishes.  Column j of L_i is the row
-    e_i * e_j of the structure constants, taken with its terms in basis
-    order.  Each matrix is a list of sparse integer columns, so the build
-    holds only the nonzeros (_schubert_matrices).
+    it reduces to a lower weight or vanishes.  Column j of L_i, for i <= j,
+    is the row e_i * e_j of the structure constants, the same dict.  Each
+    matrix is a list of sparse integer columns, so the build holds only the
+    nonzeros (_schubert_matrices).
     """
     if not 2 <= k <= n - 2:
         raise ValueError("need 2 <= k <= n - 2")
@@ -309,7 +310,7 @@ def grassmannian(k, n):
     labels = [_gr_label(lam) for lam in basis]
     degrees = [sum(lam) for lam in basis]
     pairing = [{index[complement(lam, k, n)]: 1} for lam in basis]
-    structure = {(i, j): dict(sorted(cols[j].items()))
+    structure = {(i, j): cols[j]
                  for i, cols in enumerate(_schubert_matrices(k, n)) for j in range(i, dim)}
     ring = FrobeniusRing(
         name=f"Gr({k},{n})", labels=labels, degrees=degrees, tau=n,

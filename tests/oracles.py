@@ -34,6 +34,7 @@ from math import gcd, isqrt, lcm
 
 from qhandle._oracles import det_int
 from qhandle.complexity import _float_cluster
+from qhandle.frobenius import Element
 from qhandle.linalg import _jacobi
 from qhandle.partitions import lr_expand, partitions_in_box
 from qhandle.rings import reduce_sigma_hat
@@ -393,12 +394,14 @@ def pairing_double_sum(ring):
     ginv = fraction_inverse([[Fraction(ring.pairing[i].get(j, 0)) for j in range(n)]
                              for i in range(n)])
     assert ginv is not None, "singular pairing"
-    out = ring.zero()
+    out = {}
     for i, row in enumerate(ginv):
         for j, g in enumerate(row):
             if g:
-                out = out + ring.product(ring.basis_element(i), ring.basis_element(j)).scale(g)
-    return out
+                prod = ring.product(ring.basis_element(i), ring.basis_element(j))
+                for key, c in prod.coeffs.items():
+                    out[key] = out.get(key, 0) + g * c
+    return Element(out)
 
 
 def element_span_dim(ring):
@@ -690,7 +693,7 @@ def jacobi_theta_points(ring, z):
     theta float steps of M from that projection, each state over its largest
     |entry|, clustered at chordal distance 1e-7."""
     ints, den = ring.handle_matrix()
-    theta, _ = ring.theta_order()
+    theta, _, _ = ring.theta_order()
     power, pden = ring.mult_matrix(ring.power(ring.handle_element(), theta))
     values, vectors = _jacobi([[x / pden for x in row] for row in power], 1e-12)
     top = max(abs(v) for v in values)

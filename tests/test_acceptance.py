@@ -215,6 +215,23 @@ def test_oracles_import_only_the_standard_library():
         assert name.split(".")[0] in sys.stdlib_module_names, name
 
 
+def test_the_package_imports_only_the_standard_library():
+    # qhandle declares no runtime dependencies: every import in the package is
+    # relative or names a standard library module
+    paths = sorted(Path(_oracles.__file__).parent.glob("*.py"))
+    assert len(paths) > 1
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            for name in modules:
+                assert name.split(".")[0] in sys.stdlib_module_names, f"{path.name}: {name}"
+
+
 def test_the_test_oracles_import_only_jacobi_from_linalg():
     # the root and eigenstructure oracles stay independent of the root search
     tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())

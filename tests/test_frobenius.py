@@ -15,8 +15,6 @@ from qhandle.rings import fano_ci, grassmannian, projective_space, quadric
 def test_element_algebra():
     x = Element({(0, 0): Fraction(2), (1, 1): Fraction(-1)})
     y = Element({(0, 0): Fraction(1)})
-    assert (x + y).coeffs[(0, 0)] == 3
-    assert (x + x.scale(-1)) == Element({})
     assert x.scale(2).coeffs[(1, 1)] == -2
     assert x.shift_q(3).coeffs == {(0, 3): Fraction(2), (1, 4): Fraction(-1)}
     assert x.support() == {0, 1}
@@ -40,7 +38,6 @@ def test_unit_and_basis():
     assert ring.unit() == ring.basis_element(0)
     assert ring.label_index("H^2") == 2
     assert ring.dim == 4
-    assert ring.zero() == Element({})
 
 
 def test_product_grading_and_wraparound():
@@ -65,7 +62,7 @@ def test_power():
 def test_power_is_the_k_fold_product(make):
     # the coefficient keys (label, q exponent) must agree too, so compare the dicts
     ring = make()
-    for x in (ring.handle_element(), ring.unit() + ring.basis_element(1).scale(2)):
+    for x in (ring.handle_element(), ring.element({ring.unit_index: 1, 1: 2})):
         acc = ring.unit()
         for k in range(13):
             assert ring.power(x, k).coeffs == acc.coeffs, k
@@ -90,10 +87,10 @@ def test_mult_matrix_columns():
 def test_theta_order_and_pt_inverse():
     for n in (2, 3, 5):
         ring = projective_space(n)
-        assert ring.theta_order() == (n + 1, n)
+        assert ring.theta_order() == (n + 1, n, 1)
         assert ring.pt_inverse() == ring.element({("H", -1): 1})
     ring = quadric(4)
-    assert ring.theta_order() == (2, 2)
+    assert ring.theta_order() == (2, 2, 1)
     assert ring.pt_inverse() == ring.element({("s4", -2): 1})
 
 
@@ -105,7 +102,7 @@ def test_theta_order_requires_point_class():
 
 def test_theta_order_searches_powers_up_to_64():
     # [pt]^(n+1) = q^n 1 on P^n, so theta = 64 is found and theta = 65 is not
-    assert projective_space(63).theta_order() == (64, 63)
+    assert projective_space(63).theta_order() == (64, 63, 1)
     with pytest.raises(ValueError, match=r"^point class of P\^64 has no scalar power within 64$"):
         projective_space(64).theta_order()
 
@@ -113,9 +110,8 @@ def test_theta_order_searches_powers_up_to_64():
 def test_a_matrix_projective_is_scalar():
     for n in (2, 4):
         ring = projective_space(n)
-        expected = [[Fraction(n + 1) if i == j else Fraction(0)
-                     for j in range(ring.dim)] for i in range(ring.dim)]
-        assert ring.a_matrix() == expected
+        expected = [[n + 1 if i == j else 0 for j in range(ring.dim)] for i in range(ring.dim)]
+        assert ring.a_matrix() == (expected, 1)
 
 
 def test_vj_split_partitions_basis():
@@ -506,9 +502,9 @@ MULT_RINGS = (HANDLE_RINGS
                          ids=[spec[0] for spec in MULT_RINGS])
 def test_mult_matrix_is_the_int_scale_of_the_product_columns(build, args):
     ring = build(*args)
-    delta, unit = ring.handle_element(), ring.unit()
+    delta, u = ring.handle_element(), ring.unit_index
     # halves whose q = 1 sum is the unit: the pair must come out as (I, 1)
-    halves = unit.scale(Fraction(1, 2)) + unit.shift_q(1).scale(Fraction(1, 2))
+    halves = ring.element({(u, 0): Fraction(1, 2), (u, 1): Fraction(1, 2)})
     for x in (delta, delta.scale(Fraction(2, 3)), halves):
         cols = [ring.element_vector(ring.product(x, ring.basis_element(j)))
                 for j in range(ring.dim)]

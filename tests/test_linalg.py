@@ -93,7 +93,7 @@ def test_rational_roots_frozen():
         ([1, -2, -15], [(Fraction(-3), 1), (Fraction(5), 1)]),
     ]
     for coeffs, expected in cases:
-        got = rational_roots([Fraction(c) for c in coeffs])
+        got = rational_roots(coeffs)
         assert sorted(got) == sorted(expected), coeffs
 
 
@@ -152,7 +152,9 @@ def factored_polynomials(draw):
 @given(factored_polynomials())
 def test_rational_roots_match_the_fraction_form(case):
     poly, roots = case
-    got = rational_roots(poly)
+    # a positive multiple of a polynomial has its roots
+    (ints,), _ = int_scale([poly])
+    got = rational_roots(ints)
     assert got == fraction_rational_roots(poly)
     assert got == sorted(roots.items())
 
@@ -193,7 +195,8 @@ def test_rational_roots_random_products():
             poly = poly + [Fraction(0)]
             for i in range(len(poly) - 1, 0, -1):
                 poly[i] -= r * poly[i - 1]
-        got = rational_roots(poly)
+        (ints,), _ = int_scale([poly])
+        got = rational_roots(ints)
         assert sum(m for _, m in got) == len(roots)
         for r in set(roots):
             assert (r, roots.count(r)) in got
@@ -209,31 +212,42 @@ def test_nullspace_and_rank():
 
 
 def test_is_positive_definite():
-    ok, minors = is_positive_definite([[2, 1], [1, 2]])
+    # the pair (D, d) of int_scale: the k x k minor of D / d is D's over d^k
+    ok, minors = is_positive_definite(int_scale([[2, 1], [1, 2]]))
     assert ok and minors == [Fraction(2), Fraction(3)]
     half, third = Fraction(1, 2), Fraction(1, 3)
-    assert is_positive_definite([[half, third], [third, 1]]) == (True, [half, Fraction(7, 18)])
-    ok, minors = is_positive_definite([[1, 2], [2, 1]])
+    assert is_positive_definite(int_scale([[half, third], [third, 1]])) == \
+        (True, [half, Fraction(7, 18)])
+    ok, minors = is_positive_definite(int_scale([[1, 2], [2, 1]]))
     assert not ok
     with pytest.raises(ValueError):
-        is_positive_definite([[1, 2], [3, 4]])
+        is_positive_definite(int_scale([[1, 2], [3, 4]]))
 
 
 def test_is_positive_definite_zero_pivot_fallback():
     # a zero leading minor moves a pivot off the diagonal; the minors then
     # come from the determinants of the leading blocks
-    assert is_positive_definite([[0, 1], [1, 0]]) == (False, [0, -1])
-    assert is_positive_definite([[1, 1, 0], [1, 1, 1], [0, 1, 1]]) == (False, [1, 0, -1])
+    assert is_positive_definite(int_scale([[0, 1], [1, 0]])) == (False, [0, -1])
+    assert is_positive_definite(int_scale([[1, 1, 0], [1, 1, 1], [0, 1, 1]])) == \
+        (False, [1, 0, -1])
     half = Fraction(1, 2)
-    assert is_positive_definite([[0, half], [half, 0]]) == (False, [0, -half ** 2])
+    assert is_positive_definite(int_scale([[0, half], [half, 0]])) == (False, [0, -half ** 2])
 
 
 def test_krylov_rank():
     m = [[2, 0], [0, 3]]
-    assert krylov_rank(m, [1, 1], 3) == 2
-    assert krylov_rank(m, [1, 0], 3) == 1
+    assert krylov_rank(m, [1, 1]) == 2
+    assert krylov_rank(m, [1, 0]) == 1
     with pytest.raises(ValueError):
-        krylov_rank(m, [0, 0], 3)
+        krylov_rank(m, [0, 0])
+    # no cap: the nilpotent shift N e_k = e_(k-1) walks e_n down to e_1 and
+    # then to 0, and the identity repeats its start vector
+    for n in (1, 2, 5):
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        shift = [[int(j == i + 1) for j in range(n)] for i in range(n)]
+        assert krylov_rank(shift, eye[-1]) == n
+        assert krylov_rank(shift, eye[0]) == 1
+        assert krylov_rank(eye, eye[-1]) == 1
 
 
 def test_echelon_rank():
@@ -277,11 +291,15 @@ def test_kernel_det_and_inverse(a):
     ints, _ = int_scale(a)
     det = det_int(ints)
     assert Echelon.of(ints).det == det
-    inv = mat_inverse(a)
-    assert inv == fraction_inverse(a)
-    assert (inv is None) == (det == 0)
+    inv = mat_inverse(ints)
+    want = fraction_inverse(ints)
+    assert (inv is None) == (want is None) == (det == 0)
     if inv is not None:
-        assert mat_mul(inv, a) == identity(len(a))
+        q, d = inv
+        assert inv == int_scale(want)
+        assert d > 0 and math.gcd(d, *(x for row in q for x in row)) == 1
+        n = len(a)
+        assert mat_mul(ints, q) == [[d * int(i == j) for j in range(n)] for i in range(n)]
 
 
 # the deferred rescale, on an inconsistent and on a reachable right-hand side

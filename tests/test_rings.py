@@ -14,7 +14,7 @@ from qhandle._oracles import poly_from_roots
 from qhandle.acceptance import EST_TABLE
 from qhandle.complexity import ProjState, trajectory
 from qhandle.frobenius import Element
-from qhandle.linalg import char_poly, is_positive_definite
+from qhandle.linalg import char_poly, int_scale, is_positive_definite
 from qhandle.rings import (ZERO, delta_closed_form, delta_gr2_form,
                            dim_f_closed_form, euler_characteristic, fano_ci,
                            grassmannian, gr2_a0_matrix,
@@ -123,10 +123,10 @@ def test_quadric_a_matrix_positive_definite():
     for r in (3, 5):
         d = 1 if r % 2 else 2
         ring = quadric(r)
-        a = ring.a_matrix()
-        ok, minors = is_positive_definite(a)
+        a, den = ring.a_matrix()
+        ok, minors = is_positive_definite((a, den))
         assert ok and all(v > 0 for v in minors)
-        assert char_poly(a) == poly_from_roots([(2 * r, r), (2 * d, d)])
+        assert char_poly(a) == poly_from_roots([(2 * r * den, r), (2 * d * den, d)])
 
 
 # -- grassmannians ------------------------------------------------------------
@@ -235,9 +235,9 @@ def test_schur_values_catch_a_changed_constant():
 def test_schur_values_catch_a_changed_handle():
     ring = grassmannian(3, 7)
     handle = ring.handle_element()
-    w, e = min(handle.coeffs)
-    mutant = replaced(
-        ring, delta_override=handle + ring.element({(w, e): 1}), _cache={})
+    coeffs = dict(handle.coeffs)
+    coeffs[min(coeffs)] += 1
+    mutant = replaced(ring, delta_override=ring.element(coeffs), _cache={})
     assert handle_value_failure(mutant, 3, 7) is not None
 
 
@@ -281,14 +281,14 @@ def test_delta_formulas_agree():
 def test_grassmannian_theta():
     for k, n in [(2, 5), (2, 6), (3, 6)]:
         dd = gcd(k, n)
-        assert grassmannian(k, n).theta_order() == (n // dd, k * (n - k) // dd)
+        assert grassmannian(k, n).theta_order() == (n // dd, k * (n - k) // dd, 1)
 
 
 def test_gr2_block_matrix_frozen():
     assert gr2_b_values(6) == [15, 9, 3]
     assert gr2_theta_indices(6) == [0, 12, 11]
     assert gr2_a0_matrix(6) == [[15, 9, 3], [9, 27, 9], [3, 9, 15]]
-    ok, minors = is_positive_definite(gr2_a0_matrix(6))
+    ok, minors = is_positive_definite(int_scale(gr2_a0_matrix(6)))
     assert ok and minors == [Fraction(15), Fraction(324), Fraction(3888)]
 
 
