@@ -3,11 +3,13 @@
 Nothing here touches the package's own code: Schur polynomials are built by
 the branching rule on semistandard tableaux, products by monomial-dictionary
 convolution on weights packed into ints, Schur values by the bialternant
-ratio at integer points, and characteristic polynomials from their roots.  So
+ratio at integer points, characteristic polynomials from their roots, and
+float eigenvalues of symmetric matrices by cyclic Jacobi sweeps.  So
 agreement with lr_expand or char_poly is a genuine cross-check.  The module
 imports only the standard library, and a test keeps it that way.
 """
 
+import math
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -140,3 +142,54 @@ def poly_from_roots(pairs):
             for i in range(len(poly) - 1, 0, -1):
                 poly[i] -= root * poly[i - 1]
     return poly
+
+
+def _jacobi(m, tol):
+    """Cyclic Jacobi diagonalization; returns (values, row eigenvectors)."""
+    n = len(m)
+    a = [[float(x) for x in row] for row in m]
+    for i in range(n):
+        for j in range(i):
+            if m[i][j] != m[j][i]:
+                raise ValueError(f"matrix is not symmetric at ({i}, {j})")
+    v = [[float(i == j) for j in range(n)] for i in range(n)]
+    fro = math.sqrt(sum(x * x for row in a for x in row))
+    limit = tol * max(1.0, fro)
+
+    def off():
+        return math.sqrt(sum(a[i][j] ** 2 for i in range(n) for j in range(n) if i != j))
+
+    sweeps = 0
+    while off() > limit:
+        sweeps += 1
+        if sweeps > 100:
+            raise RuntimeError("Jacobi sweeps did not converge within 100 sweeps")
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                if abs(a[p][q]) <= limit / (n * n):
+                    continue
+                theta = 0.5 * math.atan2(2 * a[p][q], a[q][q] - a[p][p])
+                c, s = math.cos(theta), math.sin(theta)
+                for k in range(n):
+                    akp, akq = a[k][p], a[k][q]
+                    a[k][p] = c * akp - s * akq
+                    a[k][q] = s * akp + c * akq
+                for k in range(n):
+                    apk, aqk = a[p][k], a[q][k]
+                    a[p][k] = c * apk - s * aqk
+                    a[q][k] = s * apk + c * aqk
+                for k in range(n):
+                    vkp, vkq = v[k][p], v[k][q]
+                    v[k][p] = c * vkp - s * vkq
+                    v[k][q] = s * vkp + c * vkq
+    pairs = sorted(((a[i][i], i) for i in range(n)), key=lambda t: (-t[0], t[1]))
+    values = [val for val, _ in pairs]
+    vectors = [[v[k][i] for k in range(n)] for _, i in pairs]
+    return values, vectors
+
+
+def sym_float_eigs(m):
+    """Eigenvalues of a symmetric matrix by cyclic Jacobi, sorted descending;
+    the sweeps stop once the off-diagonal norm is below 1e-12 max(1, ||m||_F)."""
+    values, _ = _jacobi(m, 1e-12)
+    return values

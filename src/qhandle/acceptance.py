@@ -15,11 +15,11 @@ from itertools import combinations
 from math import comb, gcd
 
 from . import partitions, rings
-from ._oracles import poly_from_roots, schur_product_expansion, schur_value
+from ._oracles import poly_from_roots, schur_product_expansion, schur_value, sym_float_eigs
 from .complexity import (ProjState, chordal, exact_complexity,
                          limit_points_real, s_infinity, trajectory)
 from .linalg import (char_poly, is_positive_definite, krylov_rank, mat_inverse,
-                     mat_mul, mat_vec, squarefree_part, sym_float_eigs)
+                     mat_mul, mat_vec, squarefree_part)
 
 STANDARD_GRASSMANNIANS = [(2, 4), (2, 5), (2, 6), (2, 7), (2, 8),
                           (3, 6), (3, 7), (3, 8)]

@@ -11,9 +11,9 @@ from fractions import Fraction
 from itertools import islice
 
 from .linalg import (
-    _non_split_prime,
     _synth_div,
     char_poly,
+    cyclic_char_poly,
     int_scale,
     mat_vec,
     rational_roots,
@@ -254,12 +254,10 @@ class LimitReport:
         self.depth = depth
 
 
-def _char_roots(ints, den):
-    """(f, roots) for M = ints / den: f = det(x I - ints) as integers, and
-    the rational roots of det(x I - M) as (root, multiplicity) pairs.  f is
-    monic over Z, so its rational roots are integers r, and r / den are
-    those of M."""
-    f = char_poly(ints)
+def _char_roots(f, den):
+    """(f, roots) for M = D / den and f = det(x I - D): the rational roots of
+    det(x I - M) as (root, multiplicity) pairs.  f is monic over Z, so its
+    rational roots are integers r, and r / den are those of M."""
     return f, [(r / den, m) for r, m in rational_roots(f)]
 
 
@@ -291,7 +289,7 @@ def limit_points_real(mat, z, _char=None):
         raise ValueError("matrix and vector sizes differ")
     if not any(z):
         raise ValueError("z must be nonzero")
-    f, roots = _char or _char_roots(ints, den)
+    f, roots = _char or _char_roots(char_poly(ints), den)
     roots = dict(roots)
     if sum(roots.values()) != n:
         raise ValueError("matrix is not split over the rationals")
@@ -394,18 +392,29 @@ def s_infinity(ring, s0):
     """Non-orbit accumulation points of the orbit of [s0], from one walk of
     10 dim steps; a closed orbit gives the empty set exactly.
 
-    If the handle matrix M at q = 1 splits over the rationals
-    (linalg._non_split_prime may certify that it does not) the limits are
-    exact and budget-free.  [M^P y] = [y], y = M^j z, puts y in eigenspaces of
-    +-lambda, as (lambda + N)^P != lambda^P on a Jordan block of rational
-    lambda != 0 and depth > 1; the nilpotent parts of z die within n = dim
-    steps.  So the orbit closes within n + 2 steps or never, and a limit point
-    that is an orbit state forces closure.
+    The grading decides whether the handle matrix M at q = 1 can split over
+    the rationals.  M maps V_j into V_(j+s), s = top mod tau, and the classes
+    mod tau fall into cycles of length c = tau / gcd(tau, s) = tau / D_X
+    (FrobeniusRing.handle_cycles).  Let U act as zeta^t on the t-th block of
+    each cycle, zeta a primitive c-th root of unity; then U M U^-1 = zeta M,
+    so the spectrum of M is closed under multiplication by zeta.  For
+    c >= 3 a nonzero rational eigenvalue brings a non-real one, so a split M
+    is nilpotent and every orbit closes within n = dim steps: an orbit still
+    open after the walk proves M not split, with no polynomial computed.
+    For c <= 2 the exact characteristic polynomial, taken by cycles
+    (linalg.cyclic_char_poly), and its rational roots decide it.
 
-    Otherwise the theta path needs a point class with T^theta = c scalar,
+    If M splits the limits are exact and budget-free.  [M^P y] = [y],
+    y = M^j z, puts y in eigenspaces of +-lambda, as (lambda + N)^P !=
+    lambda^P on a Jordan block of rational lambda != 0 and depth > 1; the
+    nilpotent parts of z die within n steps.  So the orbit closes within
+    n + 2 steps or never, and a limit point that is an orbit state forces
+    closure.
+
+    Otherwise the theta path needs a point class with T^theta = mu a scalar,
     T = L_pt, and a symmetric M^theta.  M = A T, and A = Delta / [pt] has
     positive eigenvalues and commutes with T, so M^(theta K) z =
-    c^K A^(theta K) z and [M^(theta K + j) z] tends to [T^j w], w the
+    mu^K A^(theta K) z and [M^(theta K + j) z] tends to [T^j w], w the
     projection of z onto A's top eigenspace: the limit points are far states
     of the same walk (_theta_block), clustered at chordal distance 1e-7,
     less those within 1e-7 of a visited state.
@@ -416,10 +425,12 @@ def s_infinity(ring, s0):
     if traj.closed:
         return SInfinityReport(points=[], exact=True, method="finite-orbit")
     ints, den = mat
-    char = None if _non_split_prime(ints) else _char_roots(ints, den)
-    if char and sum(m for _, m in char[1]) == len(ints):
-        points = limit_points_real(mat, z, _char=char).points
-        return SInfinityReport(points=points, exact=True, method="rational-split")
+    cycles = ring.handle_cycles()
+    if len(cycles[0]) <= 2:  # for c >= 3 the open orbit proves M not split
+        char = _char_roots(cyclic_char_poly(ints, cycles), den)
+        if sum(m for _, m in char[1]) == len(ints):
+            points = limit_points_real(mat, z, _char=char).points
+            return SInfinityReport(points=points, exact=True, method="rational-split")
 
     try:  # no point class, or no scalar power of it
         theta, _, _ = ring.theta_order()

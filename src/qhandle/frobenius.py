@@ -7,8 +7,9 @@ is stored: the grading fixes it, as (deg e_i + deg e_j - deg e_w) / tau on
 e_w in e_i * e_j and as (deg e_i + deg e_j - top) / tau in <e_i, e_j>, top
 the largest degree. On top of that it provides the handle element,
 multiplication matrices at q = 1, quantum powers, the point-class order, the
-graded V_j split, the dimension bound for the span of handle powers, and that
-span's exact dimension. All arithmetic is on Python ints and Fractions.
+graded V_j split and the cycles the handle moves it along, the dimension bound
+for the span of handle powers, and that span's exact dimension. All
+arithmetic is on Python ints and Fractions.
 """
 
 from fractions import Fraction
@@ -176,24 +177,30 @@ class FrobeniusRing:
         column.  validate makes G graded of degree top = max deg, so Delta is
         homogeneous of degree top and its term on e_w carries
         q^((top - deg e_w) / tau).  A singular or q-dependent pairing raises
-        ValueError; an installed delta override (rings whose modeled part
-        cannot see the full pairing) is returned instead.
+        ValueError.  An installed delta override (rings whose modeled part
+        cannot see the full pairing) is returned instead, once it is checked
+        to be homogeneous of degree top too: handle_cycles, f_span_dim and
+        s_infinity rest on that.
         """
-        if self.delta_override is not None:
-            return self.delta_override
-        if "handle" in self._cache:
+        delta = self.delta_override
+        if delta is None and "handle" in self._cache:
             return self._cache["handle"]
-        if any(self.pairing_q_power(i, j) for i, row in enumerate(self.pairing) for j in row):
-            raise ValueError("pairing has q-dependent entries")
         n, top = self.dim, self.top_degree()
-        trace = [sum(self._row(x, j).get(j, 0) for j in range(n)) for x in range(n)]
-        ech = Echelon.of(self._pairing_rows([-t for t in trace]))
-        if ech.rank < n or any(c == n for c, _ in ech.rows):
-            raise ValueError("pairing matrix is singular")
-        delta = Element({(w, (top - self.degrees[w]) // self.tau): c
-                         for w, c in enumerate(ech.kernel_vector(n, n)) if c})
-        assert all((top - self.degrees[w]) % self.tau == 0 for w in delta.support())
-        self._cache["handle"] = delta
+        if delta is None:
+            if any(self.pairing_q_power(i, j) for i, row in enumerate(self.pairing) for j in row):
+                raise ValueError("pairing has q-dependent entries")
+            trace = [sum(self._row(x, j).get(j, 0) for j in range(n)) for x in range(n)]
+            ech = Echelon.of(self._pairing_rows([-t for t in trace]))
+            if ech.rank < n or any(c == n for c, _ in ech.rows):
+                raise ValueError("pairing matrix is singular")
+            ints, den = ech.kernel_vector(n, n)
+            delta = Element({(w, (top - self.degrees[w]) // self.tau): Fraction(c, den)
+                             for w, c in enumerate(ints) if c})
+        if any(self.degrees[w] + e * self.tau != top for w, e in delta.coeffs):
+            raise ValueError(f"the handle element of {self.name} is not homogeneous "
+                             f"of degree {top}")
+        if self.delta_override is None:
+            self._cache["handle"] = delta
         return delta
 
     def handle_matrix(self):
@@ -275,6 +282,20 @@ class FrobeniusRing:
         """Basis indices with degree congruent to j mod tau."""
         return [i for i in range(self.dim) if self.degrees[i] % self.tau == j % self.tau]
 
+    def handle_cycles(self):
+        """The classes mod tau as the cycles j -> j + top -> ... of handle
+        multiplication, each a list of the vj_split blocks of its classes in
+        that order, from its least class j < D_X.
+
+        Delta is homogeneous of degree top (handle_element checks it) and
+        every structure constant keeps the degree mod tau (validate), so
+        L_Delta maps V_j into V_(j+top).  The cycles are the D_X cosets of
+        the subgroup of Z/tau that top generates, each of length
+        c = tau / D_X.
+        """
+        top, dx = self.top_degree(), self.d_x()
+        return [[self.vj_split(j + t * top) for t in range(self.tau // dx)] for j in range(dx)]
+
     def top_degree(self):
         return max(self.degrees)
 
@@ -288,26 +309,23 @@ class FrobeniusRing:
     def f_span_dim(self):
         """Exact dimension of Span{Delta^{*k}} at q = 1, with the power list.
 
-        Also checks that every handle power stays inside the direct sum of
-        V_j over j divisible by D_X.  The powers are stepped as primitive
-        integer vectors by the integer rows D of the handle matrix (D, d)
-        (complexity.primitive_powers), which changes no span.  The check reads
-        the support off those q = 1 vectors: Delta is homogeneous, so each
-        basis element occurs in a power with a single q exponent, and the
-        support at q = 1 is the support of the power.
+        The powers are stepped as primitive integer vectors by the integer
+        rows D of the handle matrix (D, d) (complexity.primitive_powers),
+        which changes no span.  Delta^k lies in V_(k top) (handle_cycles),
+        so every power stays inside the sum of V_j over j divisible by D_X,
+        and powers in different classes have disjoint supports: a power
+        depends on the earlier ones exactly when it depends on those of its
+        own class.  So each class keeps its own Echelon.
         """
-        dx = self.d_x()
-        outside = [i for i in range(self.dim) if self.degrees[i] % dx]
+        top = self.top_degree()
         unit = self.element_vector(self.unit())
-        ech = Echelon()
+        echelons = {}
         powers = []
         for k, vec in zip(range(self.dim), primitive_powers(self.handle_matrix(), unit)):
-            if any(vec[i] for i in outside):
-                raise ValueError(f"handle power {k} leaves the V_j (j = 0 mod D_X) sum")
-            if not ech.add(vec):
+            if not echelons.setdefault(k * top % self.tau, Echelon()).add(vec):
                 break
             powers.append(k)
-        return ech.rank, powers
+        return len(powers), powers
 
     # -- construction-time validation ------------------------------------
 

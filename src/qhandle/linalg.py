@@ -3,9 +3,9 @@
 A rational matrix is the pair (D, d): a list of integer rows D and an int
 d > 0 with gcd(d, D) = 1, standing for D / d.  One exact elimination kernel,
 Echelon: incremental fraction-free (Bareiss) elimination over the integers.
-Ranks, kernel vectors, inverses, determinants, Krylov ranks and leading
-principal minors all run it on integer rows; an inverse is the kernel
-vectors of [a | -I], returned as a pair.  Sylvester positive-definiteness
+Ranks, integer kernel vectors with their divisors, inverses, determinants,
+Krylov ranks and leading principal minors all run it on integer rows; an
+inverse is the kernel vectors of [a | -I], returned as a pair.  Sylvester positive-definiteness
 certificates read the leading minors off its pivots.
 
 Polynomials are coefficient lists in descending degree, worked over Z.
@@ -14,11 +14,12 @@ integer matrices: a rational matrix scaled by d to integers has the
 eigenvalues d times its own, so its rational eigenvalues become integers
 and multiplicities are kept.  squarefree_part(f) is f / gcd(f, f') over Z,
 the gcd taken by the primitive pseudo-remainder sequence, and
-rational_roots reads the roots of f off it.  A cheaper certificate that
-the characteristic polynomial does not split over Q reads the minimal
-polynomial of a Krylov sequence modulo a few small primes (Berlekamp-Massey).
-Also a deterministic floating-point Jacobi eigensolver for symmetric
-matrices.
+rational_roots reads the roots of f off it.  cyclic_char_poly takes the
+same polynomial of a block-cyclic matrix, such as a homogeneous
+multiplication on a ring graded mod tau, from one Berkowitz run per cycle
+of blocks on a matrix of the size of its smallest block.  Everything here
+is exact; the float eigensolver behind criterion 2's cross-check lives with
+the independent oracles in qhandle._oracles.
 
 Rational roots are found by p-adic lifting, with no factoring (Loos,
 "Computing rational zeros of integral polynomials by p-adic expansion",
@@ -61,9 +62,6 @@ def mat_vec(a, v):
     """a v; an integer matrix and vector give an integer vector."""
     support = [(j, x) for j, x in enumerate(v) if x]
     return [sum(row[j] * x for j, x in support) for row in a]
-
-
-_ZERO = Fraction(0)
 
 
 class Echelon:
@@ -127,14 +125,17 @@ class Echelon:
         return len(self.rows)
 
     def kernel_vector(self, free, size):
-        """The first size entries, as Fractions, of the vector x that every
-        added row annihilates with x[free] = 1 and x zero at every other
-        non-pivot column; free must not be a pivot column.
+        """The pair (first size entries of y, y[free]) for the primitive
+        integer vector y that every added row annihilates, zero at every
+        non-pivot column but free; free must not be a pivot column.  So
+        y / y[free] is the kernel vector v that is 1 at free.
 
         Back substitution over the integers in reverse insertion order: row
-        i meets x only at c_i and at columns already fixed, so it fixes
-        x[c_i] after x is scaled by p_i / g, g the gcd of p_i and the rest of
-        the row's sum, which keeps x integral.
+        i meets y only at c_i and at columns already fixed, so it fixes
+        y[c_i] after y is scaled by p_i / g, g the gcd of p_i and the rest of
+        the row's sum.  That is the least factor that makes y[c_i] integral,
+        so y[free] ends as +- the least common denominator of v, and y is
+        primitive.
         """
         x = {free: 1}
         for c, row in reversed(self.rows):
@@ -147,24 +148,27 @@ class Echelon:
                 if p != g:
                     x = {j: v * (p // g) for j, v in x.items()}
                 x[c] = -s // g
-        d = x[free]
-        out = [_ZERO] * size
+        out = [0] * size
         for j, v in x.items():
             if j < size:
-                out[j] = Fraction(v, d)
-        return out
+                out[j] = v
+        return out, x[free]
 
 
 def mat_inverse(a):
     """Inverse of a square integer matrix as the pair (Q, d), a^-1 = Q / d,
     or None if a is singular: column j is the kernel vector of [a | -I] that
-    is 1 in column n + j."""
+    is 1 in column n + j.  That column is y_j / d_j with y_j primitive
+    (kernel_vector), so |d_j| is its least common denominator, and the
+    lcm d of those is the matrix's: the pair is the one int_scale gives."""
     n = len(a)
     ech = Echelon.of([*row, *(-1 if i == j else 0 for j in range(n))]
                      for i, row in enumerate(a))
     if any(c >= n for c, _ in ech.rows):
         return None
-    return int_scale(list(zip(*(ech.kernel_vector(n + j, n) for j in range(n)))))
+    cols = [ech.kernel_vector(n + j, n) for j in range(n)]
+    den = math.lcm(*(d for _, d in cols))
+    return [[col[i] * (den // d) for col, d in cols] for i in range(n)], den
 
 
 def int_scale(m):
@@ -200,81 +204,38 @@ def char_poly(a):
     return poly
 
 
-#: The primes of _non_split_prime, tried in order.  One prime alone can miss:
-#: 101 certifies neither gr:2,5 nor gr:3,10, and 103 neither gr:2,6 nor gr:4,8.
-_CERT_PRIMES = (101, 103, 107)
+def cyclic_char_poly(a, cycles):
+    """det(x I - a) for a square integer matrix a that is block-cyclic: its
+    indices split into cycles of blocks j_0 -> ... -> j_(c-1) -> j_0, given as
+    lists of index lists, and a is zero outside the entries B_t = a[j_(t+1)][j_t]
+    from each block into the next.
 
-
-def _berlekamp_massey(seq, p):
-    """Minimal polynomial over F_p of a linearly recurrent sequence, monic in
-    descending degree: the least m = x^L + m_1 x^(L-1) + ... + m_L with
-    s_(k+L) + m_1 s_(k+L-1) + ... + m_L s_k = 0 for every k.
-
-    Berlekamp-Massey (Massey 1969) on the connection polynomial
-    c(x) = x^L m(1/x).  The answer is exact when seq holds at least 2 L terms.
+    Each cycle spans an invariant subspace, so the polynomial is the product
+    over the cycles.  With the cycle started at a smallest block, of size
+    m_0, the polynomial on a cycle of blocks of sizes m_t is
+    x^(sum m_t - c m_0) det(x^c I - P), P = B_(c-1) ... B_0 of size m_0:
+    a^c is block-diagonal with the cyclic products of the B_t, which all
+    have the nonzero eigenvalues of P with its multiplicities.  Berkowitz
+    (char_poly) runs on P alone.
     """
-    c, b = [1], [1]  # ascending; b is c before the last change of L
-    order, shift, last = 0, 1, 1
-    for i, s in enumerate(seq):
-        d = s
-        for j in range(1, min(order, len(c) - 1) + 1):
-            d += c[j] * seq[i - j]
-        d %= p
-        if not d:
-            shift += 1
-            continue
-        coef = d * pow(last, -1, p) % p
-        prev = list(c)
-        c += [0] * (len(b) + shift - len(c))
-        for j, x in enumerate(b):
-            c[j + shift] = (c[j + shift] - coef * x) % p
-        if 2 * order <= i:
-            order, b, last, shift = i + 1 - order, prev, d, 1
-        else:
-            shift += 1
-    return (c + [0] * order)[:order + 1]
-
-
-def _roots_mod_p(m, p):
-    """Number of roots in F_p of the polynomial m, counted with multiplicity:
-    each residue divides m out by synthetic division while the remainder is
-    0 mod p."""
-    count = 0
-    for r in range(p):
-        while len(m) > 1:
-            q, rem = _synth_div(m, r)
-            if rem % p:
-                break
-            m = [c % p for c in q]
-            count += 1
-    return count
-
-
-def _non_split_prime(a):
-    """A prime that proves det(x I - a) does not split over Q, or None.
-
-    a is a square integer matrix, so f = det(x I - a) is monic over Z and a
-    split f is a product of factors x - r with r in Z; then f mod p, and each
-    of its divisors, splits over F_p.  One divisor is m, the minimal
-    polynomial of the sequence w a^k v mod p for fixed vectors w and v and
-    k < 2n.  So a prime p at which m has fewer roots in F_p, counted with
-    multiplicity, than its degree proves that f does not split; None proves
-    nothing.  One walk modulo the product of _CERT_PRIMES serves them all.
-    """
-    n = len(a)
-    mod = math.prod(_CERT_PRIMES)
-    rows = [[(j, x % mod) for j, x in enumerate(row) if x % mod] for row in a]
-    w = [pow(2, i, mod) for i in range(n)]
-    v = [pow(3, i, mod) for i in range(n)]
-    seq = []
-    for _ in range(2 * n):
-        seq.append(sum(x * y for x, y in zip(w, v)))
-        v = [sum(x * v[j] for j, x in row) % mod for row in rows]
-    for p in _CERT_PRIMES:
-        m = _berlekamp_massey([s % p for s in seq], p)
-        if _roots_mod_p(m, p) < len(m) - 1:
-            return p
-    return None
+    poly = [1]
+    for cycle in cycles:
+        c = len(cycle)
+        start = min(range(c), key=lambda t: len(cycle[t]))
+        cycle = cycle[start:] + cycle[:start]
+        m0 = len(cycle[0])
+        inner = [1]  # det(y I - P), the 0 x 0 determinant when m_0 = 0
+        if m0:
+            p = [[1 if i == j else 0 for j in cycle[0]] for i in cycle[0]]
+            for t in range(c):
+                p = mat_mul([[a[i][j] for j in cycle[t]] for i in cycle[(t + 1) % c]], p)
+            inner = char_poly(p)
+        out = [0] * (len(poly) + c * m0)
+        for i, x in enumerate(poly):
+            for k, y in enumerate(inner):
+                out[i + c * k] += x * y
+        poly = out + [0] * (sum(map(len, cycle)) - c * m0)
+    return poly
 
 
 def poly_deriv(coeffs):
@@ -456,54 +417,3 @@ def krylov_rank(m, v):
     while ech.add(v):
         v = mat_vec(m, v)
     return ech.rank
-
-
-def _jacobi(m, tol):
-    """Cyclic Jacobi diagonalization; returns (values, row eigenvectors)."""
-    n = len(m)
-    a = [[float(x) for x in row] for row in m]
-    for i in range(n):
-        for j in range(i):
-            if m[i][j] != m[j][i]:
-                raise ValueError(f"matrix is not symmetric at ({i}, {j})")
-    v = [[float(i == j) for j in range(n)] for i in range(n)]
-    fro = math.sqrt(sum(x * x for row in a for x in row))
-    limit = tol * max(1.0, fro)
-
-    def off():
-        return math.sqrt(sum(a[i][j] ** 2 for i in range(n) for j in range(n) if i != j))
-
-    sweeps = 0
-    while off() > limit:
-        sweeps += 1
-        if sweeps > 100:
-            raise RuntimeError("Jacobi sweeps did not converge within 100 sweeps")
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p][q]) <= limit / (n * n):
-                    continue
-                theta = 0.5 * math.atan2(2 * a[p][q], a[q][q] - a[p][p])
-                c, s = math.cos(theta), math.sin(theta)
-                for k in range(n):
-                    akp, akq = a[k][p], a[k][q]
-                    a[k][p] = c * akp - s * akq
-                    a[k][q] = s * akp + c * akq
-                for k in range(n):
-                    apk, aqk = a[p][k], a[q][k]
-                    a[p][k] = c * apk - s * aqk
-                    a[q][k] = s * apk + c * aqk
-                for k in range(n):
-                    vkp, vkq = v[k][p], v[k][q]
-                    v[k][p] = c * vkp - s * vkq
-                    v[k][q] = s * vkp + c * vkq
-    pairs = sorted(((a[i][i], i) for i in range(n)), key=lambda t: (-t[0], t[1]))
-    values = [val for val, _ in pairs]
-    vectors = [[v[k][i] for k in range(n)] for _, i in pairs]
-    return values, vectors
-
-
-def sym_float_eigs(m):
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi, sorted descending;
-    the sweeps stop once the off-diagonal norm is below 1e-12 max(1, ||m||_F)."""
-    values, _ = _jacobi(m, 1e-12)
-    return values

@@ -17,10 +17,10 @@ square-free part and multiplicities come from Fraction polynomial division
 (poly_divmod, poly_gcd, _synth_div), Jordan ranks and eigenbases from
 FractionEchelon on Fraction powers, and limit points from Fraction Jordan
 chains on the components of a generalized eigenbasis.  They take nothing
-from qhandle.linalg but the float Jacobi sweep of the theta-path oracle; the
-library runs the same mathematics on integers, except that it isolates a
-component with a cofactor of the characteristic polynomial instead of an
-eigenbasis.
+from qhandle.linalg; the float Jacobi sweep of the theta-path oracle comes
+from qhandle._oracles.  The library runs the same mathematics on integers,
+except that it isolates a component with a cofactor of the characteristic
+polynomial instead of an eigenbasis.
 
 The Schur and characteristic-polynomial oracles that the acceptance criteria
 share with the tests live in qhandle._oracles.
@@ -32,10 +32,9 @@ from functools import cache
 from itertools import combinations
 from math import gcd, isqrt, lcm
 
-from qhandle._oracles import det_int
+from qhandle._oracles import _jacobi, det_int
 from qhandle.complexity import _float_cluster
 from qhandle.frobenius import Element
-from qhandle.linalg import _jacobi
 from qhandle.partitions import lr_expand, partitions_in_box
 from qhandle.rings import reduce_sigma_hat
 

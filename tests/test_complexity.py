@@ -11,7 +11,7 @@ from qhandle.complexity import (NOT_FOUND, LimitReport, ProjState, Trajectory,
                                 approx_complexity, chordal, exact_complexity,
                                 limit_points_real, s_infinity, trajectory)
 from qhandle.frobenius import FrobeniusRing
-from qhandle.linalg import _non_split_prime, char_poly, int_scale, mat_mul, rational_roots
+from qhandle.linalg import char_poly, cyclic_char_poly, int_scale, mat_mul, rational_roots
 from qhandle.rings import fano_ci, grassmannian, projective_space, quadric
 
 
@@ -354,22 +354,23 @@ def test_s_infinity_theta_float_path():
 
 
 def test_s_infinity_without_a_path_is_an_error():
-    # no point class and the handle 1 + H, whose q = 1 spectrum 2, 1 + w, 1 + w^2
-    # (w a primitive cube root of 1) does not split over the rationals
-    base = projective_space(2)
-    ring = replaced(base, point_index=None, _cache={},
-                    delta_override=base.element({"1": 1, "H": 1}))
-    with pytest.raises(ValueError, match="no S_infinity path: the orbit does not "
-                                         "close within 30 steps"):
-        s_infinity(ring, ring.unit())
+    # a theta Grassmannian with its point class taken away: the handle does not
+    # split, which the open orbit proves on Gr(2,5) (cycle length 5) and the
+    # cycle polynomial shows on Gr(2,8) (cycle length 2)
+    for k, n in ((2, 5), (2, 8)):
+        ring = replaced(grassmannian(k, n), point_index=None, _cache={})
+        with pytest.raises(ValueError, match="no S_infinity path: the orbit does not "
+                                             f"close within {10 * ring.dim} steps"):
+            s_infinity(ring, ring.unit())
 
 
 def test_s_infinity_with_a_non_symmetric_theta_power_is_an_error():
-    # P^2 keeps its point class (theta 3), but the handle 1 + 2H has the cube
-    # 9 + 6H + 12H^2 at q = 1, and L_H is a 3-cycle, so M^3 is not symmetric
-    base = projective_space(2)
+    # Gr(3,6) keeps its point class (theta 2), but the homogeneous handle
+    # q s[3] + [pt] does not split and its square is not symmetric at q = 1
+    base = grassmannian(3, 6)
     ring = replaced(base, _cache={},
-                    delta_override=base.element({"1": 1, "H": 2}))
+                    delta_override=base.element({("s[3]", 1): 1, "s[3,3,3]": 1}))
+    assert ring.theta_order()[0] == 2
     with pytest.raises(ValueError, match="no S_infinity path"):
         s_infinity(ring, ring.unit())
 
@@ -415,13 +416,53 @@ def split_integer_matrices(draw):
     return mat_mul(mat_mul(u, tri), u_inv)
 
 
-# a Jordan block: (x - 3)^2 has one root in F_p, of multiplicity 2
-@example([[3, 1], [0, 3]])
-@example([[-1, 1, 0], [0, -1, 1], [0, 0, -1]])
+def _cycle_polynomial_holds(a, cycles):
+    # the cycle polynomial is Berkowitz's, and for cycle length c >= 3 a split
+    # matrix is nilpotent: with U = zeta^t on the t-th block, U a U^-1 = zeta a,
+    # so a nonzero rational eigenvalue would bring the non-real zeta times it
+    f = char_poly(a)
+    assert cyclic_char_poly(a, cycles) == f
+    if len(cycles[0]) >= 3:
+        split = sum(m for _, m in rational_roots(f)) == len(a)
+        assert split == (f == [1] + [0] * len(a))
+
+
+@st.composite
+def block_cyclic_matrices(draw):
+    """(a, cycles): an integer matrix that maps the span of each block of a
+    cycle into that of the next and is zero elsewhere, with up to three
+    cycles of one common length c <= 4 and blocks of sizes 0..3, scattered
+    over the indices.  A drawn block map may be zero, which makes its cycle
+    nilpotent."""
+    c = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.lists(st.integers(0, 3), min_size=c, max_size=c),
+                          min_size=1, max_size=3))
+    n = sum(map(sum, sizes))
+    assume(0 < n <= 10)
+    order = draw(st.permutations(range(n)))
+    cycles, pos = [], 0
+    for cycle in sizes:
+        cycles.append([order[pos + sum(cycle[:t]):pos + sum(cycle[:t + 1])] for t in range(c)])
+        pos += sum(cycle)
+    a = [[0] * n for _ in range(n)]
+    for cycle in cycles:
+        for t, src in enumerate(cycle):
+            zero = draw(st.booleans()) and draw(st.booleans())
+            for i in cycle[(t + 1) % c]:
+                for j in src:
+                    a[i][j] = 0 if zero else draw(st.integers(-3, 3))
+    return a, cycles
+
+
+# blocks of sizes 2, 2, 1 (X(3;r=7) has such a cycle): P lives on the block of
+# size 1, and the factor x^(2 + 2 + 1 - 3) carries the rest
+@example(([[0, 0, 0, 0, 1], [0, 0, 0, 0, 2], [1, 1, 0, 0, 0], [0, 1, 0, 0, 0],
+           [0, 0, 1, 1, 0]], [[[0, 1], [2, 3], [4]]]))
+@example(([[0, 1], [1, 0]], [[[0], [1]]]))  # c = 2, spectrum +-1: split
 @settings(max_examples=200, deadline=None)
-@given(split_integer_matrices())
-def test_no_prime_certifies_a_split_matrix(mat):
-    assert _non_split_prime(mat) is None
+@given(block_cyclic_matrices())
+def test_cyclic_char_poly_matches_berkowitz(case):
+    _cycle_polynomial_holds(*case)
 
 
 BUILT_IN_RINGS = ([f"pn:{n}" for n in range(1, 7)]
@@ -433,11 +474,11 @@ BUILT_IN_RINGS = ([f"pn:{n}" for n in range(1, 7)]
 
 @pytest.mark.parametrize("spec", BUILT_IN_RINGS)
 def test_the_non_split_certificate_agrees_with_the_rational_roots(spec):
-    # certified implies not split; on these rings the converse holds too
-    # the handle matrix is ints / den, which splits over Q exactly when ints does
-    ints, _ = cli.build_ring(spec).handle_matrix()
-    split = sum(m for _, m in rational_roots(char_poly(ints))) == len(ints)
-    assert (_non_split_prime(ints) is None) == split
+    # s_infinity's split decision: for c >= 3 an open orbit is never taken for a
+    # split matrix, and for c <= 2 the cycle polynomial decides; the handle
+    # matrix is ints / den, which splits over Q exactly when ints does
+    ring = cli.build_ring(spec)
+    _cycle_polynomial_holds(ring.handle_matrix()[0], ring.handle_cycles())
 
 
 def _split_horizon_holds(mat, z):
@@ -468,28 +509,59 @@ def test_split_orbits_close_within_n_plus_2_steps_or_never(case):
 def test_split_ring_orbits_close_within_n_plus_2_steps_or_never(spec):
     ring = cli.build_ring(spec)
     mat = ring.handle_matrix()
-    if _non_split_prime(mat[0]):
-        return  # certified not split
+    if sum(m for _, m in rational_roots(char_poly(mat[0]))) < ring.dim:
+        return  # not split
     for i in range(ring.dim):
         _split_horizon_holds(mat, ring.element_vector(ring.basis_element(i)))
 
 
-CERTIFYING_PRIMES = {(2, 5): 103, (2, 6): 101, (2, 7): 101, (2, 8): 101, (3, 7): 101,
-                     (3, 8): 101, (4, 8): 101, (3, 9): 101, (4, 9): 101, (3, 10): 103}
+#: the cycle length c = tau / gcd(tau, top) of the theta Grassmannians
+CYCLE_LENGTHS = {(2, 5): 5, (2, 6): 3, (2, 7): 7, (2, 8): 2, (3, 7): 7,
+                 (3, 8): 8, (4, 8): 1, (3, 9): 1, (4, 9): 9, (3, 10): 10}
 
 
-@pytest.mark.parametrize("k, n", CERTIFYING_PRIMES)
+@pytest.mark.parametrize("k, n", CYCLE_LENGTHS)
 def test_theta_rings_are_certified_not_split(k, n):
+    # c >= 3: a split handle matrix would be nilpotent and close every orbit
+    # within dim steps; c <= 2: the cycle polynomial has too few rational roots
     ring = grassmannian(k, n)
-    assert _non_split_prime(ring.handle_matrix()[0]) == CERTIFYING_PRIMES[k, n]
+    cycles = ring.handle_cycles()
+    assert len(cycles[0]) == CYCLE_LENGTHS[k, n]
+    mat = ring.handle_matrix()
+    if CYCLE_LENGTHS[k, n] >= 3:
+        unit = ring.element_vector(ring.unit())
+        assert not complexity._walk(mat, unit, ring.dim).closed
+    else:
+        roots = rational_roots(cyclic_char_poly(mat[0], cycles))
+        assert sum(m for _, m in roots) < ring.dim
 
 
 def test_s_infinity_skips_the_characteristic_polynomial_when_certified(monkeypatch):
     def refuse(*args):
-        raise AssertionError("Berkowitz ran on a certified matrix")
+        raise AssertionError("a characteristic polynomial ran at cycle length >= 3")
 
-    monkeypatch.setattr(complexity, "_char_roots", refuse)
-    for k, n in CERTIFYING_PRIMES:
-        if n <= 8:
+    for name in ("_char_roots", "char_poly", "cyclic_char_poly"):
+        monkeypatch.setattr(complexity, name, refuse)
+    for k, n in CYCLE_LENGTHS:
+        if n <= 8 and CYCLE_LENGTHS[k, n] >= 3:
             ring = grassmannian(k, n)
             assert s_infinity(ring, ring.unit()).method == "theta-float"
+
+
+#: s_infinity's method from the unit on each built-in ring
+SINFTY_METHODS = {
+    **{f"pn:{n}": "finite-orbit" for n in range(1, 7)},
+    "quadric:2": "finite-orbit",
+    **{f"quadric:{r}": "rational-split" for r in range(3, 7)},
+    **{f"gr:{k},{n}": "theta-float" for n in range(4, 9) for k in range(2, n - 1)},
+    "gr:2,4": "rational-split", "gr:3,6": "rational-split",
+    **{spec: "finite-orbit" for spec in ("fci:3;r=3", "fci:2,2;r=3", "fci:3;r=7",
+                                         "fci:4;r=4", "fci:2,2;r=4", "fci:3;r=5")},
+    **{spec: "rational-split" for spec in ("fci:4;r=3", "fci:2,3;r=3", "fci:5;r=4")},
+}
+
+
+@pytest.mark.parametrize("spec", BUILT_IN_RINGS)
+def test_s_infinity_method_from_the_unit(spec):
+    ring = cli.build_ring(spec)
+    assert s_infinity(ring, ring.unit()).method == SINFTY_METHODS[spec]

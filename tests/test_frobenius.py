@@ -148,15 +148,18 @@ def test_span_matches_the_element_product_loop(make):
 
 def test_span_rejects_a_power_outside_the_allowed_degrees():
     # Q^4 has tau = 4 = top degree, so D_X = 4 and only degrees 0 and 4 are
-    # allowed; a handle override H leaves them at the first power
+    # allowed; a handle override H would leave them at the first power.  It is
+    # not homogeneous of degree top, and handle_element refuses it before any
+    # power is taken, as it refuses s4 carrying a q that the grading does not
     ring = replaced(quadric(4), _cache={})
-    ring.delta_override = ring.element({"H": 1})
     assert ring.d_x() == 4
-    message = r"handle power 1 leaves the V_j \(j = 0 mod D_X\) sum"
-    with pytest.raises(ValueError, match=message):
-        element_span_dim(ring)
-    with pytest.raises(ValueError, match=message):
-        ring.f_span_dim()
+    for override in ({"H": 1}, {("s4", 1): 1}):
+        ring.delta_override = ring.element(override)
+        for span in (element_span_dim, FrobeniusRing.f_span_dim):
+            with pytest.raises(ValueError, match="not homogeneous of degree 4"):
+                span(ring)
+    ring.delta_override = ring.element({"s4": 1, ("1", 1): 1})  # homogeneous
+    assert ring.f_span_dim() == element_span_dim(ring)
 
 
 def test_handle_of_fci_without_override_raises_q_dependent():

@@ -12,11 +12,11 @@ from oracles import (FractionEchelon, faddeev_leverrier, fraction_eigenstructure
                      fraction_solve, identity, poly_deriv, poly_divmod, poly_gcd,
                      zeros)
 
-from qhandle._oracles import det_int
+from qhandle._oracles import det_int, sym_float_eigs
 from qhandle.complexity import ProjState, limit_points_real
 from qhandle.linalg import (Echelon, char_poly, int_scale, is_positive_definite,
                             krylov_rank, mat_inverse, mat_mul, mat_vec,
-                            rational_roots, squarefree_part, sym_float_eigs)
+                            rational_roots, squarefree_part)
 
 
 def test_char_poly_known():
@@ -207,8 +207,8 @@ def test_nullspace_and_rank():
     ech = Echelon.of(int_scale(a)[0])
     assert ech.rank == 2
     assert [c for c, _ in ech.rows] == [0, 1]  # column 2 is the one free column
-    v = ech.kernel_vector(2, 3)
-    assert v[2] == 1 and all(x == 0 for x in mat_vec(a, v))
+    v, d = ech.kernel_vector(2, 3)
+    assert v[2] == d != 0 and all(x == 0 for x in mat_vec(a, v))
 
 
 def test_is_positive_definite():
@@ -302,6 +302,15 @@ def test_kernel_det_and_inverse(a):
         assert mat_mul(ints, q) == [[d * int(i == j) for j in range(n)] for i in range(n)]
 
 
+def _kernel_fractions(ech, free, size):
+    """ech.kernel_vector's primitive integer vector over its divisor: the
+    kernel vector that is 1 at free."""
+    ints, d = ech.kernel_vector(free, size)
+    assert type(d) is int and d and all(type(x) is int for x in ints)
+    assert math.gcd(d, *ints) == 1
+    return [Fraction(x, d) for x in ints]
+
+
 # the deferred rescale, on an inconsistent and on a reachable right-hand side
 @example([[2, 0, 0, 1], [0, 3, 0, 1], [0, 1, 1, 0]], [1, 1, 1, 0, 0], [1, 2, 3, 0, 0], False)
 @example([[-2, 0, 1], [0, 3, 1], [0, 1, 1]], [1, -1, 2, 0, 0], [0, 0, 0, 0, 0], True)
@@ -314,7 +323,7 @@ def test_kernel_solve_and_nullspace(a, x0, other, reach):
     assert ech.rank == ref.rank
     pivots = [c for c, _ in ech.rows]
     assert pivots == [c for c, _ in ref.rows]
-    basis = [ech.kernel_vector(fc, cols) for fc in range(cols) if fc not in pivots]
+    basis = [_kernel_fractions(ech, fc, cols) for fc in range(cols) if fc not in pivots]
     assert basis == ref.nullspace(cols)
     assert ech.rank + len(basis) == cols
     for v in basis:
@@ -322,7 +331,7 @@ def test_kernel_solve_and_nullspace(a, x0, other, reach):
     b = mat_vec(a, x0[:cols]) if reach else other[:len(a)]
     # a solution is the kernel vector of [a | -b] that is 1 in the last column
     aug = Echelon.of(int_scale([[*row, -bb] for row, bb in zip(a, b)])[0])
-    x = None if any(c == cols for c, _ in aug.rows) else aug.kernel_vector(cols, cols)
+    x = None if any(c == cols for c, _ in aug.rows) else _kernel_fractions(aug, cols, cols)
     assert x == fraction_solve(a, b)
     if reach:
         assert x is not None

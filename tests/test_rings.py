@@ -299,6 +299,24 @@ def test_gr2_f_dim():
         assert ring.f_span_dim()[0] == dim_f_closed_form(ring)
 
 
+#: every Gr(k, n) with 2 <= k <= n / 2 and dimension C(n, k) <= 130: 20 rings
+SMALL_GRASSMANNIANS = [(k, n) for n in range(4, 17) for k in range(2, n // 2 + 1)
+                       if comb(n, k) <= 130]
+
+
+@pytest.mark.parametrize("k, n", SMALL_GRASSMANNIANS)
+def test_positivity_and_the_span_bound_on_every_small_grassmannian(k, n):
+    # the paper's positivity of A = Delta / [pt] on these minuscule varieties,
+    # and dim F <= (tau / D_X) dim V_0, sharp on every Gr(2, n)
+    ring = grassmannian(k, n)
+    ints, den = ring.a_matrix()
+    assert ints == [list(row) for row in zip(*ints)]
+    assert all(x >= 0 for row in ints for x in row)
+    assert is_positive_definite((ints, den))[0]
+    dim_f, bound = ring.f_span_dim()[0], ring.dim_bound()
+    assert dim_f == bound if k == 2 else dim_f <= bound
+
+
 # -- fano complete intersections ---------------------------------------------
 
 
