@@ -73,7 +73,7 @@ def criterion_1():
                       and rep.points == [] for i in range(n + 1))
         c.check(sinf_ok, f"pn:{n}: s-infinity of every basis state is exactly empty")
         dim_f = rings.dim_f_closed_form(ring)
-        c.check(ring.f_span_dim()[0] == dim_f,
+        c.check(ring.f_span_dim() == dim_f,
                 f"pn:{n}: span of handle powers has dimension {dim_f}")
     return c
 
@@ -96,7 +96,7 @@ def criterion_2():
         c.check(all(abs(a - b) < 1e-6 for a, b in zip(sorted(floats), want)),
                 f"quadric:{r}: float eigenvalues cluster at the exact spectrum")
         dim_f = rings.dim_f_closed_form(ring)
-        c.check(ring.f_span_dim()[0] == dim_f,
+        c.check(ring.f_span_dim() == dim_f,
                 f"quadric:{r}: span of handle powers has dimension {dim_f}")
         rep = s_infinity(ring, ring.unit())
         target = ProjState.from_element(ring, ring.element({"1": 1, f"s{r}": 1}))
@@ -159,7 +159,7 @@ def criterion_4():
         c.check(krylov_rank(sub, e0) == len(sub),
                 f"gr:2,{n}: block matrix is cyclic from the first coordinate")
         dim_f = rings.dim_f_closed_form(ring)
-        c.check(ring.f_span_dim()[0] == dim_f,
+        c.check(ring.f_span_dim() == dim_f,
                 f"gr:2,{n}: span of handle powers has dimension {dim_f}")
     return c
 
@@ -168,12 +168,12 @@ def criterion_5():
     c = _Checker("span dimension against the degree-block bound")
     for n in range(4, 9):
         ring = rings.grassmannian(2, n)
-        rank, _ = ring.f_span_dim()
+        rank = ring.f_span_dim()
         c.check(rank == ring.dim_bound(),
                 f"gr:2,{n}: span dimension {rank} meets the bound exactly")
     for k, n in [(3, 6), (3, 8)]:
         ring = rings.grassmannian(k, n)
-        rank, _ = ring.f_span_dim()
+        rank = ring.f_span_dim()
         c.check(rank <= ring.dim_bound(),
                 f"gr:{k},{n}: span dimension {rank} within bound {ring.dim_bound()}, "
                 "powers confined to the divisible degree blocks")
@@ -188,7 +188,7 @@ def criterion_6():
                 f"{FCI_EULER[(m, r)]}")
         ring = rings.fano_ci(m, r)
         meta, name = ring.meta, ring.name
-        dim_f, predicted = ring.f_span_dim()[0], rings.dim_f_closed_form(ring)
+        dim_f, predicted = ring.f_span_dim(), rings.dim_f_closed_form(ring)
         traj = trajectory(ring, ring.unit())
         if meta["tau"] >= 2:
             # the unit orbit is the classes of 1, Delta and H^(jd) for
@@ -279,7 +279,7 @@ def criterion_7():
     bad_counts = bad_witness = 0
     for _ in range(trials):
         _, _, m, z, far = _limit_trial(rng, dim)
-        rep = limit_points_real(m, z)
+        rep = limit_points_real(m, z, char_poly(m[0]))
         if rep.finite_orbit or not 1 <= len(rep.points) <= 2:
             bad_counts += 1
             continue

@@ -200,9 +200,9 @@ def cmd_sinfty(args):
 
 def cmd_dimf(args):
     ring = build_ring(args.ring)
-    rank, powers = ring.f_span_dim()
+    rank = ring.f_span_dim()
     closed = rings.dim_f_closed_form(ring)
-    return {"ring": ring.name, "computed": rank, "powers": powers,
+    return {"ring": ring.name, "computed": rank, "powers": list(range(rank)),
             "bound": ring.dim_bound(), "closed_form": closed,
             "matches_closed_form": None if closed is None else rank == closed}
 
@@ -224,7 +224,7 @@ def cmd_estimate(args):
         rows = []
         for k, n, _, _ in acceptance.EST_TABLE:
             ring = rings.grassmannian(k, n)
-            rank, _ = ring.f_span_dim()
+            rank = ring.f_span_dim()
             rows.append({"ring": f"gr:{k},{n}", "dimH": ring.dim,
                          "Est": partitions.est_bound(k, n),
                          "dimF-computed": rank})

@@ -11,12 +11,13 @@ from fractions import Fraction
 from itertools import islice
 
 from .linalg import (
+    _primitive,
     _synth_div,
-    char_poly,
     cyclic_char_poly,
     int_scale,
+    integer_roots,
     mat_vec,
-    rational_roots,
+    primitive_powers,
 )
 
 
@@ -31,47 +32,6 @@ class _NotFound:
 
 
 NOT_FOUND = _NotFound()
-
-
-def _primitive(ints):
-    """The primitive integer vector of the class of an integer vector: divided
-    by the gcd, first nonzero entry positive; None for the zero vector."""
-    g = math.gcd(*ints)
-    if not g:
-        return None
-    if next(x for x in ints if x) < 0:
-        g = -g
-    return tuple(x // g for x in ints) if g != 1 else tuple(ints)
-
-
-def _step(cols, vec):
-    """The integer vector sum over j in supp(vec) of vec_j col_j, for a
-    square matrix given as sparse columns, cols[j] = [(i, entry), ...]."""
-    out = [0] * len(vec)
-    for j, x in enumerate(vec):
-        if x:
-            for i, c in cols[j]:
-                out[i] += c * x
-    return out
-
-
-def primitive_powers(mat, vec):
-    """Yield the primitive integer vectors of vec, M vec, M^2 vec, ... for a
-    matrix M given as the pair mat = (D, d) of integer rows and a positive
-    denominator, M = D / d, and a nonzero rational vector, ending before the
-    first zero power.
-
-    Each step multiplies the last vector by D = d M, so each vector spans the
-    line of the power it stands for.  D is kept as its sparse columns, so a
-    step costs one multiply-add per nonzero of the columns in the vector's
-    support (_step).  A step is made only when the next vector is asked for.
-    """
-    cols = [[(i, c) for i, c in enumerate(col) if c] for col in zip(*mat[0])]
-    (vec,), _ = int_scale([vec])
-    vec = _primitive(vec)
-    while vec is not None:
-        yield vec
-        vec = _primitive(_step(cols, vec))
 
 
 class ProjState:
@@ -254,33 +214,28 @@ class LimitReport:
         self.depth = depth
 
 
-def _char_roots(f, den):
-    """(f, roots) for M = D / den and f = det(x I - D): the rational roots of
-    det(x I - M) as (root, multiplicity) pairs.  f is monic over Z, so its
-    rational roots are integers r, and r / den are those of M."""
-    return f, [(r / den, m) for r, m in rational_roots(f)]
-
-
-def limit_points_real(mat, z, _char=None):
+def limit_points_real(mat, z, f):
     """Limit classes of M^k z for a matrix M split over the rationals, given
     as the pair mat = (D, d) of integer rows and a positive denominator,
-    M = D / d (linalg.int_scale gives it for a rational matrix).
+    M = D / d (linalg.int_scale gives it for a rational matrix), and
+    f = det(x I - D), which the caller has at hand (linalg.char_poly).
 
-    Let f be the characteristic polynomial of D, monic over Z, so that each
-    rational eigenvalue v of M makes d v an integer root of f.  For such a v
-    of multiplicity m, g_v = f / (x - d v)^m is an integer polynomial.
-    g_v(D) is zero on every other generalized eigenspace, as each of its
-    factors (x - d w)^(m_w) kills its own.  On the v-space,
-    where d v is the only eigenvalue of D, it commutes with N = D - d v I and
-    is invertible, since g_v(d v) != 0.  So y = g_v(D) z equals g_v(D) z_v,
-    z_v the v-component of z: y is nonzero exactly when z_v is, its N-chain
-    N^k y = g_v(D) N^k z_v has the same length r, and its last nonzero term is
-    g_v(d v) N^(r-1) z_v, because N^(r-1) z_v lies in ker N.
+    f is monic over Z, so its rational roots are integers r (integer_roots),
+    the eigenvalues of D, and r / d are those of M.  For such an r of
+    multiplicity m, g_r = f / (x - r)^m is an integer polynomial.  g_r(D) is
+    zero on every other generalized eigenspace, as each of its factors
+    (x - s)^(m_s) kills its own.  On the r-space, where r is the only
+    eigenvalue of D, it commutes with N = D - r I and is invertible, since
+    g_r(r) != 0.  So y = g_r(D) z equals g_r(D) z_r, z_r the r-component of
+    z: y is nonzero exactly when z_r is, its N-chain N^k y = g_r(D) N^k z_r
+    has the same length l, and its last nonzero term is g_r(r) N^(l-1) z_r,
+    because N^(l-1) z_r lies in ker N.
 
-    M^k z_v grows like binomial(k, r-1) v^(k-r+1) (M - v I)^(r-1) z_v, so the
-    largest |v| with a nonzero y wins, and at it the top term of each sign
-    whose chain is longest survives.  _char passes in a _char_roots result
-    already computed.  Raises ValueError for a zero z or a non-split matrix.
+    D^k z_r grows like binomial(k, l-1) r^(k-l+1) N^(l-1) z_r, so the
+    largest |r| with a nonzero y wins, and at it the top term of each sign
+    whose chain is longest survives.  The classes of D^k z are those of
+    M^k z, and the dominant eigenvalue of M is |r| / d.  Raises ValueError
+    for a zero z or a non-split matrix.
     """
     ints, den = mat
     (z,), _ = int_scale([z])
@@ -289,18 +244,16 @@ def limit_points_real(mat, z, _char=None):
         raise ValueError("matrix and vector sizes differ")
     if not any(z):
         raise ValueError("z must be nonzero")
-    f, roots = _char or _char_roots(char_poly(ints), den)
-    roots = dict(roots)
+    roots = dict(integer_roots(f))
     if sum(roots.values()) != n:
         raise ValueError("matrix is not split over the rationals")
-    shift = {v: (v * den).numerator for v in roots}  # the eigenvalue d v of D
 
-    def cofactor(v):
-        """g_v = f / (x - d v)^m by synthetic division."""
+    def cofactor(r):
+        """g_r = f / (x - r)^m by synthetic division."""
         g = f
-        for _ in range(roots[v]):
-            g, rem = _synth_div(g, shift[v])
-            assert rem == 0, "d v must be a root of f of its multiplicity"
+        for _ in range(roots[r]):
+            g, rem = _synth_div(g, r)
+            assert rem == 0, "r must be a root of f of its multiplicity"
         return g
 
     def apply(g, vec):
@@ -310,37 +263,39 @@ def limit_points_real(mat, z, _char=None):
             out = [a + c * b for a, b in zip(mat_vec(ints, out), vec)]
         return out
 
-    for lam in sorted({abs(v) for v in roots if v}, reverse=True):
-        gs = {v: cofactor(v) for v in (lam, -lam) if v in roots}
-        tops = {v: apply(g, z) for v, g in gs.items()}
-        tops = {v: y for v, y in tops.items() if any(y)}
+    for lam in sorted({abs(r) for r in roots if r}, reverse=True):
+        gs = {r: cofactor(r) for r in (lam, -lam) if r in roots}
+        tops = {r: apply(g, z) for r, g in gs.items()}
+        tops = {r: y for r, y in tops.items() if any(y)}
         if tops:
             break
     else:
         return LimitReport(points=[], finite_orbit=True)
 
-    def jordan_chain(dv, vec):
-        """vec, (D - d v I) vec, ... up to the last nonzero term."""
+    def jordan_chain(r, vec):
+        """vec, (D - r I) vec, ... up to the last nonzero term."""
         chain = []
         while any(vec):
             chain.append(vec)
-            vec = [a - dv * b for a, b in zip(mat_vec(ints, vec), vec)]
+            vec = [a - r * b for a, b in zip(mat_vec(ints, vec), vec)]
         return chain
 
-    chains = {v: jordan_chain(shift[v], y) for v, y in tops.items()}
-    r = max(len(chain) for chain in chains.values())
-    # The top term v^(1-r) (M - v I)^(r-1) z_v survives only on the longest
-    # chains.  The chain of v runs on D and on z scaled by a positive
-    # integer, so its last entry is that term times sign(v)^(r-1), a positive
-    # factor common to both signs, and g_v(d v).
-    parts = {v: [x if v > 0 or r % 2 else -x for x in chain[r - 1]]
-             for v, chain in chains.items() if len(chain) == r}
+    chains = {r: jordan_chain(r, y) for r, y in tops.items()}
+    depth = max(len(chain) for chain in chains.values())
+    dominant = Fraction(lam, den)
+    # The top term r^(1-l) N^(l-1) z_r survives only on the longest chains.
+    # The chain of r runs on z scaled by a positive integer, so its last
+    # entry is that term times sign(r)^(l-1), a positive factor common to
+    # both signs, and g_r(r).
+    parts = {r: [x if r > 0 or depth % 2 else -x for x in chain[depth - 1]]
+             for r, chain in chains.items() if len(chain) == depth}
     if len(parts) == 1:
-        return LimitReport(points=[ProjState(p) for p in parts.values()], dominant=lam, depth=r)
-    # Each sign also takes the other's g(d v), so both carry one common
+        return LimitReport(points=[ProjState(p) for p in parts.values()],
+                           dominant=dominant, depth=depth)
+    # Each sign also takes the other's g(r), so both carry one common
     # factor, which neither the classes of plus +- minus nor their order see.
-    plus = [x * _synth_div(gs[-lam], shift[-lam])[1] for x in parts[lam]]
-    minus = [x * _synth_div(gs[lam], shift[lam])[1] for x in parts[-lam]]
+    plus = [x * _synth_div(gs[-lam], -lam)[1] for x in parts[lam]]
+    minus = [x * _synth_div(gs[lam], lam)[1] for x in parts[-lam]]
     points = []
     for cand in ([a + b for a, b in zip(plus, minus)],
                  [a - b for a, b in zip(plus, minus)]):
@@ -348,7 +303,7 @@ def limit_points_real(mat, z, _char=None):
             state = ProjState(cand)
             if state not in points:
                 points.append(state)
-    return LimitReport(points=points, dominant=lam, depth=r)
+    return LimitReport(points=points, dominant=dominant, depth=depth)
 
 
 class SInfinityReport:
@@ -402,7 +357,7 @@ def s_infinity(ring, s0):
     is nilpotent and every orbit closes within n = dim steps: an orbit still
     open after the walk proves M not split, with no polynomial computed.
     For c <= 2 the exact characteristic polynomial, taken by cycles
-    (linalg.cyclic_char_poly), and its rational roots decide it.
+    (linalg.cyclic_char_poly), and its integer roots decide it.
 
     If M splits the limits are exact and budget-free.  [M^P y] = [y],
     y = M^j z, puts y in eigenspaces of +-lambda, as (lambda + N)^P !=
@@ -424,12 +379,11 @@ def s_infinity(ring, s0):
     traj = _walk(mat, z, kmax)
     if traj.closed:
         return SInfinityReport(points=[], exact=True, method="finite-orbit")
-    ints, den = mat
     cycles = ring.handle_cycles()
     if len(cycles[0]) <= 2:  # for c >= 3 the open orbit proves M not split
-        char = _char_roots(cyclic_char_poly(ints, cycles), den)
-        if sum(m for _, m in char[1]) == len(ints):
-            points = limit_points_real(mat, z, _char=char).points
+        f = cyclic_char_poly(mat[0], cycles)
+        if sum(m for _, m in integer_roots(f)) == ring.dim:
+            points = limit_points_real(mat, z, f).points
             return SInfinityReport(points=points, exact=True, method="rational-split")
 
     try:  # no point class, or no scalar power of it

@@ -1,11 +1,11 @@
 """Graded Frobenius algebras over the quantum parameter q.
 
 A FrobeniusRing stores an ordered basis with integer (complex) degrees, the
-q-degree tau, the pairing as sparse rows of nonzero rationals, and the full
-table of structure constants e_i * e_j as sparse rows of integers. No q-power
-is stored: the grading fixes it, as (deg e_i + deg e_j - deg e_w) / tau on
-e_w in e_i * e_j and as (deg e_i + deg e_j - top) / tau in <e_i, e_j>, top
-the largest degree. On top of that it provides the handle element,
+q-degree tau, and the pairing and the full table of structure constants
+e_i * e_j as sparse rows of nonzero integers. No q-power is stored: the
+grading fixes it, as (deg e_i + deg e_j - deg e_w) / tau on e_w in e_i * e_j
+and as (deg e_i + deg e_j - top) / tau in <e_i, e_j>, top the largest
+degree. On top of that it provides the handle element,
 multiplication matrices at q = 1, quantum powers, the point-class order, the
 graded V_j split and the cycles the handle moves it along, the dimension bound
 for the span of handle powers, and that span's exact dimension. All
@@ -13,10 +13,10 @@ arithmetic is on Python ints and Fractions.
 """
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 
-from .complexity import primitive_powers
-from .linalg import Echelon
+from .linalg import Echelon, primitive_powers
 
 #: The prime of the generator search (_generators): 2^25 - 39.
 _GENERATOR_PRIME = 33554393
@@ -66,8 +66,9 @@ class FrobeniusRing:
     a nonzero int and stands for the term c q^d e_w, where
     d = (deg e_i + deg e_j - deg e_w) / tau. pairing[i] is the row {j: c} of
     the nonzero pairings <e_i, e_j> = c q^pairing_q_power(i, j), each c a
-    nonzero int or Fraction. Rows stay sparse, and validate() works on them
-    directly: a dense n x n x n table would cost n^3 words per ring.
+    nonzero int, like the structure constants. Rows stay sparse, and
+    validate() works on them directly: a dense n x n x n table would cost n^3
+    words per ring.
     """
 
     def __init__(self, name, labels, degrees, tau, pairing, structure, unit_index,
@@ -76,7 +77,7 @@ class FrobeniusRing:
         self.labels = labels
         self.degrees = degrees
         self.tau = tau
-        self.pairing = pairing  # row i: {j: nonzero int or Fraction}
+        self.pairing = pairing  # row i: {j: nonzero int}
         self.structure = structure  # (i, j) with i <= j -> {w: nonzero int}
         self.unit_index = unit_index
         self.point_index = point_index
@@ -156,14 +157,12 @@ class FrobeniusRing:
 
     def _pairing_rows(self, last=None):
         """The pairing at q = 1 as dense int rows, row i followed by last[i]
-        if given, each row scaled by the lcm of its denominators, which keeps
-        the rank and every solution."""
+        if given."""
         rows = []
         for i, row in enumerate(self.pairing):
-            den = lcm(*(v.denominator for v in row.values()))
-            dense = [0] * self.dim + ([den * last[i]] if last else [])
+            dense = [0] * self.dim + ([last[i]] if last else [])
             for j, v in row.items():
-                dense[j] = v.numerator * (den // v.denominator)
+                dense[j] = v
             rows.append(dense)
         return rows
 
@@ -307,25 +306,28 @@ class FrobeniusRing:
         return (self.tau // self.d_x()) * len(self.vj_split(0))
 
     def f_span_dim(self):
-        """Exact dimension of Span{Delta^{*k}} at q = 1, with the power list.
+        """Exact dimension of Span{Delta^{*k}} at q = 1, an int r: the powers
+        Delta^0 .. Delta^(r-1) are independent and span it.
 
         The powers are stepped as primitive integer vectors by the integer
-        rows D of the handle matrix (D, d) (complexity.primitive_powers),
-        which changes no span.  Delta^k lies in V_(k top) (handle_cycles),
+        rows D of the handle matrix (D, d) (linalg.primitive_powers), which
+        changes no span.  Delta^k lies in V_(k top) (handle_cycles),
         so every power stays inside the sum of V_j over j divisible by D_X,
         and powers in different classes have disjoint supports: a power
         depends on the earlier ones exactly when it depends on those of its
-        own class.  So each class keeps its own Echelon.
+        own class.  So each class keeps its own Echelon, and the span stops
+        growing at the first dependent power: Delta^k depends on the earlier
+        powers, so every later power does.
         """
         top = self.top_degree()
         unit = self.element_vector(self.unit())
         echelons = {}
-        powers = []
-        for k, vec in zip(range(self.dim), primitive_powers(self.handle_matrix(), unit)):
-            if not echelons.setdefault(k * top % self.tau, Echelon()).add(vec):
+        rank = 0
+        for vec in islice(primitive_powers(self.handle_matrix(), unit), self.dim):
+            if not echelons.setdefault(rank * top % self.tau, Echelon()).add(vec):
                 break
-            powers.append(k)
-        return len(powers), powers
+            rank += 1
+        return rank
 
     # -- construction-time validation ------------------------------------
 
@@ -333,9 +335,9 @@ class FrobeniusRing:
         """Check pairing symmetry/grading/invertibility, grading, unit,
         associativity and the Frobenius condition; errors name the failing pair.
 
-        Every pairing entry must be a nonzero int or Fraction with
-        deg e_i + deg e_j - top a multiple of tau, top the largest degree, so
-        the pairing and its inverse are graded of degree top (handle_element
+        Every pairing entry must be a nonzero int, like the structure
+        constants, with deg e_i + deg e_j - top a multiple of tau, top the
+        largest degree, so the pairing and its inverse are graded of degree top (handle_element
         needs it), and every term of det G(q) carries the same q^E, E =
         (2 sum deg - n top) / tau: G(1), the one tested, has the rank of every
         G(q). Every structure constant must be a nonzero int whose degree gap
@@ -367,7 +369,7 @@ class FrobeniusRing:
         top = self.top_degree()
         for i, j, c in pairs:
             gap = self.degrees[i] + self.degrees[j] - top
-            if type(c) not in (int, Fraction) or not c or gap % self.tau:
+            if type(c) is not int or not c or gap % self.tau:
                 raise ValueError(f"pairing grading fails at ({i}, {j})")
         if Echelon.of(self._pairing_rows()).rank < n:
             raise ValueError("pairing matrix is singular")

@@ -5,34 +5,37 @@ d > 0 with gcd(d, D) = 1, standing for D / d.  One exact elimination kernel,
 Echelon: incremental fraction-free (Bareiss) elimination over the integers.
 Ranks, integer kernel vectors with their divisors, inverses, determinants,
 Krylov ranks and leading principal minors all run it on integer rows; an
-inverse is the kernel vectors of [a | -I], returned as a pair.  Sylvester positive-definiteness
-certificates read the leading minors off its pivots.
+inverse is the kernel vectors of [a | -I], returned as a pair.  Sylvester
+positive-definiteness certificates read the leading minors off its pivots.
+primitive_powers steps the powers of D / d on a vector exactly, as primitive
+integer vectors; the orbit walk and the span of handle powers both read it.
 
 Polynomials are coefficient lists in descending degree, worked over Z.
 char_poly is Berkowitz's division-free characteristic polynomial, run on
 integer matrices: a rational matrix scaled by d to integers has the
 eigenvalues d times its own, so its rational eigenvalues become integers
 and multiplicities are kept.  squarefree_part(f) is f / gcd(f, f') over Z,
-the gcd taken by the primitive pseudo-remainder sequence, and
-rational_roots reads the roots of f off it.  cyclic_char_poly takes the
-same polynomial of a block-cyclic matrix, such as a homogeneous
+the gcd taken by the primitive pseudo-remainder sequence, and integer_roots
+reads the roots of a monic f off it.  cyclic_char_poly takes the same
+polynomial of a block-cyclic matrix, such as a homogeneous
 multiplication on a ring graded mod tau, from one Berkowitz run per cycle
 of blocks on a matrix of the size of its smallest block.  Everything here
 is exact; the float eigensolver behind criterion 2's cross-check lives with
 the independent oracles in qhandle._oracles.
 
-Rational roots are found by p-adic lifting, with no factoring (Loos,
-"Computing rational zeros of integral polynomials by p-adic expansion",
-1983).  The square-free part, made monic over Z, is a polynomial g whose
-rational roots are integers y with |y| <= B = 2 max_i 2^ceil(bitlen(g_i) / i),
-over the nonzero g_i, i >= 1: Fujiwara's 2 max |g_i|^(1/i), rounded up.  Take
-the least odd prime p with gcd(g, g') = 1 mod p; there is one, as only the
-finitely many primes that divide the discriminant fail.  Then each root of
-g mod p is simple, g'(y) is a unit mod p, and Newton's step y - g(y) / g'(y)
-lifts it from mod m to mod m^2 uniquely (Hensel).  An integer root y is
-congruent to one of these roots mod p, so it equals the symmetric residue of
-that root's lift mod m once m > 2 B; the residues where g vanishes exactly
-are all the roots.
+The rational roots of a monic integer polynomial, such as det(x I - D), are
+integers (the rational root theorem), found by p-adic lifting with no
+factoring (Loos, "Computing rational zeros of integral polynomials by p-adic
+expansion", 1983).  The square-free part g of a monic f is monic too, as
+gcd(f, f') divides f over Z, and its roots are integers y with |y| <= B =
+2 max_i 2^ceil(bitlen(g_i) / i), over the nonzero g_i, i >= 1: Fujiwara's
+2 max |g_i|^(1/i), rounded up.  Take the least odd prime p with
+gcd(g, g') = 1 mod p; there is one, as only the finitely many primes that
+divide the discriminant fail.  Then each root of g mod p is simple, g'(y) is
+a unit mod p, and Newton's step y - g(y) / g'(y) lifts it from mod m to
+mod m^2 uniquely (Hensel).  An integer root y is congruent to one of these
+roots mod p, so it equals the symmetric residue of that root's lift mod m
+once m > 2 B; the residues where g vanishes exactly are all the roots.
 """
 
 import math
@@ -153,6 +156,47 @@ class Echelon:
             if j < size:
                 out[j] = v
         return out, x[free]
+
+
+def _primitive(ints):
+    """The primitive integer vector of the class of an integer vector: divided
+    by the gcd, first nonzero entry positive; None for the zero vector."""
+    g = math.gcd(*ints)
+    if not g:
+        return None
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints) if g != 1 else tuple(ints)
+
+
+def _step(cols, vec):
+    """The integer vector sum over j in supp(vec) of vec_j col_j, for a
+    square matrix given as sparse columns, cols[j] = [(i, entry), ...]."""
+    out = [0] * len(vec)
+    for j, x in enumerate(vec):
+        if x:
+            for i, c in cols[j]:
+                out[i] += c * x
+    return out
+
+
+def primitive_powers(mat, vec):
+    """Yield the primitive integer vectors of vec, M vec, M^2 vec, ... for a
+    matrix M given as the pair mat = (D, d) of integer rows and a positive
+    denominator, M = D / d, and a nonzero rational vector, ending before the
+    first zero power.
+
+    Each step multiplies the last vector by D = d M, so each vector spans the
+    line of the power it stands for.  D is kept as its sparse columns, so a
+    step costs one multiply-add per nonzero of the columns in the vector's
+    support (_step).  A step is made only when the next vector is asked for.
+    """
+    cols = [[(i, c) for i, c in enumerate(col) if c] for col in zip(*mat[0])]
+    (vec,), _ = int_scale([vec])
+    vec = _primitive(vec)
+    while vec is not None:
+        yield vec
+        vec = _primitive(_step(cols, vec))
 
 
 def mat_inverse(a):
@@ -293,18 +337,6 @@ def squarefree_part(f):
     return _primitive_part(_exact_quotient(f, g))
 
 
-def _deflate(f, p, q):
-    """f / (q x - p) over Z, or None when q x - p does not divide f."""
-    out, carry = [], 0
-    for c in f[:-1]:
-        c, rem = divmod(c + carry, q)
-        if rem:
-            return None
-        out.append(c)
-        carry = p * c
-    return out if f[-1] + carry == 0 else None
-
-
 def _coprime_mod(a, b, p):
     """Whether the integer polynomials a and b are coprime over F_p: their
     Euclidean remainder sequence mod p ends in a nonzero constant."""
@@ -324,33 +356,25 @@ def _coprime_mod(a, b, p):
     return len(a) == 1
 
 
-def rational_roots(coeffs):
-    """All rational roots of an integer polynomial, as (root, multiplicity)
-    pairs.
+def integer_roots(coeffs):
+    """All rational roots of a monic integer polynomial f, as sorted
+    (root, multiplicity) pairs; by the rational root theorem each is an int.
 
-    Strips zero roots and takes the square-free part s = squarefree_part(f).
-    With l the leading coefficient of s, the monic g(y) = l^(deg - 1) s(y / l)
-    has integer coefficients and the roots y = l x, each an integer.  They
-    are found by p-adic lifting (Loos 1983), with no factoring; see the
-    module docstring.  A root p/q in lowest terms has multiplicity the number
-    of times the primitive q x - p divides f over Z.
+    Strips zero roots and lifts the roots of the square-free part, which is
+    monic too, p-adically (Loos 1983), with no factoring; see the module
+    docstring.  A root y has multiplicity the number of times x - y divides
+    f.  Raises ValueError on a polynomial that is not monic.
     """
+    if not coeffs or coeffs[0] != 1:
+        raise ValueError("polynomial must be monic")
     ints = list(coeffs)
-    while ints and not ints[0]:
-        del ints[0]
-    if not ints:
-        raise ValueError("zero polynomial")
     zero_mult = 0
     while ints[-1] == 0:
         ints.pop()
         zero_mult += 1
-    roots = []
-    if zero_mult:
-        roots.append((Fraction(0), zero_mult))
+    roots = [(0, zero_mult)] if zero_mult else []
     if len(ints) > 1:
-        sints = squarefree_part(ints)
-        lead = sints[0]
-        g = [1] + [c * lead ** (i - 1) for i, c in enumerate(sints) if i]
+        g = squarefree_part(ints)
         dg = poly_deriv(g)
         p = 3
         while not _coprime_mod(g, dg, p):
@@ -359,7 +383,6 @@ def rational_roots(coeffs):
                 p += 2
         # 2 B, with B the rounded Fujiwara bound of the module docstring
         bound = 4 * max(1 << -(-c.bit_length() // i) for i, c in enumerate(g) if i and c)
-        found = []
         for y in range(p):
             if _synth_div(g, y)[1] % p:
                 continue
@@ -370,14 +393,12 @@ def rational_roots(coeffs):
             if y > mod // 2:
                 y -= mod
             if not _synth_div(g, y)[1]:
-                found.append(Fraction(y, lead))
-        for cand in sorted(found):
-            mult, cur = 0, ints
-            while (cur := _deflate(cur, cand.numerator, cand.denominator)) is not None:
-                mult += 1
-            roots.append((cand, mult))
-    roots.sort(key=lambda t: t[0])
-    return roots
+                mult, (cur, rem) = 0, _synth_div(ints, y)
+                while not rem:
+                    mult += 1
+                    cur, rem = _synth_div(cur, y)
+                roots.append((y, mult))
+    return sorted(roots)
 
 
 def is_positive_definite(mat):

@@ -404,8 +404,8 @@ def pairing_double_sum(ring):
 
 
 def element_span_dim(ring):
-    """(rank, powers) of Span{Delta^k} at q = 1, as FrobeniusRing.f_span_dim
-    returns them, with each power stepped as a Fraction Element by
+    """(rank, powers) of Span{Delta^k} at q = 1, FrobeniusRing.f_span_dim's
+    rank with the powers that span, with each power stepped as a Fraction Element by
     ring.product and the V_j (j = 0 mod D_X) check read off the Element's
     support: the span loop as first written."""
     delta = ring.handle_element()
@@ -554,7 +554,8 @@ def _divisors(n):
 
 
 def fraction_rational_roots(coeffs):
-    """linalg.rational_roots on Fractions: (root, multiplicity) pairs.
+    """All rational roots of a polynomial with Fraction coefficients, as
+    (root, multiplicity) pairs; linalg.integer_roots on a monic integer one.
 
     Clears denominators, strips zero roots, takes the square-free part, then
     tries p/q with p dividing the constant and q the leading coefficient.

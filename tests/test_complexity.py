@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 from oracles import (FractionProjState, faddeev_leverrier, fraction_inverse,
                      fraction_limit_points, fraction_orbit, jacobi_theta_points, replaced)
 
-from qhandle import acceptance, cli, complexity
+from qhandle import acceptance, cli, complexity, linalg
 from qhandle.complexity import (NOT_FOUND, LimitReport, ProjState, Trajectory,
                                 approx_complexity, chordal, exact_complexity,
                                 limit_points_real, s_infinity, trajectory)
 from qhandle.frobenius import FrobeniusRing
-from qhandle.linalg import char_poly, cyclic_char_poly, int_scale, mat_mul, rational_roots
+from qhandle.linalg import char_poly, cyclic_char_poly, int_scale, integer_roots, mat_mul
 from qhandle.rings import fano_ci, grassmannian, projective_space, quadric
 
 
@@ -124,13 +124,13 @@ def test_approx_complexity_rejects_negative_eps():
 
 def test_searches_stop_at_the_first_hit_or_revisit(monkeypatch):
     calls = []
-    step = complexity._step
+    step = linalg._step
 
     def counted(cols, vec):
         calls.append(vec)
         return step(cols, vec)
 
-    monkeypatch.setattr(complexity, "_step", counted)
+    monkeypatch.setattr(linalg, "_step", counted)
     ring = projective_space(3)
     assert exact_complexity(ring, ring.unit(), ring.unit()) == 0
     assert calls == []
@@ -219,7 +219,7 @@ def test_eigenstructure_and_limits_match_the_fraction_oracle(case):
     ints, den = int_scale(m)
     assert [Fraction(c, den ** k) for k, c in enumerate(char_poly(ints))] == \
         faddeev_leverrier(m)
-    rep = limit_points_real((ints, den), z)
+    rep = limit_points_real((ints, den), z, char_poly(ints))
     points, finite, dominant, depth = fraction_limit_points(m, z)
     assert [p.vec for p in rep.points] == [p.vec for p in points]
     assert (rep.finite_orbit, rep.dominant, rep.depth) == (finite, dominant, depth)
@@ -277,31 +277,36 @@ def test_zero_reference_state_rejected():
         trajectory(ring, ring.element({}))
 
 
+def _limits(d, den, z):
+    # limit_points_real on M = d / den, with det(x I - d) taken by Berkowitz
+    return limit_points_real((d, den), z, char_poly(d))
+
+
 def test_limit_points_real_frozen():
-    rep = limit_points_real(([[2, 0], [0, 1]], 1), [1, 1])
+    rep = _limits([[2, 0], [0, 1]], 1, [1, 1])
     assert not rep.finite_orbit and rep.dominant == 2 and rep.depth == 1
     assert rep.points == [ProjState([1, 0])]
 
-    rep = limit_points_real(([[2, 0], [0, -2]], 1), [1, 1])
+    rep = _limits([[2, 0], [0, -2]], 1, [1, 1])
     assert rep.points == [ProjState([1, 1]), ProjState([1, -1])]
 
-    rep = limit_points_real(([[3, 1], [0, 3]], 1), [0, 1])
+    rep = _limits([[3, 1], [0, 3]], 1, [0, 1])
     assert rep.points == [ProjState([1, 0])] and rep.depth == 2
 
-    rep = limit_points_real(([[0, 1], [0, 0]], 1), [0, 1])
+    rep = _limits([[0, 1], [0, 0]], 1, [0, 1])
     assert rep.finite_orbit and rep.points == []
 
     # M = [[3, 1], [0, -1]] / 2: the eigenvalue 3/2 wins
-    rep = limit_points_real(([[3, 1], [0, -1]], 2), [0, 1])
+    rep = _limits([[3, 1], [0, -1]], 2, [0, 1])
     assert rep.dominant == Fraction(3, 2) and rep.points == [ProjState([1, 0])]
 
 
 def test_limit_points_real_errors():
     with pytest.raises(ValueError):
-        limit_points_real(([[1, 0], [0, 1]], 1), [0, 0])
+        _limits([[1, 0], [0, 1]], 1, [0, 0])
     with pytest.raises(ValueError):
         # rotation matrix has no rational eigenvalues
-        limit_points_real(([[0, -1], [1, 0]], 1), [1, 0])
+        _limits([[0, -1], [1, 0]], 1, [1, 0])
 
 
 def test_s_infinity_projective_empty():
@@ -423,7 +428,7 @@ def _cycle_polynomial_holds(a, cycles):
     f = char_poly(a)
     assert cyclic_char_poly(a, cycles) == f
     if len(cycles[0]) >= 3:
-        split = sum(m for _, m in rational_roots(f)) == len(a)
+        split = sum(m for _, m in integer_roots(f)) == len(a)
         assert split == (f == [1] + [0] * len(a))
 
 
@@ -489,7 +494,8 @@ def _split_horizon_holds(mat, z):
     assert complexity._walk(mat, z, n + 2).closed == long_walk.closed
     if not long_walk.closed:
         visited = set(long_walk.states)
-        assert not any(p in visited for p in limit_points_real(mat, z).points)
+        points = limit_points_real(mat, z, char_poly(mat[0])).points
+        assert not any(p in visited for p in points)
 
 
 @example(([[3, 1], [0, 3]], [0, 1]))
@@ -509,7 +515,7 @@ def test_split_orbits_close_within_n_plus_2_steps_or_never(case):
 def test_split_ring_orbits_close_within_n_plus_2_steps_or_never(spec):
     ring = cli.build_ring(spec)
     mat = ring.handle_matrix()
-    if sum(m for _, m in rational_roots(char_poly(mat[0]))) < ring.dim:
+    if sum(m for _, m in integer_roots(char_poly(mat[0]))) < ring.dim:
         return  # not split
     for i in range(ring.dim):
         _split_horizon_holds(mat, ring.element_vector(ring.basis_element(i)))
@@ -532,7 +538,7 @@ def test_theta_rings_are_certified_not_split(k, n):
         unit = ring.element_vector(ring.unit())
         assert not complexity._walk(mat, unit, ring.dim).closed
     else:
-        roots = rational_roots(cyclic_char_poly(mat[0], cycles))
+        roots = integer_roots(cyclic_char_poly(mat[0], cycles))
         assert sum(m for _, m in roots) < ring.dim
 
 
@@ -540,7 +546,7 @@ def test_s_infinity_skips_the_characteristic_polynomial_when_certified(monkeypat
     def refuse(*args):
         raise AssertionError("a characteristic polynomial ran at cycle length >= 3")
 
-    for name in ("_char_roots", "char_poly", "cyclic_char_poly"):
+    for name in ("cyclic_char_poly", "integer_roots"):
         monkeypatch.setattr(complexity, name, refuse)
     for k, n in CYCLE_LENGTHS:
         if n <= 8 and CYCLE_LENGTHS[k, n] >= 3:

@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (FractionEchelon, associativity_failure, element_span_dim,
                      fraction_generators, generator_failure, pairing_double_sum, replaced)
 from qhandle.acceptance import EST_TABLE, FCI_INSTANCES
+from qhandle import frobenius
 from qhandle.frobenius import _GENERATOR_PRIME, Element, FrobeniusRing
 from qhandle.linalg import int_scale
 from qhandle.rings import fano_ci, grassmannian, projective_space, quadric
@@ -128,9 +131,7 @@ def test_vj_split_partitions_basis():
 def test_dim_bound_and_span():
     ring = grassmannian(2, 6)
     assert ring.dim_bound() == 9
-    rank, powers = ring.f_span_dim()
-    assert rank == 9
-    assert powers == list(range(9))
+    assert ring.f_span_dim() == 9
 
 
 @pytest.mark.parametrize("make", (
@@ -142,8 +143,12 @@ def test_dim_bound_and_span():
         + [f"fci:{','.join(map(str, m))};r={r}" for m, r in FCI_INSTANCES + [((2,), 3)]]
         + [f"gr:{k},{n}" for k, n, _, _ in EST_TABLE]))
 def test_span_matches_the_element_product_loop(make):
+    # the loop stops at the first dependent power, so the spanning powers are
+    # Delta^0 .. Delta^(rank - 1) and the rank alone says which they are
     ring = make()
-    assert ring.f_span_dim() == element_span_dim(ring)
+    rank, powers = element_span_dim(ring)
+    assert powers == list(range(rank))
+    assert ring.f_span_dim() == rank
 
 
 def test_span_rejects_a_power_outside_the_allowed_degrees():
@@ -159,7 +164,7 @@ def test_span_rejects_a_power_outside_the_allowed_degrees():
             with pytest.raises(ValueError, match="not homogeneous of degree 4"):
                 span(ring)
     ring.delta_override = ring.element({"s4": 1, ("1", 1): 1})  # homogeneous
-    assert ring.f_span_dim() == element_span_dim(ring)
+    assert ring.f_span_dim() == element_span_dim(ring)[0]
 
 
 def test_handle_of_fci_without_override_raises_q_dependent():
@@ -170,9 +175,24 @@ def test_handle_of_fci_without_override_raises_q_dependent():
         ring.handle_element()
 
 
+def test_frobenius_imports_only_linalg_from_the_package():
+    # the layers run partitions and linalg, then frobenius, then rings and
+    # complexity: the span of handle powers steps them with linalg's kernel
+    tree = ast.parse(Path(frobenius.__file__).read_text())
+    package = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "qhandle" for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "qhandle"):
+            assert node.level == 1, "absolute or parent-relative qhandle import"
+            package += [node.module] if node.module else [a.name for a in node.names]
+    assert package == ["linalg"]
+
+
 def test_validate_rejects_broken_pairing():
     bad = projective_space(2)
-    bad.pairing[0][2] = Fraction(2)  # breaks symmetry with pairing[2][0]
+    bad.pairing[0][2] = 2  # breaks symmetry with pairing[2][0]
     with pytest.raises(ValueError, match="pairing not symmetric"):
         bad.validate()
 
@@ -181,13 +201,15 @@ def test_validate_rejects_an_ungraded_pairing_entry():
     # <1, H> = 1 is symmetric and keeps the pairing invertible, but
     # deg 1 + deg H = 1 is not top + s tau = 2 + 3 s
     bad = projective_space(2)
-    bad.pairing[0][1] = bad.pairing[1][0] = Fraction(1)
+    bad.pairing[0][1] = bad.pairing[1][0] = 1
     with pytest.raises(ValueError, match=r"pairing grading fails at \(0, 1\)"):
         bad.validate()
 
 
-@pytest.mark.parametrize("value", [0, 1.0])
+@pytest.mark.parametrize("value", [0, 1.0, Fraction(1)])
 def test_validate_rejects_a_zero_or_float_pairing_entry(value):
+    # pairing rows hold nonzero ints, like the structure constants: a
+    # Fraction is refused even where it equals an int
     bad = projective_space(2)
     bad.pairing[1][1] = value  # on the diagonal, so still symmetric
     with pytest.raises(ValueError, match=r"pairing grading fails at \(1, 1\)"):
@@ -483,8 +505,8 @@ HANDLE_RINGS = ([(f"pn:{n}", projective_space, (n,)) for n in range(1, 7)]
                 + [(f"quadric:{r}", quadric, (r,)) for r in range(2, 9)]
                 + [(f"gr:{k},{n}", grassmannian, (k, n)) for k, n, _, _ in EST_TABLE]
                 + [("unlucky prime", _unlucky_prime_ring, ()),
-                   ("quadric:4 pairing / 2",
-                    lambda: _scaled_pairing(quadric(4), Fraction(1, 2)), ())])
+                   ("quadric:4 pairing * 2",
+                    lambda: _scaled_pairing(quadric(4), 2), ())])
 
 
 @pytest.mark.parametrize("build, args", [spec[1:] for spec in HANDLE_RINGS],

@@ -15,8 +15,8 @@ from oracles import (FractionEchelon, faddeev_leverrier, fraction_eigenstructure
 from qhandle._oracles import det_int, sym_float_eigs
 from qhandle.complexity import ProjState, limit_points_real
 from qhandle.linalg import (Echelon, char_poly, int_scale, is_positive_definite,
-                            krylov_rank, mat_inverse, mat_mul, mat_vec,
-                            rational_roots, squarefree_part)
+                            integer_roots, krylov_rank, mat_inverse, mat_mul,
+                            mat_vec, squarefree_part)
 
 
 def test_char_poly_known():
@@ -44,16 +44,18 @@ def test_char_poly_and_eigenstructure_match_the_fraction_oracle(m):
     assert char_poly(m) == faddeev_leverrier(m)
     n = len(m)
     units = [[int(i == j) for j in range(n)] for i in range(n)]
+    mat = int_scale(m)
+    f = char_poly(mat[0])
     if fraction_eigenstructure(m)[1]:
         for z in units:
-            rep = limit_points_real(int_scale(m), z)
+            rep = limit_points_real(mat, z, f)
             points, finite, dominant, depth = fraction_limit_points(m, z)
             assert [p.vec for p in rep.points] == [p.vec for p in points]
             assert (rep.finite_orbit, rep.dominant, rep.depth) == (finite, dominant, depth)
     else:
         for z in units:
             with pytest.raises(ValueError):
-                limit_points_real(int_scale(m), z)
+                limit_points_real(mat, z, f)
 
 
 def test_cayley_hamilton_random():
@@ -78,39 +80,59 @@ def test_squarefree_part():
     assert squarefree_part([-2, 6, -6, 2]) == [1, -1]
 
 
+def _int_roots(coeffs):
+    # integer_roots, checked to give int roots in increasing order
+    got = integer_roots(coeffs)
+    assert all(type(r) is int for r, _ in got)
+    assert [r for r, _ in got] == sorted({r for r, _ in got})
+    return got
+
+
 def test_rational_roots_frozen():
     cases = [
-        ([1, 0, 0, -27], [(Fraction(3), 1)]),
-        ([1, -4, 3], [(Fraction(1), 1), (Fraction(3), 1)]),
-        ([2, -3, 0, 0], [(Fraction(0), 2), (Fraction(3, 2), 1)]),
-        ([1, -6, 12, -8], [(Fraction(2), 3)]),
-        ([4, 0, -1], [(Fraction(-1, 2), 1), (Fraction(1, 2), 1)]),
+        ([1, 0, 0, -27], [(3, 1)]),
+        ([1, -4, 3], [(1, 1), (3, 1)]),
+        ([1, -6, 12, -8], [(2, 3)]),
         ([1, 0, 1], []),
+        ([1], []),
+        # zero roots are stripped first and kept with their multiplicity
+        ([1, -3, 0, 0], [(0, 2), (3, 1)]),
+        ([1, 0, 0], [(0, 2)]),
+        # (x + 1)^2 (x - 2)^3 (x^2 + 1): repeated roots next to a quadratic
+        # with none
+        ([1, -4, 2, 6, -3, 2, -4, -8], [(-1, 2), (2, 3)]),
         # -5 comes back as a symmetric residue only of a lift past 10
-        ([1, 5], [(Fraction(-5), 1)]),
+        ([1, 5], [(-5, 1)]),
         # the root bound of y^2 - 2 y - 15 is B = 2 * 4; a lift past B, not
         # 2 B, stops at mod 9, where the root 5 reads as -4
-        ([1, -2, -15], [(Fraction(-3), 1), (Fraction(5), 1)]),
+        ([1, -2, -15], [(-3, 1), (5, 1)]),
     ]
     for coeffs, expected in cases:
-        got = rational_roots(coeffs)
-        assert sorted(got) == sorted(expected), coeffs
+        assert _int_roots(coeffs) == expected, coeffs
+
+
+@pytest.mark.parametrize("coeffs", [[2, -3, 0, 0], [4, 0, -1], [-1, 1], [0, 1, -2], []])
+def test_integer_roots_refuses_a_polynomial_that_is_not_monic(coeffs):
+    # det(x I - D) is monic; a rational root p / q of any other polynomial is
+    # not an integer, and a leading zero is no degree
+    with pytest.raises(ValueError, match="monic"):
+        integer_roots(coeffs)
 
 
 def test_rational_roots_near_the_root_bound():
     for m in (1, 31, 64, 200):
         values = [-2 ** m, 1 - 2 ** m, 2 ** m - 1, 2 ** m]
         for r in values:
-            assert rational_roots([1, -r]) == [(r, 1)], r
+            assert _int_roots([1, -r]) == [(r, 1)], r
         for r, s in combinations(values, 2):
-            assert rational_roots([1, -(r + s), r * s]) == [(r, 1), (s, 1)], (r, s)
+            assert _int_roots([1, -(r + s), r * s]) == [(r, 1), (s, 1)], (r, s)
 
 
 def test_rational_roots_past_trial_division():
     # the constant term 6 * 1000003^2 has the repeated prime factor 1000003,
     # past any small trial division
     ints, _ = int_scale([[2, Fraction(1, 1000003)], [0, 3]])
-    assert rational_roots(char_poly(ints)) == [(2000006, 1), (3000009, 1)]
+    assert _int_roots(char_poly(ints)) == [(2000006, 1), (3000009, 1)]
 
 
 def _times(poly, factor):
@@ -122,11 +144,13 @@ def _times(poly, factor):
 
 
 @st.composite
-def factored_polynomials(draw):
+def factored_polynomials(draw, monic=False):
     """(polynomial, {rational root: multiplicity}): a rational scalar times
     powers of x, of linear factors q x - p (some repeated) and of quadratics
-    with no rational root, multiplied out."""
-    poly = [Fraction(draw(st.integers(1, 30)) * draw(st.sampled_from([1, -1])),
+    with no rational root, multiplied out.  A monic one has scalar 1 and
+    q = 1, so integer roots."""
+    poly = [Fraction(1) if monic else
+            Fraction(draw(st.integers(1, 30)) * draw(st.sampled_from([1, -1])),
                      draw(st.integers(1, 12)))]
     roots = {}
     zeros = draw(st.integers(0, 3))
@@ -134,7 +158,7 @@ def factored_polynomials(draw):
         roots[Fraction(0)] = zeros
         poly += [Fraction(0)] * zeros
     for _ in range(draw(st.integers(0, 4))):
-        p, q = draw(st.integers(-40, 40).filter(bool)), draw(st.integers(1, 9))
+        p, q = draw(st.integers(-40, 40).filter(bool)), 1 if monic else draw(st.integers(1, 9))
         mult = draw(st.integers(1, 3))
         roots[Fraction(p, q)] = roots.get(Fraction(p, q), 0) + mult
         for _ in range(mult):
@@ -149,12 +173,11 @@ def factored_polynomials(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(factored_polynomials())
+@given(factored_polynomials(monic=True))
 def test_rational_roots_match_the_fraction_form(case):
     poly, roots = case
-    # a positive multiple of a polynomial has its roots
-    (ints,), _ = int_scale([poly])
-    got = rational_roots(ints)
+    ints = [int(c) for c in poly]
+    got = _int_roots(ints)
     assert got == fraction_rational_roots(poly)
     assert got == sorted(roots.items())
 
@@ -174,13 +197,13 @@ P1, P2 = 10 ** 15 + 37, 1000001000000017
 
 
 def test_rational_roots_of_a_product_of_two_large_primes():
-    assert rational_roots([1, -(P1 + P2), P1 * P2]) == [(P1, 1), (P2, 1)]
-    assert rational_roots([P1 * P2, -(P1 + P2), 1]) == [
-        (Fraction(1, P2), 1), (Fraction(1, P1), 1)]
+    assert _int_roots([1, -(P1 + P2), P1 * P2]) == [(P1, 1), (P2, 1)]
+    assert _int_roots([1, -2 * P1, P1 * P1]) == [(P1, 2)]
 
 
 def test_limit_points_real_with_two_large_prime_eigenvalues():
-    rep = limit_points_real(([[P1, 1], [0, P2]], 1), [1, 1])
+    d = [[P1, 1], [0, P2]]
+    rep = limit_points_real((d, 1), [1, 1], char_poly(d))
     assert (rep.finite_orbit, rep.dominant, rep.depth) == (False, P2, 1)
     assert rep.points == [ProjState([1, P2 - P1])]
 
@@ -188,18 +211,14 @@ def test_limit_points_real_with_two_large_prime_eigenvalues():
 def test_rational_roots_random_products():
     rng = random.Random(11)
     for _ in range(30):
-        roots = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                 for _ in range(rng.randint(1, 4))]
-        poly = [Fraction(1)]
+        roots = [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))]
+        poly = [1]
         for r in roots:
-            poly = poly + [Fraction(0)]
+            poly = poly + [0]
             for i in range(len(poly) - 1, 0, -1):
                 poly[i] -= r * poly[i - 1]
-        (ints,), _ = int_scale([poly])
-        got = rational_roots(ints)
-        assert sum(m for _, m in got) == len(roots)
-        for r in set(roots):
-            assert (r, roots.count(r)) in got
+        got = _int_roots(poly)
+        assert got == sorted((r, roots.count(r)) for r in set(roots))
 
 
 def test_nullspace_and_rank():

@@ -296,7 +296,7 @@ def test_gr2_f_dim():
     gr2 = [grassmannian(2, n) for n in range(4, 9)]
     assert [dim_f_closed_form(ring) for ring in gr2] == [2, 10, 9, 21, 8]
     for ring in gr2[:3]:
-        assert ring.f_span_dim()[0] == dim_f_closed_form(ring)
+        assert ring.f_span_dim() == dim_f_closed_form(ring)
 
 
 #: every Gr(k, n) with 2 <= k <= n / 2 and dimension C(n, k) <= 130: 20 rings
@@ -313,7 +313,7 @@ def test_positivity_and_the_span_bound_on_every_small_grassmannian(k, n):
     assert ints == [list(row) for row in zip(*ints)]
     assert all(x >= 0 for row in ints for x in row)
     assert is_positive_definite((ints, den))[0]
-    dim_f, bound = ring.f_span_dim()[0], ring.dim_bound()
+    dim_f, bound = ring.f_span_dim(), ring.dim_bound()
     assert dim_f == bound if k == 2 else dim_f <= bound
 
 
@@ -358,7 +358,7 @@ def test_fano_ci_quadric_dictionary():
     assert ring.handle_element() == ring.element({"H^3": 2, ("1", 1): -2})
     q3 = quadric(3)
     assert q3.handle_element() == q3.element({"s3": 4, ("1", 1): 2})
-    assert ring.f_span_dim()[0] == 2 == q3.f_span_dim()[0]
+    assert ring.f_span_dim() == 2 == q3.f_span_dim()
 
 
 def test_fano_ci_hat_basis_for_tau_one():
@@ -404,7 +404,7 @@ def test_fci_unit_orbit_closes_onto_the_predicted_states():
                  ring.basis_element(2), ring.basis_element(3)]
     assert traj.closed and len(traj.states) == 4
     assert set(traj.states) == {ProjState.from_element(ring, e) for e in predicted}
-    assert ring.f_span_dim()[0] == dim_f_closed_form(ring) == 4
+    assert ring.f_span_dim() == dim_f_closed_form(ring) == 4
     assert _criterion_6_lines(ring.name) == [
         f"ok: {ring.name}: unit orbit closes onto exactly the predicted states",
         f"ok: {ring.name}: span dimension matches the closed form 4"]
@@ -418,7 +418,7 @@ def test_fci_tau_one_handle_matrix_is_triangular():
     assert a[0][0] == meta["alpha"] and all(a[j][j] == meta["beta"] for j in range(1, 4))
     assert a[0][1] == meta["omega"] and all(a[j][j + 1] == meta["xi"] for j in range(1, 3))
     assert meta["omega"] != 0
-    assert ring.f_span_dim()[0] == dim_f_closed_form(ring) == 4
+    assert ring.f_span_dim() == dim_f_closed_form(ring) == 4
     assert a[0][0] == 3986944 and a[0][1] == 7744 and a[1][1] == 2004480
     lines = _criterion_6_lines(ring.name)
     assert len(lines) == 5 and all(line.startswith("ok: ") for line in lines)
@@ -449,7 +449,7 @@ def test_fci_without_kappa_has_no_span_prediction():
     ring = fano_ci((2,), 3)
     assert ring.meta["tau"] == 3 and ring.meta["kappa"] == 0
     assert dim_f_closed_form(ring) is None
-    assert ring.f_span_dim()[0] == 2
+    assert ring.f_span_dim() == 2
 
 
 @pytest.mark.parametrize("make, arg", [(projective_space, n) for n in range(1, 9)]
