@@ -279,11 +279,11 @@ def criterion_7():
     bad_counts = bad_witness = 0
     for _ in range(trials):
         _, _, m, z, far = _limit_trial(rng, dim)
-        rep = limit_points_real(m, z, char_poly(m[0]))
-        if rep.finite_orbit or not 1 <= len(rep.points) <= 2:
+        points = limit_points_real(m, z, char_poly(m[0]))
+        if not 1 <= len(points) <= 2:
             bad_counts += 1
             continue
-        if min(chordal(far, pt) for pt in rep.points) > 1e-6:
+        if min(chordal(far, pt) for pt in points) > 1e-6:
             bad_witness += 1
     c.check(bad_counts == 0,
             f"{trials} random 6x6 conjugated diagonal matrices all have "

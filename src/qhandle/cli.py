@@ -171,10 +171,9 @@ def cmd_complexity(args):
         k = complexity.approx_complexity(ring, source, target, args.eps,
                                          kmax=args.kmax)
         mode = "approximate"
-    found = k is not complexity.NOT_FOUND
     return {"ring": ring.name, "from": args.source, "to": args.target,
             "mode": mode, "eps": args.eps,
-            "found": found, "complexity": k if found else None}
+            "found": k is not None, "complexity": k}
 
 
 def cmd_orbit(args):
@@ -365,13 +364,11 @@ def build_parser():
     p.add_argument("n", type=int, nargs="?")
     p.add_argument("--table", action="store_true",
                    help="emit the full bound table for the standard rings")
-    p.add_argument("--format", choices=["json", "csv", "text"], default="json")
-    p.add_argument("--out")
+    common(p, ring=False)
 
     p = sub.add_parser("verify", help="run the acceptance criteria")
     p.add_argument("--only", help="comma-separated criterion numbers")
-    p.add_argument("--format", choices=["json", "csv", "text"], default="json")
-    p.add_argument("--out")
+    common(p, ring=False)
     return parser
 
 

@@ -21,19 +21,6 @@ from .linalg import (
 )
 
 
-class _NotFound:
-    """Sentinel for complexity searches that exhaust their step budget."""
-
-    def __repr__(self):
-        return "NOT_FOUND"
-
-    def __bool__(self):
-        return False
-
-
-NOT_FOUND = _NotFound()
-
-
 class ProjState:
     """A nonzero rational vector up to scale.
 
@@ -172,7 +159,7 @@ def trajectory(ring, s0, kmax=None):
 
 
 def _first_hit(ring, s0, target, kmax, hit):
-    """Least k whose orbit state s has hit(s, [target]), or NOT_FOUND.
+    """Least k whose orbit state s has hit(s, [target]), or None.
 
     A state that repeats an earlier one cannot be a first hit, so the search
     ends with the orbit's first revisit.
@@ -180,45 +167,30 @@ def _first_hit(ring, s0, target, kmax, hit):
     mat, vec, kmax = _orbit_setup(ring, s0, kmax)
     goal = ProjState.from_element(ring, target)
     states = _orbit(mat, vec, kmax, Trajectory([]))
-    return next((k for k, state in enumerate(states) if hit(state, goal)), NOT_FOUND)
+    return next((k for k, state in enumerate(states) if hit(state, goal)), None)
 
 
 def exact_complexity(ring, s0, target, kmax=None):
-    """Least k with [Delta^(*k) s0] = [target], or NOT_FOUND."""
+    """Least k with [Delta^(*k) s0] = [target], or None."""
     return _first_hit(ring, s0, target, kmax, ProjState.__eq__)
 
 
 def approx_complexity(ring, s0, target, eps, kmax=None):
-    """Least k with chordal([Delta^(*k) s0], [target]) <= eps, or NOT_FOUND."""
+    """Least k with chordal([Delta^(*k) s0], [target]) <= eps, or None."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     return _first_hit(ring, s0, target, kmax,
                       lambda state, goal: chordal(state, goal) <= eps)
 
 
-class LimitReport:
-    """Exact accumulation data of the iteration M^k z.
-
-    points lists the at most two projective limit classes of the nonzero
-    iterates; finite_orbit means the iterates are eventually zero, in which
-    case there are no limit directions.  dominant is the largest |v| over the
-    eigenvalues v of M at which z has a nonzero generalized eigenvector
-    component; depth is the longest Jordan chain of those components at
-    +-dominant.
-    """
-
-    def __init__(self, points, finite_orbit=False, dominant=None, depth=0):
-        self.points = points
-        self.finite_orbit = finite_orbit
-        self.dominant = dominant
-        self.depth = depth
-
-
 def limit_points_real(mat, z, f):
-    """Limit classes of M^k z for a matrix M split over the rationals, given
-    as the pair mat = (D, d) of integer rows and a positive denominator,
-    M = D / d (linalg.int_scale gives it for a rational matrix), and
-    f = det(x I - D), which the caller has at hand (linalg.char_poly).
+    """The list of limit classes of the nonzero iterates M^k z, for a matrix
+    M split over the rationals, given as the pair mat = (D, d) of integer
+    rows and a positive denominator, M = D / d (linalg.int_scale gives it
+    for a rational matrix), and f = det(x I - D), which the caller has at
+    hand (linalg.char_poly).  It is empty exactly when the iterates are
+    eventually zero, and holds one class, or two when both signs of the
+    dominant eigenvalue carry a longest chain.
 
     f is monic over Z, so its rational roots are integers r (integer_roots),
     the eigenvalues of D, and r / d are those of M.  For such an r of
@@ -234,10 +206,9 @@ def limit_points_real(mat, z, f):
     D^k z_r grows like binomial(k, l-1) r^(k-l+1) N^(l-1) z_r, so the
     largest |r| with a nonzero y wins, and at it the top term of each sign
     whose chain is longest survives.  The classes of D^k z are those of
-    M^k z, and the dominant eigenvalue of M is |r| / d.  Raises ValueError
-    for a zero z or a non-split matrix.
+    M^k z.  Raises ValueError for a zero z or a non-split matrix.
     """
-    ints, den = mat
+    ints, _ = mat
     (z,), _ = int_scale([z])
     n = len(z)
     if len(ints) != n or any(len(row) != n for row in ints):
@@ -270,7 +241,7 @@ def limit_points_real(mat, z, f):
         if tops:
             break
     else:
-        return LimitReport(points=[], finite_orbit=True)
+        return []
 
     def jordan_chain(r, vec):
         """vec, (D - r I) vec, ... up to the last nonzero term."""
@@ -282,7 +253,6 @@ def limit_points_real(mat, z, f):
 
     chains = {r: jordan_chain(r, y) for r, y in tops.items()}
     depth = max(len(chain) for chain in chains.values())
-    dominant = Fraction(lam, den)
     # The top term r^(1-l) N^(l-1) z_r survives only on the longest chains.
     # The chain of r runs on z scaled by a positive integer, so its last
     # entry is that term times sign(r)^(l-1), a positive factor common to
@@ -290,20 +260,15 @@ def limit_points_real(mat, z, f):
     parts = {r: [x if r > 0 or depth % 2 else -x for x in chain[depth - 1]]
              for r, chain in chains.items() if len(chain) == depth}
     if len(parts) == 1:
-        return LimitReport(points=[ProjState(p) for p in parts.values()],
-                           dominant=dominant, depth=depth)
+        return [ProjState(p) for p in parts.values()]
     # Each sign also takes the other's g(r), so both carry one common
     # factor, which neither the classes of plus +- minus nor their order see.
+    # plus and minus are nonzero vectors of the eigenspaces of lam and -lam,
+    # so plus + minus and plus - minus are nonzero and not proportional.
     plus = [x * _synth_div(gs[-lam], -lam)[1] for x in parts[lam]]
     minus = [x * _synth_div(gs[lam], lam)[1] for x in parts[-lam]]
-    points = []
-    for cand in ([a + b for a, b in zip(plus, minus)],
-                 [a - b for a, b in zip(plus, minus)]):
-        if any(cand):
-            state = ProjState(cand)
-            if state not in points:
-                points.append(state)
-    return LimitReport(points=points, dominant=dominant, depth=depth)
+    return [ProjState([a + b for a, b in zip(plus, minus)]),
+            ProjState([a - b for a, b in zip(plus, minus)])]
 
 
 class SInfinityReport:
@@ -383,7 +348,7 @@ def s_infinity(ring, s0):
     if len(cycles[0]) <= 2:  # for c >= 3 the open orbit proves M not split
         f = cyclic_char_poly(mat[0], cycles)
         if sum(m for _, m in integer_roots(f)) == ring.dim:
-            points = limit_points_real(mat, z, f).points
+            points = limit_points_real(mat, z, f)
             return SInfinityReport(points=points, exact=True, method="rational-split")
 
     try:  # no point class, or no scalar power of it

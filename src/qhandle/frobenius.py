@@ -42,18 +42,12 @@ class Element:
     def __eq__(self, other):
         return isinstance(other, Element) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
     def scale(self, c):
         c = Fraction(c)
         return Element({k: c * v for k, v in self.coeffs.items()}) if c else Element()
 
     def shift_q(self, d):
         return Element({(w, e + d): v for (w, e), v in self.coeffs.items()})
-
-    def support(self):
-        return {w for (w, _) in self.coeffs}
 
     def __repr__(self):
         return f"Element({self.coeffs!r})"

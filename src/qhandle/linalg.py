@@ -29,13 +29,14 @@ factoring (Loos, "Computing rational zeros of integral polynomials by p-adic
 expansion", 1983).  The square-free part g of a monic f is monic too, as
 gcd(f, f') divides f over Z, and its roots are integers y with |y| <= B =
 2 max_i 2^ceil(bitlen(g_i) / i), over the nonzero g_i, i >= 1: Fujiwara's
-2 max |g_i|^(1/i), rounded up.  Take the least odd prime p with
-gcd(g, g') = 1 mod p; there is one, as only the finitely many primes that
-divide the discriminant fail.  Then each root of g mod p is simple, g'(y) is
-a unit mod p, and Newton's step y - g(y) / g'(y) lifts it from mod m to
-mod m^2 uniquely (Hensel).  An integer root y is congruent to one of these
-roots mod p, so it equals the symmetric residue of that root's lift mod m
-once m > 2 B; the residues where g vanishes exactly are all the roots.
+2 max |g_i|^(1/i), rounded up.  Take the least odd prime p such that g'(y)
+is a unit mod p at every root y of g mod p; there is one, as every prime
+that does not divide the discriminant of g qualifies.  Newton's step
+y - g(y) / g'(y) then lifts each of those roots from mod m to mod m^2
+uniquely (Hensel): it needs g'(y) to be a unit only at the roots it lifts.
+An integer root y reduces to one of these roots mod p, so it equals the
+symmetric residue of that root's lift mod m once m > 2 B; the residues
+where g vanishes exactly are all the roots.
 """
 
 import math
@@ -295,13 +296,6 @@ def _synth_div(coeffs, root):
     return out[:-1], out[-1]
 
 
-def _primitive_part(f):
-    """An integer polynomial divided by its content, leading coefficient
-    positive."""
-    g = math.gcd(*f)
-    return [c // g for c in f] if f[0] > 0 else [-c // g for c in f]
-
-
 def _pseudo_rem(a, b):
     """lc(b)^k a mod b over Z for some k >= 0, without leading zeros ([] for
     zero): each step replaces a by lc(b) a - lc(a) x^i b."""
@@ -326,42 +320,26 @@ def _exact_quotient(num, den):
 
 
 def squarefree_part(f):
-    """f / gcd(f, f') for an integer polynomial f with f[0] != 0, primitive
-    with positive leading coefficient.  The gcd is the last nonzero term of the
-    primitive pseudo-remainder sequence of f and f', a primitive polynomial
-    that divides f over Q and so, by Gauss's lemma, over Z."""
-    g, r = _primitive_part(f), poly_deriv(f)
+    """f / gcd(f, f') for an integer polynomial f with f[0] != 0, as a list,
+    primitive with positive leading coefficient (_primitive).  The gcd is the
+    last nonzero term of the primitive pseudo-remainder sequence of f and f',
+    a primitive polynomial that divides f over Q and so, by Gauss's lemma,
+    over Z."""
+    g, r = _primitive(f), poly_deriv(f)
     while any(r):
-        r = _primitive_part(r)
+        r = _primitive(r)
         g, r = r, _pseudo_rem(g, r)
-    return _primitive_part(_exact_quotient(f, g))
-
-
-def _coprime_mod(a, b, p):
-    """Whether the integer polynomials a and b are coprime over F_p: their
-    Euclidean remainder sequence mod p ends in a nonzero constant."""
-    def trim(f):
-        f = [x % p for x in f]
-        while f and not f[0]:
-            del f[0]
-        return f
-
-    a, b = trim(a), trim(b)
-    while b:
-        inv = pow(b[0], -1, p)
-        while len(a) >= len(b):
-            c = a[0] * inv
-            a = trim([x - c * y for x, y in zip(a[1:], b[1:])] + a[len(b):])
-        a, b = b, a
-    return len(a) == 1
+    return list(_primitive(_exact_quotient(f, g)))
 
 
 def integer_roots(coeffs):
     """All rational roots of a monic integer polynomial f, as sorted
     (root, multiplicity) pairs; by the rational root theorem each is an int.
 
-    Strips zero roots and lifts the roots of the square-free part, which is
-    monic too, p-adically (Loos 1983), with no factoring; see the module
+    Strips zero roots and lifts the roots of the square-free part g, which
+    is monic too, p-adically (Loos 1983), with no factoring: from the roots
+    mod p, p the least odd prime where g' is nonzero mod p at each of them,
+    found in one scan of the residues per prime tried; see the module
     docstring.  A root y has multiplicity the number of times x - y divides
     f.  Raises ValueError on a polynomial that is not monic.
     """
@@ -377,15 +355,16 @@ def integer_roots(coeffs):
         g = squarefree_part(ints)
         dg = poly_deriv(g)
         p = 3
-        while not _coprime_mod(g, dg, p):
+        while True:  # the least odd prime where g' is a unit at each root of g
+            residues = [y for y in range(p) if not _synth_div(g, y)[1] % p]
+            if all(_synth_div(dg, y)[1] % p for y in residues):
+                break
             p += 2
             while any(p % k == 0 for k in range(3, math.isqrt(p) + 1, 2)):
                 p += 2
         # 2 B, with B the rounded Fujiwara bound of the module docstring
         bound = 4 * max(1 << -(-c.bit_length() // i) for i, c in enumerate(g) if i and c)
-        for y in range(p):
-            if _synth_div(g, y)[1] % p:
-                continue
+        for y in residues:
             mod = p
             while mod <= bound:
                 mod *= mod

@@ -126,14 +126,6 @@ def est_bound(k: int, n: int) -> int:
     return (n // gcd(n, k * k)) * (total // n)
 
 
-def lr_coefficient(lam, mu, nu) -> int:
-    """Littlewood-Richardson coefficient C^nu_{lam,mu}, read off lr_expand at a
-    cap of len(nu) rows: the cap drops only longer shapes, and lr_expand gives
-    {} when lam has more rows than nu, where C^nu_{lam,mu} = 0."""
-    nu = normalize(nu)
-    return lr_expand(lam, mu, len(nu)).get(nu, 0)
-
-
 def lr_coefficient_len2(lam, nu, mu) -> int:
     """Two-row closed form for C^mu_{lam,nu}; all three partitions of length <= 2.
 

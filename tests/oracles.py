@@ -415,7 +415,7 @@ def element_span_dim(ring):
     powers = []
     cur = ring.unit()
     for k in range(ring.dim):
-        if not cur.support() <= allowed:
+        if not {w for w, _ in cur.coeffs} <= allowed:
             raise ValueError(f"handle power {k} leaves the V_j (j = 0 mod D_X) sum")
         if not ech.add(ring.element_vector(cur)):
             break
@@ -648,7 +648,8 @@ def fraction_eigenstructure(m):
 
 
 def fraction_limit_points(mat, z):
-    """(points, finite_orbit, dominant, depth) of M^k z for a split matrix."""
+    """The limit classes of the nonzero iterates M^k z for a split matrix,
+    [] when the iterates are eventually zero."""
     n = len(z)
     mat = [[Fraction(x) for x in row] for row in mat]
     z = [Fraction(x) for x in z]
@@ -665,7 +666,7 @@ def fraction_limit_points(mat, z):
     comps = {v: w for v, w in comps.items() if any(w)}
     magnitudes = [abs(v) for v in comps if v]
     if not magnitudes:
-        return [], True, None, 0
+        return []
     lam = max(magnitudes)
     chains = {}
     for v in (lam, -lam):
@@ -678,12 +679,12 @@ def fraction_limit_points(mat, z):
     parts = [[v ** (1 - r) * x for x in chain[r - 1]]
              for v, chain in chains.items() if len(chain) == r]
     if len(parts) == 1:
-        return [FractionProjState(parts[0])], False, lam, r
+        return [FractionProjState(parts[0])]
     points = []
     for cand in ([a + b for a, b in zip(*parts)], [a - b for a, b in zip(*parts)]):
         if any(cand) and FractionProjState(cand) not in points:
             points.append(FractionProjState(cand))
-    return points, False, lam, r
+    return points
 
 
 def jacobi_theta_points(ring, z):

@@ -1,4 +1,5 @@
 import csv
+import doctest
 import hashlib
 import io
 import json
@@ -385,6 +386,17 @@ def test_module_entry_point():
                           capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["Est"] == 2
+
+
+def test_readme_library_block_runs_as_a_doctest():
+    # doctest.testfile would read the closing fence as expected output, so
+    # the fenced block is cut out and parsed on its own
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    test = doctest.DocTestParser().get_doctest(block, {}, "README", "README.md", 0)
+    report = io.StringIO()
+    result = doctest.DocTestRunner().run(test, out=report.write)
+    assert result.failed == 0 and result.attempted == len(test.examples) > 0, report.getvalue()
 
 
 def test_builds_and_runs_without_numpy():

@@ -7,18 +7,11 @@ from oracles import (FractionProjState, faddeev_leverrier, fraction_inverse,
                      fraction_limit_points, fraction_orbit, jacobi_theta_points, replaced)
 
 from qhandle import acceptance, cli, complexity, linalg
-from qhandle.complexity import (NOT_FOUND, LimitReport, ProjState, Trajectory,
-                                approx_complexity, chordal, exact_complexity,
+from qhandle.complexity import (ProjState, approx_complexity, chordal, exact_complexity,
                                 limit_points_real, s_infinity, trajectory)
 from qhandle.frobenius import FrobeniusRing
 from qhandle.linalg import char_poly, cyclic_char_poly, int_scale, integer_roots, mat_mul
 from qhandle.rings import fano_ci, grassmannian, projective_space, quadric
-
-
-def test_not_found_sentinel():
-    assert repr(NOT_FOUND) == "NOT_FOUND"
-    assert not NOT_FOUND
-    assert NOT_FOUND is not None
 
 
 def test_proj_state_normalization():
@@ -102,7 +95,7 @@ def test_exact_complexity_projective():
 
 def test_exact_complexity_not_found():
     ring = quadric(3)
-    assert exact_complexity(ring, ring.unit(), ring.element({"H": 1})) is NOT_FOUND
+    assert exact_complexity(ring, ring.unit(), ring.element({"H": 1})) is None
 
 
 def test_approx_complexity_monotone():
@@ -110,10 +103,10 @@ def test_approx_complexity_monotone():
     target = ring.element({"1": 1, "s3": 1})
     eps_values = [1e-8, 1e-4, 1e-2, 0.5]
     ks = [approx_complexity(ring, ring.unit(), target, eps) for eps in eps_values]
-    assert all(k is not NOT_FOUND for k in ks)
+    assert all(k is not None for k in ks)
     assert all(ks[i] >= ks[i + 1] for i in range(len(ks) - 1))
     # the target is a limit point, never hit exactly
-    assert exact_complexity(ring, ring.unit(), target) is NOT_FOUND
+    assert exact_complexity(ring, ring.unit(), target) is None
 
 
 def test_approx_complexity_rejects_negative_eps():
@@ -136,7 +129,7 @@ def test_searches_stop_at_the_first_hit_or_revisit(monkeypatch):
     assert calls == []
     # the unit orbit is a 4-cycle that never comes within 0.01 of 1 + H
     target = ring.element({"1": 1, "H": 1})
-    assert approx_complexity(ring, ring.unit(), target, 0.01) is NOT_FOUND
+    assert approx_complexity(ring, ring.unit(), target, 0.01) is None
     assert len(calls) == 4
 
 
@@ -219,10 +212,8 @@ def test_eigenstructure_and_limits_match_the_fraction_oracle(case):
     ints, den = int_scale(m)
     assert [Fraction(c, den ** k) for k, c in enumerate(char_poly(ints))] == \
         faddeev_leverrier(m)
-    rep = limit_points_real((ints, den), z, char_poly(ints))
-    points, finite, dominant, depth = fraction_limit_points(m, z)
-    assert [p.vec for p in rep.points] == [p.vec for p in points]
-    assert (rep.finite_orbit, rep.dominant, rep.depth) == (finite, dominant, depth)
+    points = limit_points_real((ints, den), z, char_poly(ints))
+    assert [p.vec for p in points] == [p.vec for p in fraction_limit_points(m, z)]
 
 
 def test_finite_state_set_projective():
@@ -283,22 +274,14 @@ def _limits(d, den, z):
 
 
 def test_limit_points_real_frozen():
-    rep = _limits([[2, 0], [0, 1]], 1, [1, 1])
-    assert not rep.finite_orbit and rep.dominant == 2 and rep.depth == 1
-    assert rep.points == [ProjState([1, 0])]
-
-    rep = _limits([[2, 0], [0, -2]], 1, [1, 1])
-    assert rep.points == [ProjState([1, 1]), ProjState([1, -1])]
-
-    rep = _limits([[3, 1], [0, 3]], 1, [0, 1])
-    assert rep.points == [ProjState([1, 0])] and rep.depth == 2
-
-    rep = _limits([[0, 1], [0, 0]], 1, [0, 1])
-    assert rep.finite_orbit and rep.points == []
-
+    assert _limits([[2, 0], [0, 1]], 1, [1, 1]) == [ProjState([1, 0])]
+    assert _limits([[2, 0], [0, -2]], 1, [1, 1]) == [ProjState([1, 1]), ProjState([1, -1])]
+    # a 2-block: the top of its Jordan chain wins
+    assert _limits([[3, 1], [0, 3]], 1, [0, 1]) == [ProjState([1, 0])]
+    # nilpotent: the iterates vanish, so there is no limit class
+    assert _limits([[0, 1], [0, 0]], 1, [0, 1]) == []
     # M = [[3, 1], [0, -1]] / 2: the eigenvalue 3/2 wins
-    rep = _limits([[3, 1], [0, -1]], 2, [0, 1])
-    assert rep.dominant == Fraction(3, 2) and rep.points == [ProjState([1, 0])]
+    assert _limits([[3, 1], [0, -1]], 2, [0, 1]) == [ProjState([1, 0])]
 
 
 def test_limit_points_real_errors():
@@ -494,7 +477,7 @@ def _split_horizon_holds(mat, z):
     assert complexity._walk(mat, z, n + 2).closed == long_walk.closed
     if not long_walk.closed:
         visited = set(long_walk.states)
-        points = limit_points_real(mat, z, char_poly(mat[0])).points
+        points = limit_points_real(mat, z, char_poly(mat[0]))
         assert not any(p in visited for p in points)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import (FractionEchelon, faddeev_leverrier, fraction_eigenstructure,
                      fraction_inverse, fraction_limit_points, fraction_rational_roots,
-                     fraction_solve, identity, poly_deriv, poly_divmod, poly_gcd,
+                     fraction_solve, poly_deriv, poly_divmod, poly_gcd,
                      zeros)
 
 from qhandle._oracles import det_int, sym_float_eigs
@@ -48,10 +48,8 @@ def test_char_poly_and_eigenstructure_match_the_fraction_oracle(m):
     f = char_poly(mat[0])
     if fraction_eigenstructure(m)[1]:
         for z in units:
-            rep = limit_points_real(mat, z, f)
-            points, finite, dominant, depth = fraction_limit_points(m, z)
-            assert [p.vec for p in rep.points] == [p.vec for p in points]
-            assert (rep.finite_orbit, rep.dominant, rep.depth) == (finite, dominant, depth)
+            points = limit_points_real(mat, z, f)
+            assert [p.vec for p in points] == [p.vec for p in fraction_limit_points(m, z)]
     else:
         for z in units:
             with pytest.raises(ValueError):
@@ -106,6 +104,9 @@ def test_rational_roots_frozen():
         # the root bound of y^2 - 2 y - 15 is B = 2 * 4; a lift past B, not
         # 2 B, stops at mod 9, where the root 5 reads as -4
         ([1, -2, -15], [(-3, 1), (5, 1)]),
+        # (x^2 + 1)(x^2 + 4)(x - 7) is not square-free mod 3, where x^2 + 4 is
+        # x^2 + 1, but its one root 1 mod 3 is simple, so p = 3 serves
+        ([1, -7, 5, -35, 4, -28], [(7, 1)]),
     ]
     for coeffs, expected in cases:
         assert _int_roots(coeffs) == expected, coeffs
@@ -203,9 +204,7 @@ def test_rational_roots_of_a_product_of_two_large_primes():
 
 def test_limit_points_real_with_two_large_prime_eigenvalues():
     d = [[P1, 1], [0, P2]]
-    rep = limit_points_real((d, 1), [1, 1], char_poly(d))
-    assert (rep.finite_orbit, rep.dominant, rep.depth) == (False, P2, 1)
-    assert rep.points == [ProjState([1, P2 - P1])]
+    assert limit_points_real((d, 1), [1, 1], char_poly(d)) == [ProjState([1, P2 - P1])]
 
 
 def test_rational_roots_random_products():

