@@ -15,13 +15,24 @@ arithmetic is on Python ints and Fractions.
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
+from operator import add
 
 from .linalg import Echelon, primitive_powers
 
 #: The prime of the generator search (_generators): 2^25 - 39.
 _GENERATOR_PRIME = 33554393
+#: _validate_associativity forms L_g P this many columns at a time.
+_BLOCK = 32
 #: theta_order looks for a scalar power of the point class up to this exponent.
 _THETA_CAP = 64
+
+
+def _combine(terms, vecs, width):
+    """The sum of c * vecs[v] over the terms (v, c), as a list of width ints."""
+    acc = [0] * width
+    for v, c in terms:
+        acc = list(map(add, acc, vecs[v] if c == 1 else map(c.__mul__, vecs[v])))
+    return acc
 
 
 class Element:
@@ -182,7 +193,11 @@ class FrobeniusRing:
         if delta is None:
             if any(self.pairing_q_power(i, j) for i, row in enumerate(self.pairing) for j in row):
                 raise ValueError("pairing has q-dependent entries")
-            trace = [sum(self._row(x, j).get(j, 0) for j in range(n)) for x in range(n)]
+            trace = [0] * n  # tr(L_x) = sum over j of [e_j](e_x e_j)
+            for (i, j), row in self.structure.items():
+                trace[i] += row.get(j, 0)
+                if i != j:
+                    trace[j] += row.get(i, 0)
             ech = Echelon.of(self._pairing_rows([-t for t in trace]))
             if ech.rank < n or any(c == n for c, _ in ech.rows):
                 raise ValueError("pairing matrix is singular")
@@ -472,8 +487,16 @@ class FrobeniusRing:
         most T L in absolute value, so each digit of the difference is at
         most 2 T L < 2^(s-1).  A base-2^s expansion with digits below 2^s
         in absolute value is 0 only when every digit is, so the two ints are
-        equal exactly when every identity holds.  The error names the least
-        failing j of the first failing generator.
+        equal exactly when every identity holds.
+
+        In matrix terms, with P[v][j] = X[v][j], the check compares column j
+        of L_g P with column j of P L_g, and it compares the same ints in any
+        order of evaluation.  It evaluates whole rows: row w of L_g P is the
+        sum of c^w_gv times row v of P, formed for _BLOCK columns j at a
+        time and transposed, and column j of P L_g is the sum of c^u_gj
+        times column u of P.  So the extra memory is _BLOCK n ints, not n^2.
+        The blocks run in order of j, so the error names the least failing j
+        of the first failing generator.
         """
         n, tau = self.dim, self.tau
         rows = self.structure.values()
@@ -492,17 +515,18 @@ class FrobeniusRing:
                 if i != j:
                     packed[i][v] += c << shift[j]
         for g in self._generators():
-            cols = [list(self._row(g, j).items()) for j in range(n)]
-            for j in range(n):
-                diff = [0] * n
-                for v, x in enumerate(packed[j]):
-                    for w, c in cols[v]:
-                        diff[w] += c * x
-                for u, c in cols[j]:
-                    for w, x in enumerate(packed[u]):
-                        diff[w] -= c * x
-                if any(diff):
-                    raise ValueError(f"associativity fails at pair ({g}, {j})")
+            cols = [list(self._row(g, j).items()) for j in range(n)]  # of L_g
+            lines = [[] for _ in range(n)]  # the rows of L_g
+            for v, col in enumerate(cols):
+                for w, c in col:
+                    lines[w].append((v, c))
+            for lo in range(0, n, _BLOCK):
+                width = min(_BLOCK, n - lo)
+                block = list(zip(*packed[lo:lo + width]))  # block[v] = P[v][lo:lo + width]
+                left = zip(*[_combine(line, block, width) for line in lines])
+                for j, got in enumerate(left, lo):
+                    if list(got) != _combine(cols[j], packed, n):
+                        raise ValueError(f"associativity fails at pair ({g}, {j})")
 
     def _validate_frobenius(self):
         """<e_i, e_j> = <e_i * e_j, 1> for i <= j, as the q = 1 values g_ij and
@@ -516,10 +540,11 @@ class FrobeniusRing:
         q^((deg e_i + deg e_j - top) / tau).
         """
         n, unit = self.dim, self.unit_index
-        counit = {w: row[unit] for w, row in enumerate(self.pairing) if unit in row}
+        counit = [(w, row[unit]) for w, row in enumerate(self.pairing) if unit in row]
         for i in range(n):
             for j in range(i, n):
-                row = self.structure[(i, j)]
-                got = sum(row[w] * eps for w, eps in counit.items() if w in row)
+                row, got = self.structure[(i, j)], 0
+                for w, eps in counit:
+                    got += row.get(w, 0) * eps
                 if got != self.pairing[i].get(j, 0):
                     raise ValueError(f"Frobenius condition fails at pair ({i}, {j})")

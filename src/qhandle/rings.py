@@ -223,12 +223,23 @@ def _schubert_matrices(k, n):
     partition: mats[i] is L_basis[i] as a list of sparse columns {w: c},
     where column j is the row e_i * e_j of the structure constants.
 
-    Column j of L_(lam_1) L_lam' is the sum of c * (column v of L_(lam_1))
-    over the terms c e_v of column j of L_lam'.  Column j of L_i is column i
-    of L_j, since the ring is commutative, so a column whose matrix L_j is
-    already built is the same dict as that column, not a sum.  A column
-    keeps its terms in the order the sum met them.  Each partition outside
-    the box is reduced (reduce_sigma_hat) once per build.
+    The Seidel shift S = L_(n-k) comes first.  At q = 1 it is a permutation
+    matrix: column j is the one class perm[j] with coefficient +1 (Seidel
+    1997; Postnikov, "Affine approach to quantum Schubert calculus", Duke
+    2005), and the build raises AssertionError if it is not.  Every L_lam
+    commutes with S, so column perm[j] of L_lam is S times column j, that is
+    column j with each row w moved to perm[w].  So each matrix below computes
+    one column per cycle of perm, its first, and fills the rest of the cycle
+    from it (orbit_fill).
+
+    Column j of L_(p) is the reduced sum of the strips of p boxes on
+    basis[j].  Column j of L_(lam_1) L_lam' is the sum of c * (column v of
+    L_(lam_1)) over the terms c e_v of column j of L_lam'.  Column j of L_i
+    is column i of L_j, since the ring is commutative, so a column whose
+    matrix L_j is already built is the same dict as that column, not a sum
+    or a shift.  A column keeps its terms in the order the sum or the shift
+    met them.  Each partition outside the box is reduced (reduce_sigma_hat)
+    once per build.
     """
     basis, index = _gr_basis(k, n)
     dim = len(basis)
@@ -245,26 +256,51 @@ def _schubert_matrices(k, n):
             memo[nu] = (sign, index[mu]) if mu is not None else None
         return memo[nu]
 
-    for p in range(1, n - k + 1):
-        cols = []
-        for mu in basis:
-            col = {}
-            for nu in _add_strips(mu, p, k):
-                term = reduced(nu)
-                if term is not None:
-                    col[term[1]] = col.get(term[1], 0) + term[0]
-            cols.append({w: c for w, c in col.items() if c})
-        mats[index[(p,)]] = cols
+    def pieri(p, j):
+        col = {}
+        for nu in _add_strips(basis[j], p, k):
+            term = reduced(nu)
+            if term is not None:
+                col[term[1]] = col.get(term[1], 0) + term[0]
+        return {w: c for w, c in col.items() if c}
+
+    shift = [pieri(n - k, j) for j in range(dim)]
+    perm = [w for col in shift for w in col]
+    if any(list(col.values()) != [1] for col in shift) or len(set(perm)) < dim:
+        raise AssertionError(f"sigma_{n - k} is not a permutation of the basis of Gr({k},{n})")
+    mats[index[(n - k,)]] = shift
+    cycles, seen = [], set()
+    for j in range(dim):
+        if j not in seen:
+            cycle = [j]
+            while perm[cycle[-1]] != j:
+                cycle.append(perm[cycle[-1]])
+            seen.update(cycle)
+            cycles.append(cycle)
+
+    def orbit_fill(i, first):
+        cols = [None] * dim
+        for cycle in cycles:
+            col = None
+            for j in cycle:
+                if mats[j] is not None:
+                    col = mats[j][i]
+                elif col is None:
+                    col = first(j)
+                else:
+                    col = {perm[w]: c for w, c in col.items()}
+                cols[j] = col
+        return cols
+
+    for p in range(1, n - k):
+        mats[index[(p,)]] = orbit_fill(index[(p,)], lambda j: pieri(p, j))
     for lam in sorted((lam for lam in basis if len(lam) > 1),
                       key=lambda lam: (sum(lam), -lam[0])):
         i, a, b = index[lam], mats[index[lam[:1]]], mats[index[lam[1:]]]
         terms = [reduced(nu) for nu in _add_strips(lam[1:], lam[0], k) if nu != lam]
         terms = [(sign, mats[w]) for sign, w in filter(None, terms)]
-        cols = []
-        for j in range(dim):
-            if mats[j] is not None:
-                cols.append(mats[j][i])
-                continue
+
+        def product(j):
             col = {}
             for v, c in b[j].items():
                 for w, d in a[v].items():
@@ -272,8 +308,9 @@ def _schubert_matrices(k, n):
             for sign, m in terms:
                 for w, d in m[j].items():
                     col[w] = col.get(w, 0) - sign * d
-            cols.append({w: c for w, c in col.items() if c})
-        mats[i] = cols
+            return {w: c for w, c in col.items() if c}
+
+        mats[i] = orbit_fill(i, product)
     return mats
 
 
@@ -302,6 +339,16 @@ def grassmannian(k, n):
     is the row e_i * e_j of the structure constants, the same dict.  Each
     matrix is a list of sparse integer columns, so the build holds only the
     nonzeros (_schubert_matrices).
+
+    Most columns are fixed by a symmetry.  At q = 1 multiplication by
+    sigma_(n-k) sends each Schubert class to one Schubert class with
+    coefficient +1 (Seidel 1997; Postnikov, "Affine approach to quantum
+    Schubert calculus", Duke 2005): to (n-k, lam_1, ..., lam_(k-1)) when
+    lam_k = 0 and to (lam_1 - 1, ..., lam_k - 1) otherwise.  The ring is
+    commutative and associative, so every L_lam commutes with this
+    permutation S, and L_lam e_perm(j) = S L_lam e_j.  So one column per
+    cycle of the permutation is computed, and the others are that column
+    with its rows permuted.  validate() still checks the whole ring.
     """
     if not 2 <= k <= n - 2:
         raise ValueError("need 2 <= k <= n - 2")

@@ -437,6 +437,34 @@ def test_associativity_agrees_with_the_oracles_on_graded_mutations(ring):
             ring._validate_associativity()
 
 
+# Graded mutations of gr:3,8 (dim 56), each a list of (key, w, delta) with
+# c -> c + delta on the term e_w of the row key, and the pair the oracle
+# names: the last column of the first block of _BLOCK = 32 columns, and
+# columns of the second block
+BLOCK_MUTATIONS = {
+    "end of the first block": ([((39, 39), 40, 1)], (1, 31)),
+    "second block": ([((40, 40), 10, 1)], (1, 34)),
+    "second block, large": ([((45, 45), 19, T)], (1, 40)),
+    "last column": ([((55, 55), 16, -1)], (1, 54)),
+    "two rows": ([((55, 55), 16, 1), ((40, 40), 10, -2)], (1, 34)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_MUTATIONS))
+def test_associativity_names_the_oracle_pair_past_the_first_block(case):
+    changes, pair = BLOCK_MUTATIONS[case]
+    ring = grassmannian(3, 8)
+    assert ring.dim > frobenius._BLOCK
+    ring = replaced(ring, structure=dict(ring.structure), _cache={})
+    for key, w, delta in changes:
+        row = dict(ring.structure[key])
+        row[w] += delta
+        ring.structure[key] = {v: c for v, c in row.items() if c}
+    assert generator_failure(ring.structure, ring.dim, ring._generators()) == pair
+    with pytest.raises(ValueError, match=r"associativity fails at pair \({}, {}\)$".format(*pair)):
+        ring._validate_associativity()
+
+
 @pytest.mark.parametrize("k, n, gens", [
     (2, 4, [1, 2]), (2, 5, [1]), (2, 6, [1, 2]), (2, 7, [1]), (2, 8, [1, 2]),
     (3, 6, [1, 2, 4]), (3, 7, [1]), (3, 8, [1, 2]), (3, 9, [1, 4]), (4, 8, [1, 2, 7]),

@@ -224,6 +224,36 @@ def test_grassmannian_matches_the_schur_values(k, n):
     assert handle_value_failure(ring, k, n) is None
 
 
+def _seidel_image(lam, k, n):
+    # sigma_(n-k) sigma_lam at q = 1, in closed form
+    full = tuple(lam) + (0,) * (k - len(lam))
+    image = (n - k,) + full[:-1] if full[-1] == 0 else tuple(part - 1 for part in full)
+    return tuple(part for part in image if part)
+
+
+@pytest.mark.parametrize("k, n", [row[:2] for row in EST_TABLE] + [(4, 9), (3, 10)])
+def test_the_seidel_shift_is_a_permutation_that_commutes_with_every_class(k, n):
+    ring = grassmannian(k, n)
+    basis, index = rings._gr_basis(k, n)
+    shift = index[(n - k,)]
+    perm = [index[_seidel_image(lam, k, n)] for lam in basis]
+    assert sorted(perm) == list(range(ring.dim))
+    assert [ring._row(shift, j) for j in range(ring.dim)] == [{w: 1} for w in perm]
+    # S L_lam = L_lam S: column perm[j] of L_lam is column j with its rows moved
+    for i in range(ring.dim):
+        for j in range(ring.dim):
+            assert ring._row(i, perm[j]) == {perm[w]: c for w, c in ring._row(i, j).items()}
+
+
+def test_the_build_rejects_a_shift_that_is_not_a_permutation(monkeypatch):
+    # every strip of n - k = 3 boxes counted twice: sigma_3 = 2 S on Gr(2, 5)
+    strips = rings._add_strips
+    monkeypatch.setattr(rings, "_add_strips",
+                        lambda mu, p, k: strips(mu, p, k) * (1 + (p == 3)))
+    with pytest.raises(AssertionError, match="not a permutation"):
+        rings._schubert_matrices(2, 5)
+
+
 def test_schur_values_catch_a_changed_constant():
     ring = grassmannian(3, 7)
     row = ring.structure[(1, 1)]  # s[1] s[1] = s[2] + s[1,1]
